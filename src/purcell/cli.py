@@ -85,6 +85,8 @@ def _angle_value(text):
 
 
 def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
+    if args.grid < 1 or args.poses < 1:
+        raise ValidationError("--grid and --poses must be at least 1")
     rng = np.random.default_rng(cfg.seed)
     n = args.grid
     angles = -math.pi + 2.0 * math.pi * np.arange(n) / n
@@ -249,8 +251,8 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     bearing = args.bearing if args.bearing is not None else cfg.line_bearing
     distance = args.distance if args.distance is not None else cfg.line_distance
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
+    maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
     calib = _calibration(cfg, rep)
-    maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target, calib)
     rep.scalar("rotate_deg", f"{math.degrees(maneuvers[0].magnitude):.6g}")
     rep.scalar("translate_m", f"{maneuvers[1].magnitude:.6g}")
     compiled = compile_maneuvers(maneuvers, calib)

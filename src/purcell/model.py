@@ -26,12 +26,11 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .se2 import BodyVelocity, GroupPose, wrap_angle
 
-# 3-point Gauss-Legendre on [-1, 1]: exact for the quadratic drag integrands.
-_GL_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
-_GL_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
-
-# Drag-matrix conditioning beyond this is treated as a model pathology.
+# Bound on the condition of the length-scaled drag matrix; beyond it the
+# model is treated as pathological.
 COND_LIMIT = 1e12
+
+_FOUR_THIRDS = 4.0 / 3.0
 
 # Reference force readings from a CFD calibration of one link (normal and
 # tangential drag at an unreported flow speed); kept as an alternative
@@ -136,133 +135,89 @@ def link_frames(shape: ShapePoint, params: SwimmerParams) -> tuple[GroupPose, Gr
     return left, base, right
 
 
-def _link_data(a1: float, a2: float, L: float):
-    """Per-link quantities for the wrench assembly.
+def _assemble(a1: float, a2: float, params: SwimmerParams):
+    """The drag balance at a shape, in closed form and scaled.
 
-    Yields (anchor_x, anchor_y, offset, cos, sin, spin) where a rod point at
-    arclength rho in [-L, L] sits at anchor + R(phi) * (rho + offset, 0) and
-    the link's extra angular rate is spin times the matching joint rate.
+    Returns (n00, n01, n02, n11, n12, n22, c1, s1, c2, s2): the entries of
+    the symmetric positive-definite N with
+
+        omega1 = -2 k_lat L diag(1, 1, L) N diag(1, 1, L)
+
+    and the joint-angle cosines and sines, from which
+
+        omega2 = 2 k_lat L^2 diag(1, 1, L) [[-s1, s2], [c1, c2], [-4/3 - c1, 4/3 + c2]].
+
+    The drag integrands are quadratic in arclength rho, so each link needs
+    only the moments of 1, rho and rho^2 over [off - L, off + L]: 2L, 2L off
+    and 2L (off^2 + L^2 / 3), with off = -L, 0, L for the left, base and
+    right link.  Per unit length a link's point velocity per unit joint rate
+    is spin * rho * (-s, c), which the lateral drag alone resists.  N depends
+    on the shape and on d = k_long / k_lat - 1 only; sin and cos are taken
+    once and the rest is arithmetic.
     """
     c1, s1 = math.cos(a1), math.sin(a1)
     c2, s2 = math.cos(a2), math.sin(a2)
-    return (
-        (-L, 0.0, -L, c1, s1, 1.0),    # left link, joint rate alpha1_dot
-        (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),  # base link
-        (L, 0.0, L, c2, -s2, -1.0),    # right link, joint rate alpha2_dot
-    )
-
-
-def _assemble_wrench(a1: float, a2: float, params: SwimmerParams):
-    """Scalar assembly of the drag wrench maps.
-
-    Returns (w1, w2) as nested tuples: w1[i][j] is the i-th wrench component
-    per unit body velocity j, w2[i][j] per unit joint rate j.  Integrands are
-    quadratic in arclength, so the 3-point rule is exact.
-    """
-    L = params.L
-    kl = params.k_long
-    kn = params.k_lat
-
-    w1_00 = w1_01 = w1_02 = w1_11 = w1_12 = w1_22 = 0.0
-    w2 = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-
-    for ax, ay, off, c, s, spin in _link_data(a1, a2, L):
-        m11 = kl * c * c + kn * s * s
-        m12 = (kl - kn) * c * s
-        m22 = kl * s * s + kn * c * c
-        jch = 0 if spin > 0 else 1  # joint channel for the moving links
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            w = weight * L
-            rho = node * L + off
-            rx = c * rho
-            ry = s * rho
-            px = ax + rx
-            py = ay + ry
-            # column of the point velocity per unit xi_theta
-            u1 = -py * m11 + px * m12
-            u2 = -py * m12 + px * m22
-            w1_00 -= w * m11
-            w1_01 -= w * m12
-            w1_02 -= w * u1
-            w1_11 -= w * m22
-            w1_12 -= w * u2
-            w1_22 -= w * (-py * u1 + px * u2)
-            if spin != 0.0:
-                cx = -spin * ry
-                cy = spin * rx
-                f1 = m11 * cx + m12 * cy
-                f2 = m12 * cx + m22 * cy
-                w2[0][jch] -= w * f1
-                w2[1][jch] -= w * f2
-                w2[2][jch] -= w * (-py * f1 + px * f2)
-
-    w1 = ((w1_00, w1_01, w1_02), (w1_01, w1_11, w1_12), (w1_02, w1_12, w1_22))
-    return w1, (tuple(w2[0]), tuple(w2[1]), tuple(w2[2]))
-
-
-def _solve3(m, rhs):
-    """Solve the 3x3 system m x = rhs by Gaussian elimination with partial pivoting."""
-    a = [list(m[0]), list(m[1]), list(m[2])]
-    x = list(rhs)
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-300:
-            raise NumericalError("singular drag matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            x[col], x[piv] = x[piv], x[col]
-        inv = 1.0 / a[col][col]
-        for r in range(col + 1, 3):
-            f = a[r][col] * inv
-            if f != 0.0:
-                for k in range(col, 3):
-                    a[r][k] -= f * a[col][k]
-                x[r] -= f * x[col]
-    out = [0.0, 0.0, 0.0]
-    for r in (2, 1, 0):
-        acc = x[r]
-        for k in range(r + 1, 3):
-            acc -= a[r][k] * out[k]
-        out[r] = acc / a[r][r]
-    return out
-
-
-def _connection_columns(a1: float, a2: float, params: SwimmerParams):
-    """Columns (A1, A2) of the local connection at a shape, as float triples."""
-    w1, w2 = _assemble_wrench(a1, a2, params)
-    col1 = _solve3(w1, (w2[0][0], w2[1][0], w2[2][0]))
-    col2 = _solve3(w1, (w2[0][1], w2[1][1], w2[2][1]))
-    return col1, col2
+    d = params.k_long / params.k_lat - 1.0
+    sq = s1 * s1 + s2 * s2
+    return (3.0 + d * (3.0 - sq), d * (c1 * s1 - c2 * s2), s1 + s2 - d * (c1 * s1 + c2 * s2),
+            3.0 + d * sq, c2 - c1 + d * (s2 * s2 - s1 * s1), 5.0 + 2.0 * (c1 + c2) + d * sq,
+            c1, s1, c2, s2)
 
 
 def body_velocity_components(a1, a2, u1, u2, params) -> tuple[float, float, float]:
-    """Fast path: body velocity (xi_x, xi_y, xi_theta) for joint rates (u1, u2)."""
-    w1, w2 = _assemble_wrench(a1, a2, params)
-    rhs = (
-        w2[0][0] * u1 + w2[0][1] * u2,
-        w2[1][0] * u1 + w2[1][1] * u2,
-        w2[2][0] * u1 + w2[2][1] * u2,
-    )
-    sol = _solve3(w1, rhs)
-    return (-sol[0], -sol[1], -sol[2])
+    """Body velocity (xi_x, xi_y, xi_theta) for joint rates (u1, u2).
+
+    The one connection kernel: with N and the joint columns J of _assemble,
+    solves N z = J (u1, u2) by the adjugate and returns (L z0, L z1, z2).
+    Raises NumericalError when the Frobenius condition bound
+    |N|_F |adj N|_F / |det N| reaches COND_LIMIT.  N is omega1 with lengths
+    in units of L, so the bound is the same for a micro-swimmer as for a
+    5 cm one.
+    """
+    n00, n01, n02, n11, n12, n22, c1, s1, c2, s2 = _assemble(a1, a2, params)
+    r0 = s2 * u2 - s1 * u1
+    r1 = c1 * u1 + c2 * u2
+    r2 = (_FOUR_THIRDS + c2) * u2 - (_FOUR_THIRDS + c1) * u1
+    j00 = n11 * n22 - n12 * n12
+    j01 = n02 * n12 - n01 * n22
+    j02 = n01 * n12 - n02 * n11
+    j11 = n00 * n22 - n02 * n02
+    j12 = n01 * n02 - n00 * n12
+    j22 = n00 * n11 - n01 * n01
+    det = n00 * j00 + n01 * j01 + n02 * j02
+    norm2 = n00 * n00 + n11 * n11 + n22 * n22 + 2.0 * (n01 * n01 + n02 * n02 + n12 * n12)
+    adj2 = j00 * j00 + j11 * j11 + j22 * j22 + 2.0 * (j01 * j01 + j02 * j02 + j12 * j12)
+    if not norm2 * adj2 < (COND_LIMIT * det) ** 2:  # also catches det == 0 and NaN
+        cond = math.sqrt(norm2 * adj2) / abs(det) if det else math.inf
+        raise NumericalError(
+            f"drag matrix ill-conditioned at shape ({a1:.6g}, {a2:.6g}): cond={cond:.3e}")
+    scale = params.L / det
+    return ((j00 * r0 + j01 * r1 + j02 * r2) * scale,
+            (j01 * r0 + j11 * r1 + j12 * r2) * scale,
+            (j02 * r0 + j12 * r1 + j22 * r2) / det)
 
 
 def drag_matrices(shape: ShapePoint, params: SwimmerParams) -> DragMatrices:
+    """omega1 (3x3) and omega2 (3x2) in physical units, from the same assembly."""
     validate_params(params)
-    w1, w2 = _assemble_wrench(shape[0], shape[1], params)
-    return DragMatrices(np.array(w1, dtype=float), np.array(w2, dtype=float))
+    n00, n01, n02, n11, n12, n22, c1, s1, c2, s2 = _assemble(shape[0], shape[1], params)
+    L = params.L
+    lift = np.array([1.0, 1.0, L])
+    n = np.array([[n00, n01, n02], [n01, n11, n12], [n02, n12, n22]])
+    j = np.array([[-s1, s2], [c1, c2], [-_FOUR_THIRDS - c1, _FOUR_THIRDS + c2]])
+    omega1 = (-2.0 * params.k_lat * L) * (lift[:, None] * n * lift)
+    omega2 = (2.0 * params.k_lat * L * L) * (lift[:, None] * j)
+    return DragMatrices(omega1, omega2)
 
 
 def connection(shape: ShapePoint, params: SwimmerParams) -> ConnectionForm:
-    """Local connection A = omega1^-1 omega2, via a direct solve."""
+    """Local connection A = omega1^-1 omega2: column j is minus the body
+    velocity for a unit rate of joint j."""
     validate_params(params)
-    mats = drag_matrices(shape, params)
-    cond = np.linalg.cond(mats.omega1)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericalError(
-            f"drag matrix ill-conditioned at shape {tuple(shape)}: cond={cond:.3e}")
-    A = np.linalg.solve(mats.omega1, mats.omega2)
-    return ConnectionForm(A)
+    a1, a2 = shape
+    cols = (body_velocity_components(a1, a2, 1.0, 0.0, params),
+            body_velocity_components(a1, a2, 0.0, 1.0, params))
+    return ConnectionForm(-np.array(cols).T)
 
 
 def body_velocity(shape: ShapePoint, sdot: ShapeVelocity, params: SwimmerParams) -> BodyVelocity:

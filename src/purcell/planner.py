@@ -187,6 +187,8 @@ def plan_line(start: GroupPose, target: tuple, calib: CalibrationTable = None) -
     dx = target[0] - start.x
     dy = target[1] - start.y
     dist = math.hypot(dx, dy)
+    if not math.isfinite(dist):
+        raise ValidationError(f"target must be finite, got {tuple(target)}")
     if dist == 0.0:
         raise ValidationError("target coincides with the start position")
     bearing = math.atan2(dy, dx)

@@ -14,22 +14,16 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gaits import ControlSchedule
-from .model import Configuration, ShapePoint, SwimmerParams, validate_params
+from .model import Configuration, SwimmerParams, validate_params
 from .model import body_velocity_components
-from .se2 import GroupPose, BodyVelocity, compose, inverse, torus_distance, wrap_angle
+from .se2 import GroupPose, compose, inverse, torus_distance, wrap_angle
+
+_PI = math.pi
 
 
 class IntegratorConfig(NamedTuple):
     h: float = 1e-3           # max substep (s)
     min_substeps: int = 16    # per segment
-
-
-class TrajectorySample(NamedTuple):
-    time: float
-    shape: ShapePoint
-    pose: GroupPose
-    body_velocity: BodyVelocity
-    segment: int
 
 
 class NetDisplacement(NamedTuple):
@@ -53,15 +47,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.t)
-
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            float(self.t[i]),
-            ShapePoint(float(self.alpha1[i]), float(self.alpha2[i])),
-            GroupPose(float(self.x[i]), float(self.y[i]), float(self.theta[i])),
-            BodyVelocity(float(self.xi_x[i]), float(self.xi_y[i]), float(self.xi_theta[i])),
-            int(self.segment[i]),
-        )
 
     @property
     def initial_pose(self) -> GroupPose:
@@ -113,42 +98,34 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     counts = [max(math.ceil(s.duration / cfg.h), cfg.min_substeps) for _, s in segments]
     total = sum(counts) + 1
 
-    cols = {name: np.empty(total) for name in
-            ("t", "alpha1", "alpha2", "x", "y", "theta", "xi_x", "xi_y", "xi_theta")}
+    t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th = (
+        np.empty(total) for _ in range(9))
     seg_col = np.empty(total, dtype=int)
 
     a1, a2 = q0.shape
     x, y, th = q0.pose
+    t[0], x_col[0], y_col[0] = 0.0, x, y
+    alpha1[0], alpha2[0], th_col[0] = wrap_angle(a1), wrap_angle(a2), wrap_angle(th)
     now = 0.0
-    row = 0
-
-    def record(i, seg_idx, xi):
-        cols["t"][i] = now
-        cols["alpha1"][i] = wrap_angle(a1)
-        cols["alpha2"][i] = wrap_angle(a2)
-        cols["x"][i] = x
-        cols["y"][i] = y
-        cols["theta"][i] = wrap_angle(th)
-        cols["xi_x"][i], cols["xi_y"][i], cols["xi_theta"][i] = xi
-        seg_col[i] = seg_idx
+    row = 1
 
     warning = ""
     if not segments:
         warning = "empty schedule: trajectory is the initial sample only"
-        record(0, -1, (0.0, 0.0, 0.0))
-        return Trajectory(**{k: v[:1] for k, v in cols.items()},
-                          segment=seg_col[:1], warning=warning)
+        xi_x[0] = xi_y[0] = xi_th[0] = 0.0
+        seg_col[0] = -1
 
     for (seg_idx, seg), n_steps in zip(segments, counts):
         u1 = seg.amplitude if seg.channel == 1 else 0.0
         u2 = seg.amplitude if seg.channel == 2 else 0.0
-        a1_0, a2_0, t_0 = a1, a2, now
+        a1_0, a2_0 = a1, a2
         xi = model(a1, a2, u1, u2)
-        if row == 0:
-            record(0, seg_idx, xi)
-            row = 1
+        if row == 1:
+            xi_x[0], xi_y[0], xi_th[0] = xi
+            seg_col[0] = seg_idx
+        t_0 = now
+        tau0 = 0.0
         for k in range(n_steps):
-            tau0 = seg.duration * (k / n_steps)
             tau1 = seg.duration * ((k + 1) / n_steps)
             hs = tau1 - tau0
             tm = tau0 + 0.5 * hs
@@ -177,14 +154,24 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
             y += hs / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
             th += hs / 6.0 * (xi[2] + 4.0 * xim[2] + xie[2])
 
-            now = t_0 + tau1
             xi = xie
-            record(row, seg_idx, xi)
+            now = t_0 + tau1
+            # wrap_angle's in-range test inline: a call only for angles outside (-pi, pi]
+            t[row] = now
+            alpha1[row] = a1 if -_PI < a1 <= _PI else wrap_angle(a1)
+            alpha2[row] = a2 if -_PI < a2 <= _PI else wrap_angle(a2)
+            x_col[row] = x
+            y_col[row] = y
+            th_col[row] = th if -_PI < th <= _PI else wrap_angle(th)
+            xi_x[row], xi_y[row], xi_th[row] = xi
+            seg_col[row] = seg_idx
             row += 1
+            tau0 = tau1
 
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
+    if segments and not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
         raise NumericalError("integration produced a non-finite pose")
-    return Trajectory(**cols, segment=seg_col, warning=warning)
+    return Trajectory(t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th,
+                      seg_col, warning)
 
 
 def net_displacement(traj: Trajectory) -> NetDisplacement:

@@ -1,11 +1,26 @@
 import os
+import subprocess
+import sys
+
+import pytest
 
 from purcell.cli import main
 from purcell.gaits import parse_schedule
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run(argv):
     return main(argv)
+
+
+def run_process(argv, cwd):
+    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "purcell.cli", *argv], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stderr
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -125,3 +140,28 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     svg = open(os.path.join(out, "plan_circle_path.svg")).read()
     assert "stroke-dasharray" in svg  # best-fit circle overlay
     assert os.path.exists(os.path.join(out, "plan_circle_schedule.txt"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--grid", "0"],
+    ["analyze", "--poses", "0"],
+    ["plan-line", "--distance", "nan"],
+    ["plan-line", "--distance", "inf"],
+])
+def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
+    code, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_ill_conditioned_drag_exits_two(tmp_path):
+    sched = tmp_path / "s.txt"
+    sched.write_text("1 0.5 0.1\n")
+    config = tmp_path / "ill.cfg"
+    config.write_text("swimmer.k_long = 1e-14\nswimmer.k_lat = 1\n")
+    code, err = run_process(["simulate", "--schedule", str(sched), "--config", str(config),
+                             "--out", str(tmp_path / "o"), "--quiet"], tmp_path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "ill-conditioned" in err

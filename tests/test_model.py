@@ -3,16 +3,92 @@ import math
 import numpy as np
 import pytest
 
-from purcell.errors import ValidationError
+from purcell.errors import NumericalError, ValidationError
+from purcell.gaits import parse_schedule
 from purcell.model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
-                           body_velocity, cfd_drag_coefficients, connection,
-                           control_field, default_params, derive_drag_coefficients,
-                           drag_matrices, link_frames, swimmer_fields)
+                           body_velocity, body_velocity_components, cfd_drag_coefficients,
+                           connection, control_field, default_params,
+                           derive_drag_coefficients, drag_matrices, link_frames,
+                           swimmer_fields)
 from purcell.oracle import reference_body_velocity
 from purcell.se2 import GroupPose
+from purcell.selftest import _random_params
+from purcell.simulate import simulate
 
 PARAMS = default_params()
 ORIGIN_POSE = GroupPose(0.0, 0.0, 0.0)
+# k_long / k_lat this small makes the straight shape's drag matrix singular to
+# working precision: the swimmer cannot be pushed along its own axis.
+ILL_PARAMS = PARAMS._replace(k_long=1e-14, k_lat=1.0)
+
+
+# --- Reference route: per-link 3-point Gauss quadrature and a pivoted solve.
+# The model assembles the same integrals in closed form; this is the direct
+# transcription it is checked against.
+
+_GL_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
+_GL_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
+
+
+def reference_drag_matrices(a1, a2, params):
+    """(omega1, omega2) summed over links and Gauss nodes.
+
+    Each link is (anchor_x, offset, cos, sin, spin, joint): its points sit at
+    (anchor_x, 0) + rho (cos, sin) for rho in [offset - L, offset + L], and
+    `spin` is its extra angular rate per unit rate of joint `joint`.
+    """
+    L, kl, kn = params.L, params.k_long, params.k_lat
+    links = (
+        (-L, -L, math.cos(a1), math.sin(a1), 1.0, 0),    # left, joint 1
+        (0.0, 0.0, 1.0, 0.0, 0.0, None),                 # base
+        (L, L, math.cos(a2), -math.sin(a2), -1.0, 1),    # right, joint 2
+    )
+    w1 = np.zeros((3, 3))
+    w2 = np.zeros((3, 2))
+    for ax, off, c, s, spin, joint in links:
+        m = np.array([[kl * c * c + kn * s * s, (kl - kn) * c * s],
+                      [(kl - kn) * c * s, kl * s * s + kn * c * c]])
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            rho = node * L + off
+            px, py = ax + c * rho, s * rho
+            # point velocity per unit (xi_x, xi_y, xi_theta)
+            basis = np.array([[1.0, 0.0, -py], [0.0, 1.0, px]])
+            force = m @ basis
+            w1 -= weight * L * np.vstack([force, -py * force[0] + px * force[1]])
+            if joint is not None:
+                f = m @ np.array([-spin * s * rho, spin * c * rho])
+                w2[:, joint] -= weight * L * np.array([f[0], f[1], -py * f[0] + px * f[1]])
+    return w1, w2
+
+
+def reference_solve3(m, rhs):
+    """Gaussian elimination with partial pivoting."""
+    a = np.array(m, dtype=float)
+    x = np.array(rhs, dtype=float)
+    for col in range(3):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        a[[col, piv]] = a[[piv, col]]
+        x[[col, piv]] = x[[piv, col]]
+        for r in range(col + 1, 3):
+            f = a[r, col] / a[col, col]
+            a[r, col:] -= f * a[col, col:]
+            x[r] -= f * x[col]
+    out = np.zeros(3)
+    for r in (2, 1, 0):
+        out[r] = (x[r] - a[r, r + 1:] @ out[r + 1:]) / a[r, r]
+    return out
+
+
+def reference_connection(a1, a2, params):
+    w1, w2 = reference_drag_matrices(a1, a2, params)
+    return np.column_stack([reference_solve3(w1, w2[:, j]) for j in range(2)])
+
+
+def assert_rel_close(mine, ref, scale, tol=1e-12):
+    """max |mine - ref| <= tol * max |ref|, after dividing both by `scale`
+    (which makes entries of different length dimensions comparable)."""
+    mine, ref = np.asarray(mine) / scale, np.asarray(ref) / scale
+    assert np.max(np.abs(mine - ref)) <= tol * np.max(np.abs(ref))
 
 
 def random_shape(rng):
@@ -218,6 +294,76 @@ class TestControlField:
                     v = field(q)
                     assert np.all(np.isfinite(v))
                     assert np.linalg.norm(v) >= 1.0  # unit shape component
+
+
+class TestClosedFormKernel:
+    """The closed-form assembly and adjugate solve against the reference route."""
+
+    PARAM_SETS = [PARAMS] + [_random_params(np.random.default_rng(seed)) for seed in range(4)]
+
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    def test_matches_reference_on_grid(self, params):
+        L = params.L
+        vec_scale = np.array([L, L, 1.0])
+        w1_scale = np.outer([1.0, 1.0, L], [1.0, 1.0, L])
+        w2_scale = np.array([[L], [L], [L * L]])
+        angles = -math.pi + 2 * math.pi * np.arange(24) / 24
+        for a1 in angles.tolist():
+            for a2 in angles.tolist():
+                shape = ShapePoint(a1, a2)
+                w1, w2 = reference_drag_matrices(a1, a2, params)
+                ref_A = reference_connection(a1, a2, params)
+                mats = drag_matrices(shape, params)
+                assert_rel_close(mats.omega1, w1, w1_scale)
+                assert_rel_close(mats.omega2, w2, w2_scale)
+                assert_rel_close(connection(shape, params).A, ref_A, vec_scale[:, None])
+                for u in ((1.0, 0.0), (0.0, 1.0), (0.6, -1.7)):
+                    xi = body_velocity_components(a1, a2, u[0], u[1], params)
+                    assert_rel_close(xi, -ref_A @ np.array(u), vec_scale)
+
+    def test_scale_free_connection(self):
+        # with b/L and mu fixed, x/y rows of A scale as L and the theta row
+        # not at all; the conditioning guard must not see a micro-swimmer as
+        # ill-conditioned
+        rows = np.array([[1.0], [1.0], [0.0]])
+        scaled = []
+        for L in (1e-7, 0.05):
+            params = derive_drag_coefficients(SwimmerParams(L=L, b=0.1 * L, mu=0.95))
+            rng = np.random.default_rng(8)
+            scaled.append([connection(random_shape(rng), params).A / L ** rows
+                           for _ in range(50)])
+        assert np.max(np.abs(np.array(scaled[0]) - np.array(scaled[1]))) < 1e-12
+
+
+class TestConditioningGuard:
+    def test_every_route_raises(self):
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            body_velocity_components(0.0, 0.0, 1.0, 0.0, ILL_PARAMS)
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            connection(ShapePoint(0.0, 0.0), ILL_PARAMS)
+        q0 = Configuration(ShapePoint(0.0, 0.0), ORIGIN_POSE)
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            simulate(parse_schedule("1 0.5 0.1\n"), q0, ILL_PARAMS)
+
+    def test_routes_agree_on_the_verdict(self):
+        rng = np.random.default_rng(9)
+        verdicts = set()
+        for k_long in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-6):
+            params = PARAMS._replace(k_long=k_long, k_lat=1.0)
+            for shape in [ShapePoint(0.0, 0.0)] + [random_shape(rng) for _ in range(5)]:
+                try:
+                    body_velocity_components(shape[0], shape[1], 1.0, 0.0, params)
+                    fast = True
+                except NumericalError:
+                    fast = False
+                try:
+                    connection(shape, params)
+                    full = True
+                except NumericalError:
+                    full = False
+                assert fast == full
+                verdicts.add(fast)
+        assert verdicts == {True, False}
 
 
 def test_params_validation():
