@@ -280,8 +280,8 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
 def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     radius = args.radius if args.radius is not None else cfg.circle_radius
     sides = args.sides if args.sides is not None else cfg.circle_sides
+    plan = plan_polygon((0.0, 0.0), radius, sides)  # rejects bad sizes before calibrating
     calib = _calibration(cfg, rep)
-    plan = plan_polygon((0.0, 0.0), radius, sides, calib)
     rep.scalar("side_length_m", f"{plan.side_length:.6g}")
     rep.scalar("turn_deg", f"{math.degrees(plan.turn):.6g}")
     compiled = compile_maneuvers(plan.maneuvers, calib)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, ValidationError
 from .gaits import GaitSpec
 from .model import SwimmerParams, cfd_drag_coefficients, derive_drag_coefficients
+from .planner import MAX_SIDES
 from .simulate import IntegratorConfig
 
 
@@ -165,10 +166,10 @@ def _build(v: dict, explicit: set) -> RunConfig:
             gamma=v[f"gait.{d}.gamma"], t=v[f"gait.{d}.t"],
             n=v[f"gait.{d}.n"], nesting=nesting)
 
-    if v["plan.circle.sides"] < 3:
-        raise ValidationError("plan.circle.sides must be >= 3")
-    if not v["plan.circle.radius"] > 0:
-        raise ValidationError("plan.circle.radius must be positive")
+    if not 3 <= v["plan.circle.sides"] <= MAX_SIDES:
+        raise ValidationError(f"plan.circle.sides must be from 3 to {MAX_SIDES}")
+    if not 0 < v["plan.circle.radius"] < math.inf:
+        raise ValidationError("plan.circle.radius must be positive and finite")
     if not v["plan.line.distance"] > 0:
         raise ValidationError("plan.line.distance must be positive")
 

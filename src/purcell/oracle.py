@@ -2,8 +2,9 @@
 
 Builds the drag force balance by densely sampling each rod with a trapezoid
 rule and solving for the body velocity directly.  Deliberately shares nothing
-with the Gauss-quadrature assembly in model.py beyond the frame convention;
-the tests hold the two routes to 1e-8 agreement.
+with the closed-form assembly in model.py (exact per-link moments and an
+adjugate solve) beyond the frame convention; the tests hold the two routes
+to 1e-8 agreement.
 """
 
 import math

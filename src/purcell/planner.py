@@ -19,6 +19,8 @@ from .se2 import GroupPose, wrap_angle
 from .simulate import IntegratorConfig, Trajectory, net_displacement, simulate
 
 MIN_DOMINANCE = 2.0
+MAX_SIDES = 1000        # polygon sides; the 10-gon of the acceptance check uses 10
+MAX_CYCLES = 10_000     # whole gait cycles per compiled plan; that 10-gon uses 1,300
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class CalibrationTable:
 @dataclass(frozen=True)
 class WaypointPath:
     points: tuple              # ((x, y), ...)
-    headings: tuple = None     # optional per-waypoint heading
 
     def __post_init__(self):
         for a, b in zip(self.points, self.points[1:]):
@@ -178,7 +179,7 @@ def calibrate(params: SwimmerParams, specs: dict,
     return CalibrationTable(entries=entries, char_length=char_length)
 
 
-def plan_line(start: GroupPose, target: tuple, calib: CalibrationTable = None) -> list:
+def plan_line(start: GroupPose, target: tuple) -> list:
     """[Rotate, Translate] reaching `target` from `start`.
 
     The heading is aligned with the bearing modulo pi, taking the rotation
@@ -201,15 +202,14 @@ def plan_line(start: GroupPose, target: tuple, calib: CalibrationTable = None) -
     return [Maneuver("rotate", rotation), Maneuver("translate", distance)]
 
 
-def plan_polygon(center: tuple, radius: float, sides: int,
-                 calib: CalibrationTable = None) -> PolygonPlan:
+def plan_polygon(center: tuple, radius: float, sides: int) -> PolygonPlan:
     """Regular polygon tracking plan: per vertex, rotate by the exterior
     angle and translate one side length.
     """
-    if sides < 3:
-        raise ValidationError("polygon needs at least 3 sides")
-    if not radius > 0:
-        raise ValidationError("radius must be positive")
+    if not 3 <= sides <= MAX_SIDES:
+        raise ValidationError(f"polygon needs 3 to {MAX_SIDES} sides, got {sides}")
+    if not 0 < radius < math.inf:
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
     turn = 2.0 * math.pi / sides
     side = 2.0 * radius * math.sin(math.pi / sides)
     vertices = []
@@ -237,7 +237,8 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
 
     Each maneuver becomes round(magnitude / per-cycle) repetitions; negative
     counts use the time-reversed gait (the exact inverse flow).  Residuals
-    stay in the spans.
+    stay in the spans.  A plan of more than MAX_CYCLES cycles in all is
+    refused before any of it is expanded.
     """
     for direction in ("x", "theta"):
         if direction not in calib.entries:
@@ -248,12 +249,18 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     segs = []
     spans = []
     warnings = []
+    total = 0
     for m in maneuvers:
         entry = calib["theta"] if m.kind == "rotate" else calib["x"]
         if m.kind not in ("rotate", "translate"):
             raise ValidationError(f"unknown maneuver kind {m.kind!r}")
         quantum = entry.per_cycle
-        cycles = round(m.magnitude / quantum)
+        count = m.magnitude / quantum
+        if not abs(count) <= MAX_CYCLES - total:   # also refuses nan and inf
+            raise ValidationError(
+                f"{m.kind} {m.magnitude:.4g} takes the plan past {MAX_CYCLES} gait cycles")
+        cycles = round(count)
+        total += abs(cycles)
         residual = m.magnitude - cycles * quantum
         if cycles == 0:
             if m.magnitude != 0.0:

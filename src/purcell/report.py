@@ -13,24 +13,38 @@ from .simulate import Trajectory
 
 CSV_HEADER = "t,alpha1,alpha2,x,y,theta,xi_x,xi_y,xi_theta,segment"
 
+CHUNK = 4096   # rows formatted and written at once: bounds the memory of a write
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".15g")
+_CSV_ROW = ",".join(["%.15g"] * 9 + ["%d"]) + "\n"
+
+
+def _format_rows(template: str, columns, sep: str = "") -> str:
+    """`template` filled from `columns` row by row, rows joined by `sep`.
+
+    The columns are equal-length 1-D arrays, one per template field.  `%`
+    uses the same float formatting as `format`, so a row reads exactly as if
+    each value were formatted on its own.
+    """
+    k = len(columns)
+    flat = [None] * (k * len(columns[0]))
+    for j, col in enumerate(columns):
+        flat[j::k] = col.tolist()
+    return sep.join([template] * len(columns[0])) % tuple(flat)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> str:
     """One row per sample, 15 significant digits, LF line endings."""
     if len(traj) == 0:
         raise ValidationError("refusing to write an empty trajectory")
+    columns = [np.asarray(c, dtype=float) for c in
+               (traj.t, traj.alpha1, traj.alpha2, traj.x, traj.y, traj.theta,
+                traj.xi_x, traj.xi_y, traj.xi_theta)]
+    columns.append(np.asarray(traj.segment))
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for i in range(len(traj)):
-                row = [_fmt(traj.t[i]), _fmt(traj.alpha1[i]), _fmt(traj.alpha2[i]),
-                       _fmt(traj.x[i]), _fmt(traj.y[i]), _fmt(traj.theta[i]),
-                       _fmt(traj.xi_x[i]), _fmt(traj.xi_y[i]), _fmt(traj.xi_theta[i]),
-                       str(int(traj.segment[i]))]
-                fh.write(",".join(row) + "\n")
+            for lo in range(0, len(traj), CHUNK):
+                fh.write(_format_rows(_CSV_ROW, [c[lo:lo + CHUNK] for c in columns]))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
     return path
@@ -68,6 +82,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     v = first
     while v <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:   # a span of a few ulps: v would never move again
+            break
         v += step
     return ticks
 
@@ -83,17 +99,22 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
     """
     if not series or any(len(s["x"]) == 0 for s in series):
         raise ValidationError("cannot plot empty series")
+    if any(len(s["x"]) != len(s["y"]) for s in series):
+        raise ValidationError("each series needs as many y values as x values")
     if kind not in ("path", "time-series"):
         raise ValidationError(f"unknown plot kind {kind!r}")
 
-    xs = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s["y"], dtype=float) for s in series])
+    points = [(np.asarray(s["x"], dtype=float), np.asarray(s["y"], dtype=float))
+              for s in series]
+    # extremes of every series (and the circle), not of one concatenated copy
+    xs = [v for x, _ in points for v in (x.min(), x.max())]
+    ys = [v for _, y in points for v in (y.min(), y.max())]
     if circle is not None:
         cx, cy, r = circle
-        xs = np.append(xs, [cx - r, cx + r])
-        ys = np.append(ys, [cy - r, cy + r])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+        xs += [cx - r, cx + r]
+        ys += [cy - r, cy + r]
+    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
@@ -156,29 +177,35 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
                    f'fill="none" stroke="#888888" stroke-width="1.5" '
                    f'stroke-dasharray="6 4"/>')
 
-    for i, s_def in enumerate(series):
-        color = _COLORS[i % len(_COLORS)]
-        pts = [to_px(float(x), float(y)) for x, y in zip(s_def["x"], s_def["y"])]
-        if len(pts) == 1:
-            out.append(f'<circle cx="{pts[0][0]:.2f}" cy="{pts[0][1]:.2f}" r="4" '
-                       f'fill="{color}"/>')
-        else:
-            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                       f'stroke-width="1.5"/>')
-        label = s_def.get("label", "")
-        if label:
-            lx = _MARGIN + 10
-            ly = _MARGIN + 16 * (i + 1)
-            out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-                       f'stroke="{color}" stroke-width="2"/>')
-            out.append(f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-                       f'font-size="11">{label}</text>')
-
-    out.append("</svg>")
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(out) + "\n")
+            for i, (s_def, (x, y)) in enumerate(zip(series, points)):
+                color = _COLORS[i % len(_COLORS)]
+                if len(x) == 1:
+                    px, py = to_px(float(x[0]), float(y[0]))
+                    fh.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" '
+                             f'fill="{color}"/>\n')
+                else:
+                    fh.write('<polyline points="')
+                    for lo in range(0, len(x), CHUNK):
+                        # numpy rounds each operation of to_px as Python floats do,
+                        # but warns where they were silent (overflow to inf, nan)
+                        with np.errstate(all="ignore"):
+                            px, py = to_px(x[lo:lo + CHUNK], y[lo:lo + CHUNK])
+                        if lo:
+                            fh.write(" ")
+                        fh.write(_format_rows("%.2f,%.2f", (px, py), " "))
+                    fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+                label = s_def.get("label", "")
+                if label:
+                    lx = _MARGIN + 10
+                    ly = _MARGIN + 16 * (i + 1)
+                    fh.write(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                             f'stroke="{color}" stroke-width="2"/>\n'
+                             f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
+                             f'font-size="11">{label}</text>\n')
+            fh.write("</svg>\n")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
     return path

@@ -252,7 +252,7 @@ def check_polygon_tracking() -> CheckResult:
     params = default_params()
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
     calib = calibrate(params, default_planner_specs(), cfg)
-    plan = plan_polygon((0.0, 0.0), 0.2, 10, calib)
+    plan = plan_polygon((0.0, 0.0), 0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
     traj = simulate(compiled.schedule, q0, params, cfg)

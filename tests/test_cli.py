@@ -147,12 +147,17 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["analyze", "--poses", "0"],
     ["plan-line", "--distance", "nan"],
     ["plan-line", "--distance", "inf"],
+    ["plan-circle", "--radius", "inf"],
+    ["plan-circle", "--radius", "1e300"],
+    ["plan-circle", "--sides", "1000000000000"],
+    ["plan-circle", "--config", "inf_radius.cfg"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
+    (tmp_path / "inf_radius.cfg").write_text("plan.circle.radius = inf\n")
     code, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
     assert code == 1
     assert "Traceback" not in err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_ill_conditioned_drag_exits_two(tmp_path):

@@ -87,6 +87,14 @@ def test_integer_keys_validated():
         parse_config("plan.circle.sides = 10.5\n")
     with pytest.raises(ValidationError):
         parse_config("plan.circle.sides = 2\n")
+    with pytest.raises(ValidationError, match="from 3 to 1000"):
+        parse_config("plan.circle.sides = 1001\n")
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "-1", "0"])
+def test_circle_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        parse_config(f"plan.circle.radius = {radius}\n")
 
 
 def test_bool_key():

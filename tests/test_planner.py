@@ -6,8 +6,8 @@ import pytest
 from purcell.errors import ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec
 from purcell.model import Configuration, ShapePoint, default_params
-from purcell.planner import (CalibrationEntry, CalibrationTable, Maneuver,
-                             WaypointPath, calibrate, compile_maneuvers,
+from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, CalibrationTable,
+                             Maneuver, WaypointPath, calibrate, compile_maneuvers,
                              composite_square_gait, default_planner_specs,
                              fit_circle, plan_line, plan_polygon, tracking_report)
 from purcell.se2 import GroupPose
@@ -124,6 +124,13 @@ class TestPlanPolygon:
         with pytest.raises(ValidationError):
             plan_polygon((0, 0), 0.0, 5)
 
+    def test_rejects_unbounded_sizes(self):
+        with pytest.raises(ValidationError, match=f"3 to {MAX_SIDES} sides"):
+            plan_polygon((0, 0), 1.0, MAX_SIDES + 1)
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                plan_polygon((0, 0), radius, 5)
+
 
 class TestCompile:
     def test_zero_rotation_emits_nothing(self):
@@ -164,6 +171,18 @@ class TestCompile:
             n2 = sum(s.cycles for s in two_steps.spans)
             n1 = one_step.spans[0].cycles
             assert abs(n2 - n1) <= 1
+
+    def test_cycle_bound_refuses_before_expanding(self):
+        table = synthetic_table(dx=0.01)
+        too_far = 0.01 * (MAX_CYCLES + 1)
+        half = Maneuver("translate", 0.01 * (MAX_CYCLES // 2 + 1))
+        for maneuvers in ([Maneuver("translate", too_far)],
+                          [Maneuver("translate", -too_far)],
+                          [Maneuver("translate", math.inf)],
+                          [Maneuver("rotate", math.nan)],
+                          [half, half]):
+            with pytest.raises(ValidationError, match=f"past {MAX_CYCLES} gait cycles"):
+                compile_maneuvers(maneuvers, table)
 
     def test_requires_calibrated_gaits(self):
         table = synthetic_table()
@@ -212,7 +231,7 @@ class TestEndToEnd:
         calib = calibrate(PARAMS, default_planner_specs(), cfg)
         bearing = math.radians(40.0)
         target = (0.05 * math.cos(bearing), 0.05 * math.sin(bearing))
-        maneuvers = plan_line(IDENT, target, calib)
+        maneuvers = plan_line(IDENT, target)
         compiled = compile_maneuvers(maneuvers, calib)
         q0 = Configuration(ShapePoint(0.0, 0.0), IDENT)
         traj = simulate(compiled.schedule, q0, PARAMS, cfg)
