@@ -8,23 +8,18 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .config import RunConfig, config_echo, default_config, parse_config
+from .config import RunConfig, basis_specs, config_echo, default_config, parse_config
 from .errors import NumericalError, ValidationError
-from .gaits import (GaitSpec, commutator_schedule, format_schedule,
-                    parse_schedule, shape_excursion, synthesize)
-from .lie import controllability_report, lie_bracket, solve_bracket_coefficients
-from .model import Configuration, ShapePoint, swimmer_fields
-from .planner import (calibrate, compile_maneuvers, composite_square_gait,
-                      plan_line, plan_polygon, tracking_report)
+from .gaits import format_schedule, parse_schedule, shape_excursion, synthesize
+from .lie import solve_bracket_coefficients
+from .model import Configuration, ShapePoint
+from .planner import (calibrate, compile_maneuvers, plan_line, plan_polygon,
+                      tracking_report)
 from .report import ensure_out_dir, write_plot_svg, write_trajectory_csv
 from .se2 import GroupPose
-from .selftest import run_acceptance
-from .simulate import (convergence_probe, fit_loglog_slope, net_displacement,
-                       simulate, swimmer_velocity_model)
-
-ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
+from .selftest import (ORIGIN, commutator_probe, leakage_ratios, rank_sweep,
+                       run_acceptance, variant_slopes)
+from .simulate import net_displacement, simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,33 +80,14 @@ def _angle_value(text):
 
 
 def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
-    if args.grid < 1 or args.poses < 1:
-        raise ValidationError("--grid and --poses must be at least 1")
-    rng = np.random.default_rng(cfg.seed)
-    n = args.grid
-    angles = -math.pi + 2.0 * math.pi * np.arange(n) / n
-    worst_rank = 5
-    worst_ratio = math.inf
-    worst_point = None
-    for a1 in angles:
-        for a2 in angles:
-            for _ in range(args.poses):
-                pose = GroupPose(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                 rng.uniform(-math.pi, math.pi))
-                q = Configuration(ShapePoint(float(a1), float(a2)), pose)
-                r = controllability_report(q, cfg.params, tol=args.tol,
-                                           h_inner=cfg.bracket_inner_h,
-                                           h_outer=cfg.bracket_outer_h)
-                ratio = float(r.singular_values[-1] / r.singular_values[0])
-                if r.rank < worst_rank or ratio < worst_ratio:
-                    worst_point = (float(a1), float(a2))
-                worst_rank = min(worst_rank, r.rank)
-                worst_ratio = min(worst_ratio, ratio)
-    rep.scalar("grid", f"{n}x{n} shapes x {args.poses} poses")
-    rep.scalar("min_rank", worst_rank)
-    rep.scalar("min_sigma_ratio", f"{worst_ratio:.3e}")
-    rep.scalar("weakest_shape", f"({worst_point[0]:.3f}, {worst_point[1]:.3f})")
-    if worst_rank != 5:
+    sweep = rank_sweep(cfg.params, args.grid, args.poses, cfg.seed, args.tol,
+                       cfg.bracket_inner_h, cfg.bracket_outer_h)
+    rep.scalar("grid", f"{args.grid}x{args.grid} shapes x {args.poses} poses")
+    rep.scalar("min_rank", sweep.min_rank)
+    rep.scalar("min_sigma_ratio", f"{sweep.min_ratio:.3e}")
+    a1, a2 = sweep.weakest_shape
+    rep.scalar("weakest_shape", f"({a1:.3f}, {a2:.3f})")
+    if sweep.min_rank != 5:
         raise NumericalError("rank deficiency found on the shape grid")
     return 0
 
@@ -189,44 +165,20 @@ def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def cmd_probe(args, cfg: RunConfig, rep: RunReport) -> int:
-    params = cfg.params
-    model = swimmer_velocity_model(params)
     if args.kind == "commutator":
-        g1, g2 = swimmer_fields(params)
-        reference = lie_bracket(g1, g2, ORIGIN, h=cfg.bracket_h)
-        probe = convergence_probe(lambda e: commutator_schedule(1, 2, e * e),
-                                  [0.2, 0.1, 0.05, 0.025], reference, ORIGIN,
-                                  model, cfg.integrator)
+        probe = commutator_probe(cfg.params, cfg.integrator, cfg.bracket_h)
         for eps, err in probe.rows():
             print(f"eps = {eps:<8g} error = {err:.6e}")
         rep.scalar("slope", f"{probe.slope:.3f}")
         rep.scalar("monotone", probe.monotone)
     elif args.kind == "variants":
-        ladder = [0.2, 0.1, 0.05, 0.025]
-        nets = {v: [] for v in range(4)}
-        for v in range(4):
-            for eps in ladder:
-                traj = simulate(commutator_schedule(1, 2, eps * eps, variant=v),
-                                ORIGIN, params, cfg.integrator)
-                d = net_displacement(traj).delta
-                nets[v].append(np.array([d.x, d.y, d.theta]))
-        slopes = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                diffs = [float(np.linalg.norm(nets[i][k] - nets[j][k]))
-                         for k in range(len(ladder))]
-                slope = fit_loglog_slope(ladder, diffs)
-                slopes.append(slope)
-                print(f"variants {i}/{j}: difference slope {slope:.3f}")
-        rep.scalar("min_slope", f"{min(slopes):.3f}")
+        slopes = variant_slopes(cfg.params, cfg.integrator)
+        for (i, j), slope in slopes:
+            print(f"variants {i}/{j}: difference slope {slope:.3f}")
+        rep.scalar("min_slope", f"{min(s for _, s in slopes):.3f}")
     else:  # leakage
         for nesting in ("derived", "literal"):
-            ratios = []
-            for n in (1, 2, 4):
-                spec = GaitSpec(1.0, 0.0, 0.0, t=1.0, n=n, nesting=nesting)
-                traj = simulate(synthesize(spec), ORIGIN, params, cfg.integrator)
-                d = net_displacement(traj).delta
-                ratios.append((abs(d.y) + abs(d.theta)) / abs(d.x))
+            ratios = leakage_ratios(cfg.params, cfg.integrator, nesting)
             print(f"nesting {nesting}: leakage ratios over n=1,2,4: "
                   + ", ".join(f"{r:.4f}" for r in ratios))
             rep.scalars[f"leakage_{nesting}"] = ratios
@@ -235,11 +187,7 @@ def cmd_probe(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def _calibration(cfg: RunConfig, rep: RunReport):
-    specs = dict(cfg.gaits)
-    if cfg.x_composite:
-        specs["x"] = composite_square_gait(cfg.gaits["x"].t,
-                                           scale=cfg.gaits["x"].alpha)
-    calib = calibrate(cfg.params, specs, cfg.integrator)
+    calib = calibrate(cfg.params, basis_specs(cfg), cfg.integrator)
     for d, entry in calib.entries.items():
         rep.info(f"calibration {d}: per-cycle delta = "
                  f"({entry.delta[0]:.6g}, {entry.delta[1]:.6g}, {entry.delta[2]:.6g}), "

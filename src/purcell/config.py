@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ValidationError
-from .gaits import GaitSpec
+from .gaits import MAX_N, GaitSpec
 from .model import SwimmerParams, cfd_drag_coefficients, derive_drag_coefficients
-from .planner import MAX_SIDES
+from .planner import MAX_SIDES, composite_square_gait
 from .simulate import IntegratorConfig
 
 
@@ -95,7 +95,7 @@ def _parse_value(key: str, token: str, lineno: int):
     except ValueError:
         raise ConfigError(f"key {key!r} expects a number, got {token!r}", lineno)
     if key in _INT_KEYS:
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ConfigError(f"key {key!r} expects an integer, got {token!r}", lineno)
         return int(value)
     return value
@@ -149,18 +149,18 @@ def _build(v: dict, explicit: set) -> RunConfig:
     if v["integrator.min_substeps"] < 1:
         raise ValidationError("integrator.min_substeps must be >= 1")
     for key in ("bracket.h", "bracket.inner_h", "bracket.outer_h"):
-        if not v[key] > 0:
-            raise ValidationError(f"{key} must be positive")
+        if not 0 < v[key] < math.inf:
+            raise ValidationError(f"{key} must be positive and finite")
 
     nesting = v["gait.nesting"]
     if nesting not in ("derived", "literal"):
         raise ValidationError("gait.nesting must be 'derived' or 'literal'")
     gaits = {}
     for d in ("x", "y", "theta"):
-        if v[f"gait.{d}.n"] < 1:
-            raise ValidationError(f"gait.{d}.n must be >= 1")
-        if not v[f"gait.{d}.t"] > 0:
-            raise ValidationError(f"gait.{d}.t must be positive")
+        if not 1 <= v[f"gait.{d}.n"] <= MAX_N:
+            raise ValidationError(f"gait.{d}.n must be from 1 to {MAX_N}")
+        if not 0 < v[f"gait.{d}.t"] < math.inf:
+            raise ValidationError(f"gait.{d}.t must be positive and finite")
         gaits[d] = GaitSpec(
             alpha=v[f"gait.{d}.alpha"], beta=v[f"gait.{d}.beta"],
             gamma=v[f"gait.{d}.gamma"], t=v[f"gait.{d}.t"],
@@ -194,6 +194,18 @@ def _build(v: dict, explicit: set) -> RunConfig:
 
 def default_config() -> RunConfig:
     return _build(dict(_DEFAULTS), set())
+
+
+def basis_specs(cfg: RunConfig) -> dict:
+    """The planner's basis gaits: the configured specs, with x replaced by the
+    four-variant composite square gait when `gait.x.composite` is set."""
+    specs = dict(cfg.gaits)
+    if cfg.x_composite:
+        x = cfg.gaits["x"]
+        if x.beta != 0.0 or x.gamma != 0.0:
+            raise ValidationError("gait.x.composite needs gait.x.beta = gait.x.gamma = 0")
+        specs["x"] = composite_square_gait(x.t, scale=x.alpha)
+    return specs
 
 
 def config_echo(cfg: RunConfig) -> list:

@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 
+MAX_N = 100   # approximation index bound: about 16 n^2 segments per schedule
+
 
 class ControlSegment(NamedTuple):
     channel: int       # 1 or 2
@@ -65,8 +67,8 @@ class ControlSchedule:
 
 
 def _segment(channel: int, amplitude: float, duration: float) -> ControlSegment:
-    if duration < 0 or math.isnan(duration):
-        raise ValidationError(f"segment duration must be nonnegative, got {duration}")
+    if not 0 <= duration < math.inf:
+        raise ValidationError(f"segment duration must be nonnegative and finite, got {duration}")
     if not math.isfinite(amplitude):
         raise ValidationError(f"segment amplitude must be finite, got {amplitude}")
     return ControlSegment(channel, amplitude, duration)
@@ -126,8 +128,8 @@ def synthesize(spec: GaitSpec) -> ControlSchedule:
 
     Zero-coefficient blocks are elided (their flows are identities).
     """
-    if not isinstance(spec.n, int) or spec.n < 1:
-        raise ValidationError(f"n must be a positive integer, got {spec.n}")
+    if not isinstance(spec.n, int) or not 1 <= spec.n <= MAX_N:
+        raise ValidationError(f"n must be an integer from 1 to {MAX_N}, got {spec.n}")
     if not spec.t > 0:
         raise ValidationError(f"t must be positive, got {spec.t}")
     if spec.nesting not in ("derived", "literal"):

@@ -7,6 +7,7 @@ DY.X - DX.Y plus the se(2) commutator of the two group parts; without that
 term the square-gait limit tests come out one order too low.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -61,8 +62,8 @@ def jacobian(X: VectorFieldHandle, q: Configuration, h: float = DEFAULT_STEP) ->
 
     Shape coordinates are perturbed on the torus.
     """
-    if not h > 0:
-        raise ValidationError("finite-difference step must be positive")
+    if not 0 < h < math.inf:
+        raise ValidationError(f"finite-difference step must be positive and finite, got {h}")
     cols = []
     for j in range(5):
         plus = np.asarray(X(_perturbed(q, j, h)), dtype=float)

@@ -110,11 +110,15 @@ def cfd_drag_coefficients(params: SwimmerParams, flow_speed: float) -> SwimmerPa
     must be supplied by the caller.
     """
     validate_params(params, need_k=False)
-    if not flow_speed > 0:
-        raise ValidationError("CFD coefficient provenance requires a positive flow speed")
     span = 2.0 * params.L
-    k_long = CFD_TANGENTIAL_FORCE / (flow_speed * span)
-    k_lat = CFD_NORMAL_FORCE / (flow_speed * span)
+    try:
+        k_long = CFD_TANGENTIAL_FORCE / (flow_speed * span)
+        k_lat = CFD_NORMAL_FORCE / (flow_speed * span)
+    except ZeroDivisionError:   # a zero speed, or one so small the product underflows
+        k_long = k_lat = math.inf
+    if not (0 < k_long < math.inf and 0 < k_lat < math.inf):
+        raise ValidationError("CFD coefficient provenance needs a flow speed that gives "
+                              f"finite, positive coefficients, got {flow_speed}")
     return params._replace(k_long=k_long, k_lat=k_lat)
 
 

@@ -111,45 +111,23 @@ def composite_square_gait(tau: float, scale: float = 1.0) -> ControlSchedule:
                         for v in range(4)])
 
 
-def build_basis_schedule(spec, composite: bool = False) -> ControlSchedule:
-    """A per-cycle schedule from a GaitSpec, or pass a schedule through."""
-    if isinstance(spec, ControlSchedule):
-        return spec
-    if composite:
-        if spec.beta != 0.0 or spec.gamma != 0.0:
-            raise ValidationError("composite gaits are only defined for the first-bracket spec")
-        return composite_square_gait(spec.t, scale=spec.alpha)
-    return synthesize(spec)
-
-
-def default_planner_specs() -> dict:
-    """Basis gaits tuned for maneuver compilation at the default parameters."""
-    return {
-        "x": composite_square_gait(0.25),
-        "y": GaitSpec(0.0, -1.0, 1.0, t=0.0625, n=2),
-        "theta": GaitSpec(0.0, 1.0, 1.0, t=0.0625, n=1),
-    }
-
-
 def calibrate(params: SwimmerParams, specs: dict,
-              cfg: IntegratorConfig = IntegratorConfig(),
-              char_length: float = None,
-              min_dominance: float = MIN_DOMINANCE) -> CalibrationTable:
-    """Measure per-cycle displacement of each basis gait from the straight shape.
+              cfg: IntegratorConfig = IntegratorConfig()) -> CalibrationTable:
+    """Measure per-cycle displacement of each basis gait (a GaitSpec or a
+    ready schedule) from the straight shape.
 
     Rejects gaits whose principal displacement fails to dominate the
-    cross-leakage by `min_dominance`; such a gait cannot be compiled into
-    maneuvers.  Angles and lengths are compared through `char_length`
-    (default: the 6L span of the swimmer).
+    cross-leakage by MIN_DOMINANCE; such a gait cannot be compiled into
+    maneuvers.  Angles and lengths are compared through the 6L span of the
+    swimmer.
     """
-    if char_length is None:
-        char_length = 6.0 * params.L
+    char_length = 6.0 * params.L
     q0 = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
     entries = {}
     for direction, spec in specs.items():
         if direction not in ("x", "y", "theta"):
             raise ValidationError(f"unknown gait direction {direction!r}")
-        schedule = build_basis_schedule(spec)
+        schedule = spec if isinstance(spec, ControlSchedule) else synthesize(spec)
         traj = simulate(schedule, q0, params, cfg)
         nd = net_displacement(traj)
         if nd.shape_closure > 1e-8:
@@ -164,9 +142,9 @@ def calibrate(params: SwimmerParams, specs: dict,
         if principal == 0.0:
             raise ValidationError(f"{direction} gait produces no net motion")
         dominance = math.inf if cross == 0.0 else principal / cross
-        if dominance < min_dominance:
+        if dominance < MIN_DOMINANCE:
             raise ValidationError(
-                f"{direction} gait dominance {dominance:.2f} below {min_dominance}; "
+                f"{direction} gait dominance {dominance:.2f} below {MIN_DOMINANCE}; "
                 "unusable for maneuver compilation")
         entries[direction] = CalibrationEntry(
             direction=direction,

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from purcell.cli import main
+from purcell.cli import dispatch, main
 from purcell.gaits import parse_schedule
+from purcell.model import default_params
+from purcell.selftest import MAX_GRID, MAX_POSES, rank_sweep
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -42,6 +49,25 @@ def test_analyze_small_grid(capsys):
     assert run(["analyze", "--grid", "3", "--poses", "1", "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "min_rank = 5" in out
+    # the command prints the shared sweep that criterion 01 runs
+    sweep = rank_sweep(default_params(), 3, 1)
+    a1, a2 = sweep.weakest_shape
+    assert out.splitlines() == [
+        "grid = 3x3 shapes x 1 poses",
+        f"min_rank = {sweep.min_rank}",
+        f"min_sigma_ratio = {sweep.min_ratio:.3e}",
+        f"weakest_shape = ({a1:.3f}, {a2:.3f})",
+    ]
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--grid", f"grid must be from 1 to {MAX_GRID}"),
+    ("--poses", f"poses must be from 1 to {MAX_POSES}"),
+])
+def test_analyze_sizes_are_bounded(capsys, flag, message):
+    # refused before the sweep allocates anything
+    assert run(["analyze", flag, "1000000000000", "--quiet"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_synthesize_writes_schedule(tmp_path, capsys):
@@ -113,6 +139,23 @@ def test_probe_commutator(tmp_path, capsys):
     assert "slope" in out
 
 
+def test_probe_variants(capsys):
+    assert run(["probe", "--kind", "variants", "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:6]] == [
+        "variants 0/1", "variants 0/2", "variants 0/3",
+        "variants 1/2", "variants 1/3", "variants 2/3"]
+    assert lines[6].startswith("min_slope = ") and float(lines[6].split()[-1]) >= 2.7
+
+
+def test_probe_leakage(capsys):
+    assert run(["probe", "--kind", "leakage", "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert "nesting derived: leakage ratios over n=1,2,4: " in out
+    assert "nesting literal: leakage ratios over n=1,2,4: " in out
+    assert "monotone_derived = True" in out and "monotone_literal = True" in out
+
+
 def test_plan_line_pipeline(tmp_path, capsys):
     out = str(tmp_path / "artifacts")
     config = tmp_path / "fast.cfg"
@@ -151,9 +194,29 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["plan-circle", "--radius", "1e300"],
     ["plan-circle", "--sides", "1000000000000"],
     ["plan-circle", "--config", "inf_radius.cfg"],
+    ["coefficients", "--config", "inf_inner_h.cfg"],
+    ["coefficients", "--config", "inf_outer_h.cfg"],
+    ["probe", "--config", "inf_h.cfg"],
+    ["coefficients", "--config", "tiny_cfd_speed.cfg"],
+    ["synthesize", "--direction", "x", "--config", "inf_x_t.cfg"],
+    ["plan-line", "--config", "inf_x_t.cfg"],
+    ["plan-line", "--config", "composite_x_beta.cfg"],
+    ["simulate", "--schedule", "inf_duration.txt"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
-    (tmp_path / "inf_radius.cfg").write_text("plan.circle.radius = inf\n")
+    files = {
+        "inf_radius.cfg": "plan.circle.radius = inf\n",
+        "inf_inner_h.cfg": "bracket.inner_h = inf\n",
+        "inf_outer_h.cfg": "bracket.outer_h = inf\n",
+        "inf_h.cfg": "bracket.h = inf\n",
+        "tiny_cfd_speed.cfg": "swimmer.coefficients = cfd\nswimmer.cfd_speed = 5e-324\n",
+        "inf_x_t.cfg": "gait.x.t = inf\n",
+        # the composite x gait has no beta or gamma term to honour
+        "composite_x_beta.cfg": "gait.x.beta = 0.5\n",
+        "inf_duration.txt": "1 0.5 inf\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     code, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
     assert code == 1
     assert "Traceback" not in err
@@ -170,3 +233,33 @@ def test_ill_conditioned_drag_exits_two(tmp_path):
     assert code == 2
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "ill-conditioned" in err
+
+
+FUZZ_KEYS = ["swimmer.L", "swimmer.b", "swimmer.mu", "swimmer.k_long", "swimmer.k_lat",
+             "swimmer.cfd_speed", "bracket.h", "bracket.inner_h", "bracket.outer_h"] + [
+    f"gait.{d}.{f}" for d in ("x", "y", "theta") for f in ("alpha", "beta", "gamma", "t", "n")]
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "5e-324"]
+
+
+@given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+                       min_size=1, max_size=4),
+       st.booleans())
+def test_config_fuzz_exits_cleanly(values, cfd):
+    # coefficients and synthesize integrate nothing, so no drawn config starts a long run
+    lines = [f"{k} = {v}" for k, v in values.items()]
+    if cfd:
+        lines.append("swimmer.coefficients = cfd")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "fuzz.cfg")
+        with open(config, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "o")
+        for argv in (["coefficients"], ["synthesize", "--direction", "x", "--out", out]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code, _ = dispatch(argv + ["--config", config, "--quiet"])
+            assert code in (0, 1, 2)
+        schedule = os.path.join(out, "gait_x.txt")
+        if os.path.exists(schedule):
+            text = open(schedule).read().split("\n", 1)[1]   # past the comment line
+            assert "inf" not in text and "nan" not in text

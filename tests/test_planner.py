@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from purcell.config import basis_specs, default_config
 from purcell.errors import ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec
 from purcell.model import Configuration, ShapePoint, default_params
 from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, CalibrationTable,
                              Maneuver, WaypointPath, calibrate, compile_maneuvers,
-                             composite_square_gait, default_planner_specs,
-                             fit_circle, plan_line, plan_polygon, tracking_report)
+                             composite_square_gait, fit_circle, plan_line, plan_polygon, tracking_report)
 from purcell.se2 import GroupPose
 from purcell.simulate import IntegratorConfig, simulate
 
@@ -31,11 +31,18 @@ def synthetic_table(dx=0.01, dtheta=0.05):
 
 class TestCalibrate:
     def test_default_specs_pass_gate(self):
-        calib = calibrate(PARAMS, default_planner_specs(), FAST_CFG)
+        calib = calibrate(PARAMS, basis_specs(default_config()), FAST_CFG)
         assert set(calib.entries) == {"x", "y", "theta"}
         for entry in calib.entries.values():
             assert entry.dominance >= 2.0
             assert entry.duration > 0
+
+    def test_basis_specs_are_the_tuned_defaults(self):
+        assert basis_specs(default_config()) == {
+            "x": composite_square_gait(0.25),
+            "y": GaitSpec(0.0, -1.0, 1.0, t=0.0625, n=2),
+            "theta": GaitSpec(0.0, 1.0, 1.0, t=0.0625, n=1),
+        }
 
     def test_x_gait_cross_leakage_small(self):
         calib = calibrate(PARAMS, {"x": composite_square_gait(0.25)}, FAST_CFG)
@@ -228,7 +235,7 @@ def _trajectory_through(points):
 class TestEndToEnd:
     def test_line_plan_heading_within_one_quantum(self):
         cfg = IntegratorConfig(h=2e-3, min_substeps=8)
-        calib = calibrate(PARAMS, default_planner_specs(), cfg)
+        calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
         bearing = math.radians(40.0)
         target = (0.05 * math.cos(bearing), 0.05 * math.sin(bearing))
         maneuvers = plan_line(IDENT, target)
@@ -244,7 +251,7 @@ class TestEndToEnd:
 
     def test_error_accumulates_over_repeated_translates(self):
         cfg = IntegratorConfig(h=2e-3, min_substeps=8)
-        calib = calibrate(PARAMS, default_planner_specs(), cfg)
+        calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
         step = 0.03
         maneuvers = [Maneuver("translate", step)] * 5
         compiled = compile_maneuvers(maneuvers, calib)

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from purcell.config import basis_specs, default_config
 from purcell.errors import ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment
 from purcell.model import Configuration, ShapePoint, default_params
-from purcell.planner import calibrate, compile_maneuvers, default_planner_specs, plan_line
+from purcell.planner import calibrate, compile_maneuvers, plan_line
 from purcell.report import (_COLORS, _HEIGHT, _MARGIN, _WIDTH, CHUNK, CSV_HEADER, _ticks,
                             read_trajectory_csv, write_plot_svg, write_trajectory_csv)
 from purcell.se2 import GroupPose
@@ -329,7 +330,7 @@ class TestChunkedWritersMatchReference:
 
     def test_plan_line_end_to_end(self, tmp_path):
         cfg = IntegratorConfig(h=2e-3, min_substeps=8)
-        calib = calibrate(PARAMS, default_planner_specs(), cfg)
+        calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
         bearing = math.radians(2.0)   # a small turn, then the reversed x gait
         target = (0.02 * math.cos(bearing), 0.02 * math.sin(bearing))
         compiled = compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), target), calib)
