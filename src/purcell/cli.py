@@ -10,11 +10,12 @@ import sys
 
 from .config import RunConfig, basis_specs, config_echo, default_config, parse_config
 from .errors import NumericalError, ValidationError
-from .gaits import format_schedule, parse_schedule, shape_excursion, synthesize
+from .gaits import (ControlSchedule, format_schedule, parse_schedule, shape_excursion,
+                    synthesize)
 from .lie import solve_bracket_coefficients
 from .model import Configuration, ShapePoint
-from .planner import (calibrate, compile_maneuvers, plan_line, plan_polygon,
-                      tracking_report)
+from .planner import (calibrate, compile_maneuvers, fit_circle, plan_line,
+                      plan_polygon, tracking_report)
 from .report import ensure_out_dir, write_plot_svg, write_trajectory_csv
 from .se2 import GroupPose
 from .selftest import (ORIGIN, commutator_probe, leakage_ratios, rank_sweep,
@@ -107,14 +108,20 @@ def cmd_coefficients(args, cfg: RunConfig, rep: RunReport) -> int:
 
 def cmd_synthesize(args, cfg: RunConfig, rep: RunReport) -> int:
     spec = cfg.gaits[args.direction]
-    schedule = synthesize(spec)
+    gait = basis_specs(cfg)["x"] if args.direction == "x" else spec
+    if isinstance(gait, ControlSchedule):   # gait.x.composite
+        schedule = gait
+        comment = (f"x gait: composite of the four square-gait variants, "
+                   f"alpha={spec.alpha} t={spec.t}")
+    else:
+        schedule = synthesize(spec)
+        comment = (f"{args.direction} gait: alpha={spec.alpha} beta={spec.beta} "
+                   f"gamma={spec.gamma} t={spec.t} n={spec.n} nesting={spec.nesting}")
     rep.scalar("segments", len(schedule))
     rep.scalar("duration_s", f"{schedule.total_duration:.6g}")
     rep.scalar("max_joint_excursion_rad", f"{shape_excursion(schedule):.6g}")
     out = ensure_out_dir(args.out or cfg.out_dir)
     path = os.path.join(out, f"gait_{args.direction}.txt")
-    comment = (f"{args.direction} gait: alpha={spec.alpha} beta={spec.beta} "
-               f"gamma={spec.gamma} t={spec.t} n={spec.n} nesting={spec.nesting}")
     with open(path, "w", newline="\n") as fh:
         fh.write(format_schedule(schedule, comment=comment))
     rep.artifact(path)
@@ -240,17 +247,17 @@ def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
     traj = simulate(compiled.schedule, q0, cfg.params, cfg.integrator)
     track = tracking_report(plan.path, traj, compiled)
+    circle = fit_circle(track.achieved)
     rep.scalar("mean_waypoint_error_m", f"{track.mean_error:.6g}")
     rep.scalar("max_waypoint_error_m", f"{track.max_error:.6g}")
     rep.scalar("closure_error_m", f"{track.closure_error:.6g}")
-    rep.scalar("fit_radius_m", f"{track.fit_radius:.6g}")
-    rep.scalar("fit_center", f"({track.fit_center[0]:.6g}, {track.fit_center[1]:.6g})")
+    rep.scalar("fit_radius_m", f"{circle[2]:.6g}")
+    rep.scalar("fit_center", f"({circle[0]:.6g}, {circle[1]:.6g})")
     out = args.out or cfg.out_dir
     stride = max(1, len(traj) // 50000)
     px = [p[0] for p in plan.path.points]
     py = [p[1] for p in plan.path.points]
     overlay = {"x": px, "y": py, "label": "planned polygon"}
-    circle = (track.fit_center[0], track.fit_center[1], track.fit_radius)
     _write_run_outputs(traj.decimate(stride), out, "plan_circle", rep,
                        circle=circle, overlay=overlay)
     sched_path = os.path.join(ensure_out_dir(out), "plan_circle_schedule.txt")

@@ -31,7 +31,6 @@ class RunConfig:
     circle_sides: int
     out_dir: str
     seed: int
-    nesting: str
 
 
 _FLOAT_KEYS = {
@@ -188,7 +187,6 @@ def _build(v: dict, explicit: set) -> RunConfig:
         circle_sides=v["plan.circle.sides"],
         out_dir=v["run.out"],
         seed=v["run.seed"],
-        nesting=nesting,
     )
 
 
@@ -216,7 +214,7 @@ def config_echo(cfg: RunConfig) -> list:
         f"swimmer.k_long = {p.k_long!r}", f"swimmer.k_lat = {p.k_lat!r}",
         f"integrator.h = {cfg.integrator.h!r}",
         f"integrator.min_substeps = {cfg.integrator.min_substeps}",
-        f"gait.nesting = {cfg.nesting}",
+        f"gait.nesting = {cfg.gaits['x'].nesting}",
     ]
     for d in ("x", "y", "theta"):
         g = cfg.gaits[d]

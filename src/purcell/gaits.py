@@ -48,8 +48,6 @@ class GaitSpec:
 @dataclass(frozen=True)
 class ControlSchedule:
     segments: tuple = ()
-    spec: GaitSpec = None
-    label: str = ""
 
     def __len__(self):
         return len(self.segments)
@@ -108,7 +106,7 @@ def commutator_schedule(channel_a: int, channel_b: int, tau: float,
                    abs(channel_b), math.copysign(1.0, channel_b),
                    legs, scale_a)
     segs = segs[variant:] + segs[:variant]
-    return ControlSchedule(tuple(segs), label=f"square v{variant}")
+    return ControlSchedule(tuple(segs))
 
 
 def _conjugation_block(mid_channel: int, coeff: float, mid_duration: float,
@@ -166,7 +164,7 @@ def synthesize(spec: GaitSpec) -> ControlSchedule:
             round_segs += _square(1, 1.0, 2, 1.0, legs, scale_a=spec.alpha)
         segs = round_segs * n
 
-    return ControlSchedule(tuple(segs), spec=spec)
+    return ControlSchedule(tuple(segs))
 
 
 def concatenate(schedules: list) -> ControlSchedule:
@@ -179,15 +177,14 @@ def concatenate(schedules: list) -> ControlSchedule:
 def repeat(schedule: ControlSchedule, k: int) -> ControlSchedule:
     if not isinstance(k, int) or k < 1:
         raise ValidationError(f"repeat count must be a positive integer, got {k}")
-    return ControlSchedule(schedule.segments * k, spec=schedule.spec,
-                           label=schedule.label)
+    return ControlSchedule(schedule.segments * k)
 
 
 def reverse_schedule(schedule: ControlSchedule) -> ControlSchedule:
     """Time reversal: reversed order with negated amplitudes (exact inverse flow)."""
     segs = tuple(ControlSegment(s.channel, -s.amplitude, s.duration)
                  for s in reversed(schedule.segments))
-    return ControlSchedule(segs, label=schedule.label + " reversed")
+    return ControlSchedule(segs)
 
 
 def shape_excursion(schedule: ControlSchedule) -> float:

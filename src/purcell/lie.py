@@ -36,11 +36,9 @@ class BracketCoefficients(NamedTuple):
 
 @dataclass(frozen=True)
 class ControllabilityReport:
-    point: Configuration
     basis: np.ndarray            # 5x5, columns g1, g2, [g1,g2], [g1,[g1,g2]], [g2,[g1,g2]]
     singular_values: np.ndarray  # nonincreasing
     rank: int
-    tol: float
 
 
 def _perturbed(q: Configuration, coord: int, delta: float) -> Configuration:
@@ -118,14 +116,13 @@ def controllability_report(p: Configuration, params: SwimmerParams,
     if not tol > 0:
         raise ValidationError("rank tolerance must be positive")
     basis = bracket_basis(p, params, h_inner, h_outer)
-    return rank_report(p, basis, tol)
+    return rank_report(basis, tol)
 
 
-def rank_report(p: Configuration, basis: np.ndarray, tol: float) -> ControllabilityReport:
+def rank_report(basis: np.ndarray, tol: float) -> ControllabilityReport:
     sigma = np.linalg.svd(basis, compute_uv=False)
     rank = int(np.sum(sigma > tol * sigma[0])) if sigma[0] > 0 else 0
-    return ControllabilityReport(point=p, basis=basis, singular_values=sigma,
-                                 rank=rank, tol=tol)
+    return ControllabilityReport(basis=basis, singular_values=sigma, rank=rank)
 
 
 def solve_bracket_coefficients(direction: str, p: Configuration, params: SwimmerParams,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gaits import (ControlSchedule, GaitSpec, commutator_schedule, concatenate,
-                    repeat, reverse_schedule, synthesize)
+from .gaits import (ControlSchedule, commutator_schedule, concatenate, repeat,
+                    reverse_schedule, synthesize)
 from .model import Configuration, ShapePoint, SwimmerParams
 from .se2 import GroupPose, wrap_angle
 from .simulate import IntegratorConfig, Trajectory, net_displacement, simulate
@@ -36,7 +36,6 @@ class CalibrationEntry:
     delta: tuple            # per-cycle (dx, dy, dtheta) in the starting body frame
     duration: float         # seconds per cycle
     dominance: float
-    spec: GaitSpec = None
 
     @property
     def per_cycle(self) -> float:
@@ -46,7 +45,6 @@ class CalibrationEntry:
 @dataclass(frozen=True)
 class CalibrationTable:
     entries: dict
-    char_length: float
 
     def __getitem__(self, direction: str) -> CalibrationEntry:
         return self.entries[direction]
@@ -66,8 +64,8 @@ class WaypointPath:
 class ManeuverSpan:
     maneuver: Maneuver
     cycles: int          # signed; negative means the reversed gait was used
-    first_segment: int   # index range in the compiled schedule, empty if cycles == 0
-    last_segment: int
+    last_segment: int    # index in the compiled schedule of the span's last segment,
+                         # or of the last one before it if cycles == 0
     residual: float
 
 
@@ -85,8 +83,6 @@ class PolygonPlan:
     start_pose: GroupPose
     side_length: float
     turn: float
-    center: tuple
-    radius: float
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,6 @@ class TrackingReport:
     max_error: float
     closure_error: float
     achieved: tuple
-    fit_center: tuple = None
-    fit_radius: float = None
 
 
 def composite_square_gait(tau: float, scale: float = 1.0) -> ControlSchedule:
@@ -152,9 +146,8 @@ def calibrate(params: SwimmerParams, specs: dict,
             delta=d,
             duration=schedule.total_duration,
             dominance=dominance,
-            spec=spec if isinstance(spec, GaitSpec) else None,
         )
-    return CalibrationTable(entries=entries, char_length=char_length)
+    return CalibrationTable(entries=entries)
 
 
 def plan_line(start: GroupPose, target: tuple) -> list:
@@ -206,8 +199,7 @@ def plan_polygon(center: tuple, radius: float, sides: int) -> PolygonPlan:
         maneuvers.append(Maneuver("rotate", turn))
         maneuvers.append(Maneuver("translate", side))
     return PolygonPlan(path=WaypointPath(tuple(vertices)), maneuvers=maneuvers,
-                       start_pose=start_pose, side_length=side, turn=turn,
-                       center=tuple(center), radius=radius)
+                       start_pose=start_pose, side_length=side, turn=turn)
 
 
 def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
@@ -245,12 +237,10 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
                 warnings.append(
                     f"{m.kind} {m.magnitude:+.4g} smaller than half a cycle "
                     f"({quantum:+.4g}); emitted no segments")
-            spans.append(ManeuverSpan(m, 0, len(segs), len(segs) - 1, residual))
-            continue
-        block = entry.schedule if cycles > 0 else reverse_schedule(entry.schedule)
-        start = len(segs)
-        segs.extend(repeat(block, abs(cycles)).segments)
-        spans.append(ManeuverSpan(m, cycles, start, len(segs) - 1, residual))
+        else:
+            block = entry.schedule if cycles > 0 else reverse_schedule(entry.schedule)
+            segs.extend(repeat(block, abs(cycles)).segments)
+        spans.append(ManeuverSpan(m, cycles, len(segs) - 1, residual))
     return CompiledPlan(schedule=ControlSchedule(tuple(segs)),
                         spans=tuple(spans), warnings=tuple(warnings))
 
@@ -270,55 +260,28 @@ def fit_circle(points) -> tuple:
     return (float(cx), float(cy), float(math.sqrt(r_sq)))
 
 
-def _maneuver_end_positions(traj: Trajectory, plan: CompiledPlan):
-    """Pose position at the last sample of each translate maneuver."""
-    positions = []
-    seg_ids = traj.segment
-    for span in plan.spans:
-        if span.maneuver.kind != "translate":
-            continue
-        idx = np.flatnonzero(seg_ids <= span.last_segment)
-        i = int(idx[-1]) if len(idx) else 0
-        positions.append((float(traj.x[i]), float(traj.y[i])))
-    return positions
-
-
 def tracking_report(path: WaypointPath, traj: Trajectory,
-                    plan: CompiledPlan = None, fit: bool = None) -> TrackingReport:
-    """Per-waypoint position errors of a tracked path.
-
-    With a compiled plan, each waypoint after the first is matched to the end
-    of its translate maneuver; without one, to the nearest trajectory sample.
+                    plan: CompiledPlan) -> TrackingReport:
+    """Per-waypoint position errors of a tracked path: each waypoint after the
+    first is matched to the last sample of its translate maneuver in `plan`.
     """
-    targets = list(path.points[1:])
-    if plan is not None:
-        achieved = _maneuver_end_positions(traj, plan)
-        if len(achieved) != len(targets):
-            raise ValidationError(
-                f"plan has {len(achieved)} translate maneuvers for {len(targets)} waypoints")
-        errors = [math.hypot(a[0] - t[0], a[1] - t[1])
-                  for a, t in zip(achieved, targets)]
-    else:
-        xs, ys = traj.x, traj.y
-        achieved, errors = [], []
-        for t in targets:
-            d = np.hypot(xs - t[0], ys - t[1])
-            i = int(np.argmin(d))
-            achieved.append((float(xs[i]), float(ys[i])))
-            errors.append(float(d[i]))
+    targets = path.points[1:]
+    ends = [span.last_segment for span in plan.spans if span.maneuver.kind == "translate"]
+    if len(ends) != len(targets):
+        raise ValidationError(
+            f"plan has {len(ends)} translate maneuvers for {len(targets)} waypoints")
+    achieved = []
+    for last in ends:
+        idx = np.flatnonzero(traj.segment <= last)
+        i = int(idx[-1]) if len(idx) else 0
+        achieved.append((float(traj.x[i]), float(traj.y[i])))
+    errors = [math.hypot(a[0] - t[0], a[1] - t[1]) for a, t in zip(achieved, targets)]
     closure = math.hypot(float(traj.x[-1]) - path.points[-1][0],
                          float(traj.y[-1]) - path.points[-1][1])
-    report = TrackingReport(
+    return TrackingReport(
         waypoint_errors=tuple(errors),
         mean_error=float(np.mean(errors)),
         max_error=float(np.max(errors)),
         closure_error=closure,
         achieved=tuple(achieved),
     )
-    if fit is None:
-        fit = len(achieved) >= 3
-    if fit and len(achieved) >= 3:
-        cx, cy, r = fit_circle(achieved)
-        report = TrackingReport(**{**report.__dict__,
-                                   "fit_center": (cx, cy), "fit_radius": r})
-    return report

@@ -19,6 +19,9 @@ from .model import body_velocity_components
 from .se2 import GroupPose, compose, inverse, torus_distance, wrap_angle
 
 _PI = math.pi
+# Integration steps per schedule, checked before anything is allocated: about
+# 2 GB of trajectory at 80 bytes a sample.  The default plan-circle takes 11.5 M.
+MAX_STEPS = 25_000_000
 
 
 class IntegratorConfig(NamedTuple):
@@ -43,7 +46,6 @@ class Trajectory:
     xi_y: np.ndarray
     xi_theta: np.ndarray
     segment: np.ndarray
-    warning: str = ""
 
     def __len__(self):
         return len(self.t)
@@ -63,7 +65,7 @@ class Trajectory:
         idx = np.arange(0, len(self.t), stride)
         if idx[-1] != len(self.t) - 1:
             idx = np.append(idx, len(self.t) - 1)
-        return Trajectory(*(col[idx] for col in self._columns()), warning=self.warning)
+        return Trajectory(*(col[idx] for col in self._columns()))
 
     def _columns(self):
         return (self.t, self.alpha1, self.alpha2, self.x, self.y, self.theta,
@@ -95,8 +97,14 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
         raise ValidationError("integrator needs h > 0 and min_substeps >= 1")
 
     segments = [(i, s) for i, s in enumerate(schedule.segments) if s.duration > 0.0]
-    counts = [max(math.ceil(s.duration / cfg.h), cfg.min_substeps) for _, s in segments]
-    total = sum(counts) + 1
+    counts, taken = [], 0
+    for _, s in segments:
+        steps = s.duration / cfg.h
+        if not max(steps, cfg.min_substeps) <= MAX_STEPS - taken:   # also refuses inf and nan
+            raise ValidationError(f"schedule needs more than {MAX_STEPS} integration steps")
+        counts.append(max(math.ceil(steps), cfg.min_substeps))
+        taken += counts[-1]
+    total = taken + 1
 
     t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th = (
         np.empty(total) for _ in range(9))
@@ -109,9 +117,7 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     now = 0.0
     row = 1
 
-    warning = ""
-    if not segments:
-        warning = "empty schedule: trajectory is the initial sample only"
+    if not segments:   # the trajectory is the initial sample alone
         xi_x[0] = xi_y[0] = xi_th[0] = 0.0
         seg_col[0] = -1
 
@@ -171,7 +177,7 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     if segments and not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
         raise NumericalError("integration produced a non-finite pose")
     return Trajectory(t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th,
-                      seg_col, warning)
+                      seg_col)
 
 
 def net_displacement(traj: Trajectory) -> NetDisplacement:
@@ -208,22 +214,19 @@ def fit_loglog_slope(levels, errors) -> float:
 def convergence_probe(family: Callable[[float], ControlSchedule], levels,
                       reference: np.ndarray, q0: Configuration,
                       model: VelocityModel,
-                      cfg: IntegratorConfig = IntegratorConfig(),
-                      scale: Callable[[float], float] = lambda e: e * e) -> ConvergenceReport:
+                      cfg: IntegratorConfig = IntegratorConfig()) -> ConvergenceReport:
     """Run a gait family over a ladder and compare to a scaled reference motion.
 
-    The reference is a tangent 5-vector (or bare group triple); the error at
-    level eps is the norm of the net displacement minus scale(eps) times the
-    reference group part.
+    The reference is a tangent 5-vector; the error at level eps is the norm of
+    the net displacement minus eps^2 times the reference group part.
     """
-    ref = np.asarray(reference, dtype=float)
-    ref_group = ref[2:] if ref.shape == (5,) else ref
+    ref_group = np.asarray(reference, dtype=float)[2:]
     errors = []
     for eps in levels:
         traj = simulate_velocity_model(family(eps), q0, model, cfg)
         delta = net_displacement(traj).delta
         achieved = np.array([delta.x, delta.y, delta.theta])
-        errors.append(float(np.linalg.norm(achieved - scale(eps) * ref_group)))
+        errors.append(float(np.linalg.norm(achieved - eps * eps * ref_group)))
     slope = fit_loglog_slope(levels, errors)
     ordered = sorted(range(len(levels)), key=lambda i: levels[i], reverse=True)
     monotone = all(errors[ordered[i]] >= errors[ordered[i + 1]]

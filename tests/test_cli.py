@@ -6,11 +6,12 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from purcell.cli import dispatch, main
-from purcell.gaits import parse_schedule
+from purcell.config import basis_specs, default_config
+from purcell.gaits import format_schedule, parse_schedule, synthesize
 from purcell.model import default_params
 from purcell.selftest import MAX_GRID, MAX_POSES, rank_sweep
 
@@ -79,6 +80,26 @@ def test_synthesize_writes_schedule(tmp_path, capsys):
     assert len(schedule) > 0
     assert abs(schedule.channel_integral(1)) < 1e-12
     assert abs(schedule.channel_integral(2)) < 1e-12
+
+
+def test_synthesize_x_writes_the_planner_gait(tmp_path, capsys):
+    def written(name, *extra):
+        out = tmp_path / name
+        assert run(["synthesize", "--direction", "x", "--out", str(out), "--quiet", *extra]) == 0
+        return (out / "gait_x.txt").read_text()
+
+    # gait.x.composite is on by default: the 16-segment, 8 s composite the planner runs
+    composite = basis_specs(default_config())["x"]
+    assert (len(composite), composite.total_duration) == (16, 8.0)
+    text = written("composite")
+    assert text.startswith("# x gait: composite of the four square-gait variants")
+    assert parse_schedule(text).segments == composite.segments
+
+    config = tmp_path / "plain.cfg"
+    config.write_text("gait.x.composite = false\n")
+    spec = default_config().gaits["x"]
+    assert written("plain", "--config", str(config)) == format_schedule(
+        synthesize(spec), comment="x gait: alpha=1.0 beta=0.0 gamma=0.0 t=0.25 n=1 nesting=derived")
 
 
 def test_simulate_roundtrip(tmp_path, capsys):
@@ -202,6 +223,11 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["plan-line", "--config", "inf_x_t.cfg"],
     ["plan-line", "--config", "composite_x_beta.cfg"],
     ["simulate", "--schedule", "inf_duration.txt"],
+    # each of these would need more than MAX_STEPS integration steps
+    ["simulate", "--schedule", "huge_duration.txt"],
+    ["plan-line", "--config", "huge_x_t.cfg"],
+    ["simulate", "--schedule", "short.txt", "--config", "huge_substeps.cfg"],
+    ["simulate", "--schedule", "short.txt", "--config", "tiny_h.cfg"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -214,6 +240,11 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
         # the composite x gait has no beta or gamma term to honour
         "composite_x_beta.cfg": "gait.x.beta = 0.5\n",
         "inf_duration.txt": "1 0.5 inf\n",
+        "huge_duration.txt": "1 0.5 1e300\n",
+        "huge_x_t.cfg": "gait.x.t = 1e300\n",
+        "short.txt": "1 0.5 0.1\n",
+        "huge_substeps.cfg": "integrator.min_substeps = 1e300\n",
+        "tiny_h.cfg": "integrator.h = 5e-324\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -241,25 +272,54 @@ FUZZ_KEYS = ["swimmer.L", "swimmer.b", "swimmer.mu", "swimmer.k_long", "swimmer.
 FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "5e-324"]
 
 
+def _fuzz_config(tmp, values, cfd):
+    lines = [f"{k} = {v}" for k, v in values.items()]
+    if cfd:
+        lines.append("swimmer.coefficients = cfd")
+    config = os.path.join(tmp, "fuzz.cfg")
+    with open(config, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return config
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code, _ = dispatch(argv + ["--quiet"])
+    return code
+
+
 @given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
                        min_size=1, max_size=4),
        st.booleans())
 def test_config_fuzz_exits_cleanly(values, cfd):
     # coefficients and synthesize integrate nothing, so no drawn config starts a long run
-    lines = [f"{k} = {v}" for k, v in values.items()]
-    if cfd:
-        lines.append("swimmer.coefficients = cfd")
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "fuzz.cfg")
-        with open(config, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        config = _fuzz_config(tmp, values, cfd)
         out = os.path.join(tmp, "o")
         for argv in (["coefficients"], ["synthesize", "--direction", "x", "--out", out]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code, _ = dispatch(argv + ["--config", config, "--quiet"])
-            assert code in (0, 1, 2)
+            assert _exit_code(argv + ["--config", config]) in (0, 1, 2)
         schedule = os.path.join(out, "gait_x.txt")
         if os.path.exists(schedule):
             text = open(schedule).read().split("\n", 1)[1]   # past the comment line
             assert "inf" not in text and "nan" not in text
+
+
+SIMULATE_FUZZ_KEYS = ["integrator.h", "integrator.min_substeps"] + [
+    k for k in FUZZ_KEYS if k.startswith("swimmer.")]
+
+
+@example({"integrator.h": "5e-324"}, False)
+@given(st.dictionaries(st.sampled_from(SIMULATE_FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+                       min_size=1, max_size=4),
+       st.booleans())
+def test_simulate_config_fuzz_exits_cleanly(values, cfd):
+    # MAX_STEPS refuses every drawn integrator that would not finish this
+    # 0.2 s schedule in a few hundred steps
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _fuzz_config(tmp, values, cfd)
+        schedule = os.path.join(tmp, "two.txt")
+        with open(schedule, "w") as fh:
+            fh.write("1 0.5 0.1\n2 -0.5 0.1\n")
+        argv = ["simulate", "--schedule", schedule, "--out", os.path.join(tmp, "o"),
+                "--config", config]
+        assert _exit_code(argv) in (0, 1, 2)

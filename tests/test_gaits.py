@@ -1,12 +1,23 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from purcell.errors import ValidationError
 from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
                            commutator_schedule, concatenate, format_schedule,
                            parse_schedule, repeat, reverse_schedule,
                            shape_excursion, synthesize)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def schedules(amplitudes):
+    """Up to 8 segments of at most 1 s each."""
+    segment = st.builds(ControlSegment, st.sampled_from((1, 2)), amplitudes,
+                        st.floats(0.0, 1.0))
+    return st.lists(segment, max_size=8).map(lambda segs: ControlSchedule(tuple(segs)))
 
 
 class TestCommutatorSchedule:
@@ -123,6 +134,10 @@ class TestCombinators:
         assert [(seg.channel, seg.amplitude, seg.duration) for seg in r] == [
             (2, 1.0, 2.0), (1, -0.5, 1.0)]
 
+    @given(schedules(FINITE))
+    def test_reverse_is_an_involution(self, s):
+        assert reverse_schedule(reverse_schedule(s)) == s
+
 
 class TestShapeExcursion:
     def test_empty(self):
@@ -142,11 +157,10 @@ class TestShapeExcursion:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        s = synthesize(GaitSpec(0.3, -1.0, 1.0, t=0.5, n=2))
-        text = format_schedule(s, comment="round trip")
-        back = parse_schedule(text)
-        assert back.segments == s.segments
+    @example(synthesize(GaitSpec(0.3, -1.0, 1.0, t=0.5, n=2)))
+    @given(schedules(FINITE.filter(lambda a: a != 0.0)))   # zero amplitudes are elided
+    def test_round_trip(self, s):
+        assert parse_schedule(format_schedule(s, comment="round trip")) == s
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\n1 0.5 2.0  # trailing comment\n2 -1 1\n"

@@ -141,7 +141,7 @@ class TestControllability:
         degenerate = basis.copy()
         degenerate[:, 3] = degenerate[:, 2]
         degenerate[:, 4] = degenerate[:, 1]
-        rep = rank_report(ORIGIN, degenerate, tol=1e-8)
+        rep = rank_report(degenerate, tol=1e-8)
         assert rep.rank <= 4
 
     def test_rejects_bad_tolerance(self):

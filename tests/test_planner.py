@@ -8,7 +8,7 @@ from purcell.errors import ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec
 from purcell.model import Configuration, ShapePoint, default_params
 from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, CalibrationTable,
-                             Maneuver, WaypointPath, calibrate, compile_maneuvers,
+                             CompiledPlan, Maneuver, ManeuverSpan, WaypointPath, calibrate, compile_maneuvers,
                              composite_square_gait, fit_circle, plan_line, plan_polygon, tracking_report)
 from purcell.se2 import GroupPose
 from purcell.simulate import IntegratorConfig, simulate
@@ -26,7 +26,7 @@ def synthetic_table(dx=0.01, dtheta=0.05):
         "x": CalibrationEntry("x", x_sched, (dx, 0.0, 0.0), 2.0, 100.0),
         "theta": CalibrationEntry("theta", th_sched, (0.0, 0.0, dtheta), 2.0, 100.0),
     }
-    return CalibrationTable(entries=entries, char_length=0.3)
+    return CalibrationTable(entries=entries)
 
 
 class TestCalibrate:
@@ -208,8 +208,12 @@ class TestTracking:
     def test_exact_waypoints_give_zero_error(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
         path = WaypointPath(tuple(pts))
-        traj_like = _trajectory_through(pts)
-        rep = tracking_report(path, traj_like)
+        traj_like = _trajectory_through(pts)   # sample k ends segment k
+        step = Maneuver("translate", 1.0)
+        plan = CompiledPlan(ControlSchedule(), (ManeuverSpan(step, 1, 1, 0.0),
+                                                ManeuverSpan(Maneuver("rotate", 0.0), 0, 1, 0.0),
+                                                ManeuverSpan(step, 1, 2, 0.0)), ())
+        rep = tracking_report(path, traj_like, plan)
         assert rep.max_error == pytest.approx(0.0, abs=1e-12)
         assert rep.closure_error == pytest.approx(0.0, abs=1e-12)
 
@@ -259,6 +263,6 @@ class TestEndToEnd:
         traj = simulate(compiled.schedule, q0, PARAMS, cfg)
         waypoints = [((k + 1) * step, 0.0) for k in range(5)]
         path = WaypointPath(((0.0, 0.0),) + tuple(waypoints))
-        rep = tracking_report(path, traj, compiled, fit=False)
+        rep = tracking_report(path, traj, compiled)
         errors = np.array(rep.waypoint_errors)
         assert np.all(np.diff(errors) >= -1e-12)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from purcell.se2 import (IDENTITY, BodyVelocity, GroupPose, compose, exp_twist,
                          inverse, torus_distance, world_rate, wrap_angle)
@@ -49,12 +51,17 @@ def test_inverse_hand_values():
                        GroupPose(-1.0, 1.0, -math.pi / 2), tol=1e-15)
 
 
-def test_group_axioms_randomized():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        a, b, c = (random_pose(rng) for _ in range(3))
-        assert poses_close(compose(compose(a, b), c), compose(a, compose(b, c)))
-        assert poses_close(compose(a, inverse(a)), IDENTITY)
+POSES = st.builds(GroupPose, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+                  st.floats(-math.pi, math.pi, exclude_min=True))
+
+
+@given(POSES, POSES, POSES)
+def test_group_axioms_randomized(a, b, c):
+    # associativity and inverses to 1e-12 for |x|, |y| <= 5; the identity exactly
+    assert poses_close(compose(compose(a, b), c), compose(a, compose(b, c)))
+    assert poses_close(compose(a, inverse(a)), IDENTITY)
+    assert poses_close(compose(inverse(a), a), IDENTITY)
+    assert compose(IDENTITY, a) == a and compose(a, IDENTITY) == a
 
 
 def test_exp_twist_straight_line():

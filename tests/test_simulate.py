@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from purcell.errors import ValidationError
 from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
@@ -18,10 +20,10 @@ ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
 CFG = IntegratorConfig(h=1e-3, min_substeps=16)
 
 
-def test_empty_schedule_warns_and_is_identity():
+def test_empty_schedule_is_identity():
     traj = simulate(ControlSchedule(), ORIGIN, PARAMS, CFG)
     assert len(traj) == 1
-    assert traj.warning
+    assert traj.segment[0] == -1
     nd = net_displacement(traj)
     assert nd.delta == pytest.approx((0.0, 0.0, 0.0))
     assert nd.shape_closure == 0.0
@@ -96,10 +98,13 @@ def test_group_equivariance():
     assert err < 1e-9
 
 
-def test_time_reversal_returns_home():
-    sched = ControlSchedule((ControlSegment(1, 0.8, 0.5),
-                             ControlSegment(2, -0.5, 0.7),
-                             ControlSegment(1, 0.2, 0.3)))
+@example(ControlSchedule((ControlSegment(1, 0.8, 0.5),
+                          ControlSegment(2, -0.5, 0.7),
+                          ControlSegment(1, 0.2, 0.3))))
+@given(st.lists(st.builds(ControlSegment, st.sampled_from((1, 2)), st.floats(-2.0, 2.0),
+                          st.floats(0.0, 1.0)), max_size=8)
+       .map(lambda segs: ControlSchedule(tuple(segs))))
+def test_time_reversal_returns_home(sched):
     out = simulate(sched, ORIGIN, PARAMS, CFG)
     q_mid = Configuration(ShapePoint(float(out.alpha1[-1]), float(out.alpha2[-1])),
                           out.final_pose)
