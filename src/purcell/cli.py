@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 import argparse
 import math
 import os
+import pathlib
 import sys
 
-from .config import RunConfig, basis_specs, config_echo, default_config, parse_config
+from .config import KEYS, RunConfig, basis_specs, config_echo, parse_config
 from .errors import NumericalError, ValidationError
 from .gaits import (ControlSchedule, format_schedule, parse_schedule, shape_excursion,
                     synthesize)
@@ -30,15 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_config(path) -> RunConfig:
-    if path is None:
-        return default_config()
+def _load_config(args) -> RunConfig:
+    """The --config file (or the defaults), then the flags that set config keys."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = "" if args.config is None else pathlib.Path(args.config).read_text()
     except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}")
-    return parse_config(text)
+        raise ValidationError(f"cannot read config {args.config}: {exc}")
+    return parse_config(text, {k: v for k, v in vars(args).items() if k in KEYS})
 
 
 class RunReport:
@@ -70,14 +69,6 @@ class RunReport:
     def artifact(self, path):
         self.files.append(path)
         print(f"wrote {path}")
-
-
-def _angle_value(text):
-    """Angle argument: radians, or degrees with a `deg` suffix."""
-    parts = text.split()
-    if len(parts) == 2 and parts[1] == "deg":
-        return math.radians(float(parts[0]))
-    return float(text)
 
 
 def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
@@ -120,15 +111,23 @@ def cmd_synthesize(args, cfg: RunConfig, rep: RunReport) -> int:
     rep.scalar("segments", len(schedule))
     rep.scalar("duration_s", f"{schedule.total_duration:.6g}")
     rep.scalar("max_joint_excursion_rad", f"{shape_excursion(schedule):.6g}")
-    out = ensure_out_dir(args.out or cfg.out_dir)
-    path = os.path.join(out, f"gait_{args.direction}.txt")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(format_schedule(schedule, comment=comment))
-    rep.artifact(path)
+    _write_schedule(schedule, cfg.out_dir, f"gait_{args.direction}.txt", comment, rep)
     return 0
 
 
-def _write_run_outputs(traj, out_dir, stem, rep, circle=None, overlay=None):
+def _write_schedule(schedule, out_dir, name, comment, rep):
+    path = os.path.join(ensure_out_dir(out_dir), name)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(format_schedule(schedule, comment=comment))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+    rep.artifact(path)
+
+
+def _write_run_outputs(traj, out_dir, stem, rep, max_rows, circle=None, overlay=None):
+    """CSV and two SVGs of every (len(traj) // max_rows)-th sample of `traj`."""
+    traj = traj.decimate(max(1, len(traj) // max_rows))
     out = ensure_out_dir(out_dir)
     csv_path = os.path.join(out, f"{stem}.csv")
     write_trajectory_csv(traj, csv_path)
@@ -165,9 +164,7 @@ def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
     rep.scalar("net_dtheta_rad", f"{nd.delta.theta:.9g}")
     rep.scalar("shape_closure", f"{nd.shape_closure:.3e}")
     stem = os.path.splitext(os.path.basename(args.schedule))[0]
-    stride = max(1, len(traj) // 20000)
-    _write_run_outputs(traj.decimate(stride), args.out or cfg.out_dir,
-                       f"sim_{stem}", rep)
+    _write_run_outputs(traj, cfg.out_dir, f"sim_{stem}", rep, 20000)
     return 0
 
 
@@ -194,7 +191,9 @@ def cmd_probe(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def _calibration(cfg: RunConfig, rep: RunReport):
-    calib = calibrate(cfg.params, basis_specs(cfg), cfg.integrator)
+    """Calibrate the two gaits a plan compiles: x (translate) and theta (rotate)."""
+    specs = basis_specs(cfg)
+    calib = calibrate(cfg.params, {d: specs[d] for d in ("x", "theta")}, cfg.integrator)
     for d, entry in calib.entries.items():
         rep.info(f"calibration {d}: per-cycle delta = "
                  f"({entry.delta[0]:.6g}, {entry.delta[1]:.6g}, {entry.delta[2]:.6g}), "
@@ -203,8 +202,7 @@ def _calibration(cfg: RunConfig, rep: RunReport):
 
 
 def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
-    bearing = args.bearing if args.bearing is not None else cfg.line_bearing
-    distance = args.distance if args.distance is not None else cfg.line_distance
+    bearing, distance = cfg.line_bearing, cfg.line_distance
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
     maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
     calib = _calibration(cfg, rep)
@@ -221,21 +219,15 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     err = math.hypot(final.x - target[0], final.y - target[1])
     rep.scalar("final_pose", f"({final.x:.6g}, {final.y:.6g}, {final.theta:.6g})")
     rep.scalar("target_error_m", f"{err:.6g}")
-    out = args.out or cfg.out_dir
-    stride = max(1, len(traj) // 20000)
     overlay = {"x": [0.0, target[0]], "y": [0.0, target[1]], "label": "planned line"}
-    _write_run_outputs(traj.decimate(stride), out, "plan_line", rep, overlay=overlay)
-    sched_path = os.path.join(ensure_out_dir(out), "plan_line_schedule.txt")
-    with open(sched_path, "w", newline="\n") as fh:
-        fh.write(format_schedule(compiled.schedule, comment="compiled line plan"))
-    rep.artifact(sched_path)
+    _write_run_outputs(traj, cfg.out_dir, "plan_line", rep, 20000, overlay=overlay)
+    _write_schedule(compiled.schedule, cfg.out_dir, "plan_line_schedule.txt",
+                    "compiled line plan", rep)
     return 0
 
 
 def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
-    radius = args.radius if args.radius is not None else cfg.circle_radius
-    sides = args.sides if args.sides is not None else cfg.circle_sides
-    plan = plan_polygon((0.0, 0.0), radius, sides)  # rejects bad sizes before calibrating
+    plan = plan_polygon((0.0, 0.0), cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
     rep.scalar("side_length_m", f"{plan.side_length:.6g}")
     rep.scalar("turn_deg", f"{math.degrees(plan.turn):.6g}")
@@ -253,17 +245,13 @@ def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     rep.scalar("closure_error_m", f"{track.closure_error:.6g}")
     rep.scalar("fit_radius_m", f"{circle[2]:.6g}")
     rep.scalar("fit_center", f"({circle[0]:.6g}, {circle[1]:.6g})")
-    out = args.out or cfg.out_dir
-    stride = max(1, len(traj) // 50000)
     px = [p[0] for p in plan.path.points]
     py = [p[1] for p in plan.path.points]
     overlay = {"x": px, "y": py, "label": "planned polygon"}
-    _write_run_outputs(traj.decimate(stride), out, "plan_circle", rep,
+    _write_run_outputs(traj, cfg.out_dir, "plan_circle", rep, 50000,
                        circle=circle, overlay=overlay)
-    sched_path = os.path.join(ensure_out_dir(out), "plan_circle_schedule.txt")
-    with open(sched_path, "w", newline="\n") as fh:
-        fh.write(format_schedule(compiled.schedule, comment="compiled polygon plan"))
-    rep.artifact(sched_path)
+    _write_schedule(compiled.schedule, cfg.out_dir, "plan_circle_schedule.txt",
+                    "compiled polygon plan", rep)
     return 0
 
 
@@ -279,13 +267,18 @@ def cmd_selftest(args, cfg: RunConfig, rep: RunReport) -> int:
     return 0 if failed == 0 else 2
 
 
+def _key_flag(parser, flag, key, help):
+    """A flag that sets config key `key`: same units and checks, applied after --config."""
+    parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"{help}; sets {key}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="purcell",
                      description="3-link low-Reynolds swimmer: simulation, "
                                  "gait synthesis, and open-loop planning")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--out", help="output directory (overrides run.out)")
+    _key_flag(common, "--out", "run.out", "output directory")
     common.add_argument("--quiet", action="store_true",
                         help="suppress config echo and informational lines")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -315,18 +308,18 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("plan-line", parents=[common], help="rotate+translate to a line target")
-    p.add_argument("--bearing", type=_angle_value, default=None,
-                   help="target bearing in rad (append ' deg' for degrees)")
-    p.add_argument("--distance", type=float, default=None, help="line length (m)")
+    _key_flag(p, "--bearing", "plan.line.bearing", "target bearing in rad, or e.g. '30 deg'")
+    _key_flag(p, "--distance", "plan.line.distance", "line length in m, or e.g. '3 cm'")
     p.set_defaults(func=cmd_plan_line)
 
     p = sub.add_parser("plan-circle", parents=[common], help="track a circle as a polygon")
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--sides", type=int, default=None)
+    _key_flag(p, "--radius", "plan.circle.radius", "circle radius in m, or e.g. '20 cm'")
+    _key_flag(p, "--sides", "plan.circle.sides", "number of polygon sides")
     p.set_defaults(func=cmd_plan_circle)
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    p.add_argument("--only", nargs="*", help="run only checks matching these names")
+    p.add_argument("--only", nargs="*",
+                   help="run only the checks whose printed names contain one of these")
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -341,7 +334,7 @@ def dispatch(argv=None):
         return int(exc.code or 0), None
     rep = None
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args)
         rep = RunReport(args.command, cfg, args.quiet)
         return args.func(args, cfg, rep), rep
     except ValidationError as exc:

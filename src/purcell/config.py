@@ -3,7 +3,8 @@
 Dotted keys select nested settings, `#` starts a comment, unknown keys are
 hard errors.  Values may carry a `cm` or `deg` suffix and are converted to
 SI at parse time.  Every key has a documented default; an empty file is a
-valid configuration.
+valid configuration.  Command-line flags that name a key are overrides of
+it: parsed and checked the same way, applied after the file.
 """
 
 import math
@@ -49,7 +50,7 @@ for _d in ("x", "y", "theta"):
         _FLOAT_KEYS.add(f"gait.{_d}.{_f}")
     _INT_KEYS.add(f"gait.{_d}.n")
 
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _BOOL_KEYS
+KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _BOOL_KEYS
 
 _DEFAULTS = {
     "swimmer.L": 0.05, "swimmer.b": 0.005, "swimmer.mu": 0.950,
@@ -100,7 +101,8 @@ def _parse_value(key: str, token: str, lineno: int):
     return value
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: dict = None) -> RunConfig:
+    """The config in `text`, then `overrides` (key -> value text) on top."""
     values = dict(_DEFAULTS)
     explicit = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -111,9 +113,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"expected `key = value`, got {raw!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         values[key] = _parse_value(key, value, lineno)
+        explicit.add(key)
+    for key, value in (overrides or {}).items():
+        values[key] = _parse_value(key, value, None)
         explicit.add(key)
     return _build(values, explicit)
 
@@ -169,8 +174,10 @@ def _build(v: dict, explicit: set) -> RunConfig:
         raise ValidationError(f"plan.circle.sides must be from 3 to {MAX_SIDES}")
     if not 0 < v["plan.circle.radius"] < math.inf:
         raise ValidationError("plan.circle.radius must be positive and finite")
-    if not v["plan.line.distance"] > 0:
-        raise ValidationError("plan.line.distance must be positive")
+    if not math.isfinite(v["plan.line.bearing"]):
+        raise ValidationError("plan.line.bearing must be finite")
+    if not 0 < v["plan.line.distance"] < math.inf:
+        raise ValidationError("plan.line.distance must be positive and finite")
 
     return RunConfig(
         params=params,

@@ -1,10 +1,11 @@
 """Brute-force reference for the kinematic model.
 
-Builds the drag force balance by densely sampling each rod with a trapezoid
-rule and solving for the body velocity directly.  Deliberately shares nothing
-with the closed-form assembly in model.py (exact per-link moments and an
-adjugate solve) beyond the frame convention; the tests hold the two routes
-to 1e-8 agreement.
+Builds the drag force balance by densely sampling each rod with Simpson's
+rule and solving for the body velocity directly.  The drag integrands are
+quadratic in arclength, so the rule is exact for them up to rounding.
+Deliberately shares nothing with the closed-form assembly in model.py (exact
+per-link moments and an adjugate solve) beyond the frame convention; the
+tests hold the two routes to 1e-8 agreement.
 """
 
 import math
@@ -14,9 +15,12 @@ import numpy as np
 from .model import ShapePoint, ShapeVelocity, SwimmerParams, validate_params
 
 
+SAMPLES = 10_001   # per rod; odd, as Simpson's rule pairs the intervals
+
+
 def reference_body_velocity(shape: ShapePoint, sdot: ShapeVelocity,
-                            params: SwimmerParams, samples: int = 10_000):
-    """Body velocity from a dense trapezoid force balance.
+                            params: SwimmerParams):
+    """Body velocity from a dense Simpson force balance.
 
     Returns a length-3 numpy array (xi_x, xi_y, xi_theta).
     """
@@ -31,10 +35,10 @@ def reference_body_velocity(shape: ShapePoint, sdot: ShapeVelocity,
         "right": {"phi": -a2, "joint": np.array([L, 0.0]), "offset": L},
     }
 
-    rho = np.linspace(-L, L, samples)
-    weights = np.full(samples, 2.0 * L / (samples - 1))
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
+    rho = np.linspace(-L, L, SAMPLES)
+    weights = np.full(SAMPLES, 2.0 * L / (SAMPLES - 1) / 3.0)
+    weights[1:-1:2] *= 4.0
+    weights[2:-1:2] *= 2.0
 
     # total wrench = H @ xi + h0;  solve H xi = -h0
     H = np.zeros((3, 3))
@@ -47,13 +51,13 @@ def reference_body_velocity(shape: ShapePoint, sdot: ShapeVelocity,
         px, py = pts[:, 0], pts[:, 1]
 
         # velocity per unit xi component, and the joint-rate driven part
-        vel_basis = np.zeros((samples, 2, 3))
+        vel_basis = np.zeros((SAMPLES, 2, 3))
         vel_basis[:, 0, 0] = 1.0
         vel_basis[:, 1, 1] = 1.0
         vel_basis[:, 0, 2] = -py
         vel_basis[:, 1, 2] = px
         if name == "base":
-            vel_fixed = np.zeros((samples, 2))
+            vel_fixed = np.zeros((SAMPLES, 2))
         else:
             rel = pts - geo["joint"]
             vel_fixed = rate[name] * np.stack([-rel[:, 1], rel[:, 0]], axis=1)

@@ -72,6 +72,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
+    if not 0.0 < span / count < math.inf:   # nan or inf bounds, or a span that underflows
+        raise ValidationError(f"cannot place axis ticks on [{lo!r}, {hi!r}]")
     step = 10.0 ** math.floor(math.log10(span / count))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= count:
@@ -123,6 +125,9 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
     pad_y = 0.05 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    if not (0.0 < x_hi - x_lo < math.inf and 0.0 < y_hi - y_lo < math.inf):
+        raise ValidationError("cannot plot nan or infinite values, or values whose "
+                              "span rounds to 0 or overflows")
 
     plot_w = _WIDTH - 2 * _MARGIN
     plot_h = _HEIGHT - 2 * _MARGIN
@@ -212,5 +217,8 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
 
 
 def ensure_out_dir(out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out_dir}: {exc}")
     return out_dir

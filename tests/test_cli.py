@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from purcell import selftest
 from purcell.cli import dispatch, main
 from purcell.config import basis_specs, default_config
 from purcell.gaits import format_schedule, parse_schedule, synthesize
@@ -228,10 +229,18 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["plan-line", "--config", "huge_x_t.cfg"],
     ["simulate", "--schedule", "short.txt", "--config", "huge_substeps.cfg"],
     ["simulate", "--schedule", "short.txt", "--config", "tiny_h.cfg"],
+    # flags that set config keys are checked as the keys are
+    ["plan-line", "--distance", "-0.05"],
+    ["plan-line", "--distance", "abc"],
+    ["plan-line", "--bearing", "inf"],
+    ["plan-line", "--config", "inf_bearing.cfg"],
+    ["plan-circle", "--sides", "3.5"],
+    ["selftest", "--only", "nope"],   # refused before any check runs
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
         "inf_radius.cfg": "plan.circle.radius = inf\n",
+        "inf_bearing.cfg": "plan.line.bearing = inf\n",
         "inf_inner_h.cfg": "bracket.inner_h = inf\n",
         "inf_outer_h.cfg": "bracket.outer_h = inf\n",
         "inf_h.cfg": "bracket.h = inf\n",
@@ -252,6 +261,71 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub", "taken"])
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--direction", "theta"],
+    ["plan-line", "--config", "fast_line.cfg"],
+    ["simulate", "--schedule", "short.txt"],
+])
+def test_out_that_cannot_be_written_exits_one(tmp_path, argv, out):
+    (tmp_path / "a_file").write_text("")
+    for artifact in ("gait_theta.txt", "plan_line.csv", "sim_short.csv"):
+        (tmp_path / "taken" / artifact).mkdir(parents=True)   # a directory in the way
+    (tmp_path / "fast_line.cfg").write_text("integrator.h = 0.02\nplan.line.distance = 3 cm\n")
+    (tmp_path / "short.txt").write_text("1 0.5 0.1\n")
+    code, err = run_process(argv + ["--quiet", "--out", out], tmp_path)
+    assert code == 1
+    assert err.startswith("error: cannot ") and err.count("\n") == 1
+
+
+def test_line_flags_write_what_the_config_keys_write(tmp_path, capsys):
+    (tmp_path / "fast.cfg").write_text("integrator.h = 0.02\n")
+    (tmp_path / "keys.cfg").write_text("integrator.h = 0.02\n"
+                                       "plan.line.bearing = 30 deg\nplan.line.distance = 0.02\n")
+    runs = {"keys": ["--config", str(tmp_path / "keys.cfg")],
+            "flags": ["--config", str(tmp_path / "fast.cfg"),
+                      "--bearing", "30 deg", "--distance", "0.02"],
+            "units": ["--config", str(tmp_path / "fast.cfg"),
+                      "--bearing", "30 deg", "--distance", "2 cm"]}
+    written = {}
+    for name, argv in runs.items():
+        assert run(["plan-line", "--quiet", "--out", str(tmp_path / name), *argv]) == 0
+        written[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert len(written["keys"]) == 4
+    assert written["flags"] == written["keys"] and written["units"] == written["keys"]
+
+
+def test_plan_line_calibrates_only_x_and_theta(tmp_path, capsys):
+    # the y gait is no maneuver's gait, so a y gait that fails the dominance
+    # gate does not stop a plan
+    config = tmp_path / "weak_y.cfg"
+    config.write_text("gait.y.t = 1\nintegrator.h = 0.005\nplan.line.distance = 3 cm\n")
+    assert run(["plan-line", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines if ln.startswith("calibration ")] == [
+        "calibration x", "calibration theta"]
+
+
+def test_selftest_only_matches_printed_names(capsys):
+    assert run(["selftest", "--only", "leakage_decay_in_n", "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS leakage_decay_in_n: ratios ")
+    assert lines[1:] == ["1/1 acceptance checks passed"]
+
+
+def test_checks_have_distinct_names():
+    assert len({check.name for check in selftest.ALL_CHECKS}) == len(selftest.ALL_CHECKS) == 11
+
+
+def test_check_past_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(selftest, "ALL_CHECKS", [])
+    check = selftest._check("demo", limit=0)(lambda: (True, "measured"))
+    assert selftest.ALL_CHECKS == [check]
+    result = check()
+    assert (result.name, result.passed) == ("demo", False)
+    assert result.detail.startswith("measured, ") and result.detail.endswith("s (limit 0s)")
 
 
 def test_ill_conditioned_drag_exits_two(tmp_path):

@@ -102,3 +102,24 @@ def test_bool_key():
     assert cfg.x_composite is False
     with pytest.raises(ConfigError, match="boolean"):
         parse_config("gait.x.composite = maybe\n")
+
+
+def test_overrides_apply_after_the_file_with_the_same_units():
+    text = "plan.line.bearing = 1.0\nplan.line.distance = 0.5\n"
+    cfg = parse_config(text, {"plan.line.bearing": "30 deg", "run.out": "elsewhere"})
+    assert cfg == parse_config("plan.line.bearing = 30 deg\nplan.line.distance = 0.5\n"
+                               "run.out = elsewhere\n")
+    assert cfg.line_bearing == pytest.approx(math.radians(30.0))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("plan.line.distance", "-0.05", "plan.line.distance must be positive and finite"),
+    ("plan.line.distance", "abc", "key 'plan.line.distance' expects a number"),
+    ("plan.line.bearing", "inf", "plan.line.bearing must be finite"),
+    ("plan.line.bearing", "nan", "plan.line.bearing must be finite"),
+    ("plan.circle.sides", "3.5", "key 'plan.circle.sides' expects an integer"),
+])
+def test_overrides_are_checked_like_the_file(key, value, message):
+    for args in ((f"{key} = {value}\n",), ("", {key: value})):
+        with pytest.raises(ValidationError, match=message):
+            parse_config(*args)

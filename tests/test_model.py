@@ -256,6 +256,16 @@ class TestBodyVelocity:
                                       ShapeVelocity(1.0, 0.5), PARAMS)
         assert np.max(np.abs(np.array(xi) - ref)) < 1e-8
 
+    def test_oracle_leaves_headroom_under_the_gate(self):
+        # Simpson's rule is exact for the quadratic drag integrands, so the
+        # oracle's own error is rounding, far below criterion 10's 1e-8 gate
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            shape = ShapePoint(*rng.uniform(-math.pi, math.pi, 2))
+            sdot = ShapeVelocity(*rng.uniform(-2.0, 2.0, 2))
+            xi = np.array(body_velocity(shape, sdot, PARAMS))
+            assert np.max(np.abs(xi - reference_body_velocity(shape, sdot, PARAMS))) < 1e-12
+
 
 class TestControlField:
     def test_shape_components(self):

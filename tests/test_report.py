@@ -144,7 +144,7 @@ def _outcome(write, path):
     """The bytes a writer leaves, or the type of exception it raised."""
     try:
         write(str(path))
-    except Exception as exc:   # the two writers must fail alike
+    except Exception as exc:   # compared by the callers
         return type(exc)
     return path.read_bytes()
 
@@ -156,9 +156,11 @@ def assert_csv_matches(traj, tmp_path):
 
 
 def assert_svg_matches(tmp_path, series, **kw):
+    """Same bytes as the reference; where the reference fails (on nan, inf,
+    or a span that rounds to 0 or overflows) the writer refuses the data."""
     new = _outcome(lambda p: write_plot_svg(p, series, **kw), tmp_path / "new.svg")
     ref = _outcome(lambda p: reference_svg(p, series, **kw), tmp_path / "ref.svg")
-    assert new == ref
+    assert new is ValidationError if isinstance(ref, type) else new == ref
 
 
 def columns_trajectory(n, rng, values=None):
@@ -298,6 +300,15 @@ class TestChunkedWritersMatchReference:
                                           {"x": [-v for v in finite], "y": finite}],
                                kind=kind)
             assert_svg_matches(tmp_path, [{"x": SPECIAL, "y": SPECIAL[::-1]}], kind=kind)
+            for bad in ([0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0],
+                        [-1e308, 1e308],   # the span overflows
+                        [1e300, 1e300]):   # widening by +-1 is lost: a span of 0
+                with pytest.raises(ValidationError):
+                    write_plot_svg(str(tmp_path / "bad.svg"),
+                                   [{"x": [0.0, 1.0], "y": bad}], kind=kind)
+        with pytest.raises(ValidationError):   # span / 5 underflows to 0
+            write_plot_svg(str(tmp_path / "bad.svg"), [{"x": [0.0, 1.0], "y": [0.0, 5e-324]}],
+                           kind="time-series")
 
     def test_svg_int_lists(self, tmp_path):
         assert_svg_matches(tmp_path, [{"x": [0, 1, 2, 3], "y": [3, 1, 4, 1], "label": "a"},
