@@ -17,7 +17,7 @@ from .lie import solve_bracket_coefficients
 from .model import Configuration, ShapePoint
 from .planner import (calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
-from .report import ensure_out_dir, write_plot_svg, write_trajectory_csv
+from .report import check_out_dir, ensure_out_dir, write_plot_svg, write_trajectory_csv
 from .se2 import GroupPose
 from .selftest import (ORIGIN, commutator_probe, leakage_ratios, rank_sweep,
                        run_acceptance, variant_slopes)
@@ -98,6 +98,7 @@ def cmd_coefficients(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def cmd_synthesize(args, cfg: RunConfig, rep: RunReport) -> int:
+    check_out_dir(cfg.out_dir)
     spec = cfg.gaits[args.direction]
     gait = basis_specs(cfg)["x"] if args.direction == "x" else spec
     if isinstance(gait, ControlSchedule):   # gait.x.composite
@@ -149,6 +150,7 @@ def _write_run_outputs(traj, out_dir, stem, rep, max_rows, circle=None, overlay=
 
 
 def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
+    check_out_dir(cfg.out_dir)
     try:
         with open(args.schedule) as fh:
             schedule = parse_schedule(fh.read())
@@ -202,6 +204,7 @@ def _calibration(cfg: RunConfig, rep: RunReport):
 
 
 def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
+    check_out_dir(cfg.out_dir)
     bearing, distance = cfg.line_bearing, cfg.line_distance
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
     maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
@@ -227,6 +230,7 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
+    check_out_dir(cfg.out_dir)
     plan = plan_polygon((0.0, 0.0), cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
     rep.scalar("side_length_m", f"{plan.side_length:.6g}")

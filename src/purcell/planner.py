@@ -251,7 +251,10 @@ def fit_circle(points) -> tuple:
     if len(pts) < 3:
         raise ValidationError("circle fit needs at least 3 points")
     A = np.column_stack([pts[:, 0], pts[:, 1], np.ones(len(pts))])
-    rhs = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    with np.errstate(over="ignore"):
+        rhs = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    if not np.all(np.isfinite(rhs)):
+        raise NumericalError("circle fit needs points whose squared norms are finite")
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     cx, cy = 0.5 * sol[0], 0.5 * sol[1]
     r_sq = sol[2] + cx * cx + cy * cy
@@ -272,8 +275,8 @@ def tracking_report(path: WaypointPath, traj: Trajectory,
             f"plan has {len(ends)} translate maneuvers for {len(targets)} waypoints")
     achieved = []
     for last in ends:
-        idx = np.flatnonzero(traj.segment <= last)
-        i = int(idx[-1]) if len(idx) else 0
+        # the last sample of a segment <= last; the segment column never decreases
+        i = max(int(np.searchsorted(traj.segment, last, side="right")) - 1, 0)
         achieved.append((float(traj.x[i]), float(traj.y[i])))
     errors = [math.hypot(a[0] - t[0], a[1] - t[1]) for a, t in zip(achieved, targets)]
     closure = math.hypot(float(traj.x[-1]) - path.points[-1][0],

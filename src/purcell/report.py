@@ -222,3 +222,15 @@ def ensure_out_dir(out_dir: str) -> str:
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out_dir}: {exc}")
     return out_dir
+
+
+def check_out_dir(out_dir: str) -> None:
+    """Refuse an output directory that is an existing non-directory or lies
+    below one, creating nothing: commands call this before they calibrate or
+    integrate, and ensure_out_dir when they write."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path) and os.path.dirname(path) != path:
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValidationError(f"cannot create output directory {out_dir}: "
+                              f"{path} is not a directory")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given
@@ -24,12 +25,12 @@ def run(argv):
 
 
 def run_process(argv, cwd):
-    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "purcell.cli", *argv], cwd=cwd, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -257,7 +258,7 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    code, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
+    code, _, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -275,9 +276,12 @@ def test_out_that_cannot_be_written_exits_one(tmp_path, argv, out):
         (tmp_path / "taken" / artifact).mkdir(parents=True)   # a directory in the way
     (tmp_path / "fast_line.cfg").write_text("integrator.h = 0.02\nplan.line.distance = 3 cm\n")
     (tmp_path / "short.txt").write_text("1 0.5 0.1\n")
-    code, err = run_process(argv + ["--quiet", "--out", out], tmp_path)
+    code, out_text, err = run_process(argv + ["--out", out], tmp_path)
     assert code == 1
     assert err.startswith("error: cannot ") and err.count("\n") == 1
+    if out != "taken":   # refused before any work: stdout is the config echo alone
+        assert "calibration" not in out_text
+        assert all(ln.startswith(("command: ", "config: ")) for ln in out_text.splitlines())
 
 
 def test_line_flags_write_what_the_config_keys_write(tmp_path, capsys):
@@ -328,13 +332,22 @@ def test_check_past_its_budget_fails(monkeypatch):
     assert result.detail.startswith("measured, ") and result.detail.endswith("s (limit 0s)")
 
 
+def test_overflowing_rates_exit_two(tmp_path):
+    # an overflowing body velocity is a numerical failure, not math.cos's traceback
+    (tmp_path / "s.txt").write_text("1 1e308 1\n")
+    code, _, err = run_process(["simulate", "--schedule", "s.txt", "--quiet"], tmp_path)
+    assert code == 2
+    assert err == "numerical failure: integration left the finite range\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_ill_conditioned_drag_exits_two(tmp_path):
     sched = tmp_path / "s.txt"
     sched.write_text("1 0.5 0.1\n")
     config = tmp_path / "ill.cfg"
     config.write_text("swimmer.k_long = 1e-14\nswimmer.k_lat = 1\n")
-    code, err = run_process(["simulate", "--schedule", str(sched), "--config", str(config),
-                             "--out", str(tmp_path / "o"), "--quiet"], tmp_path)
+    code, _, err = run_process(["simulate", "--schedule", str(sched), "--config", str(config),
+                                "--out", str(tmp_path / "o"), "--quiet"], tmp_path)
     assert code == 2
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "ill-conditioned" in err
@@ -397,3 +410,28 @@ def test_simulate_config_fuzz_exits_cleanly(values, cfd):
         argv = ["simulate", "--schedule", schedule, "--out", os.path.join(tmp, "o"),
                 "--config", config]
         assert _exit_code(argv) in (0, 1, 2)
+
+
+PLAN_FUZZ_KEYS = SIMULATE_FUZZ_KEYS + [
+    k for k in FUZZ_KEYS if k.startswith(("gait.x.", "gait.theta."))] + [
+    "gait.x.composite", "plan.line.bearing", "plan.line.distance",
+    "plan.circle.radius", "plan.circle.sides"]
+# A small plan of each kind, so a draw that keeps these values still runs in
+# well under a second; every drawn value overrides its key here.
+PLAN_FUZZ_BASE = {"integrator.h": "0.02", "plan.line.distance": "3 cm",
+                  "plan.circle.radius": "3 cm", "plan.circle.sides": "3"}
+
+
+@example({"swimmer.L": "1e300"}, False)     # a path too long to fit a circle to
+@example({"gait.x.alpha": "1e300"}, False)   # rates that reach the integrator
+@given(st.dictionaries(st.sampled_from(PLAN_FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+                       min_size=1, max_size=4),
+       st.booleans())
+def test_plan_config_fuzz_exits_cleanly(values, cfd):
+    # a warning would print a second stderr line, so it fails the test too
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = _fuzz_config(tmp, {**PLAN_FUZZ_BASE, **values}, cfd)
+        for command in ("plan-line", "plan-circle"):
+            argv = [command, "--out", os.path.join(tmp, "o"), "--config", config]
+            assert _exit_code(argv) in (0, 1, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from purcell.config import basis_specs, default_config
-from purcell.errors import ValidationError
+from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec
 from purcell.model import Configuration, ShapePoint, default_params
 from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, CalibrationTable,
@@ -205,6 +205,10 @@ class TestTracking:
         cx, cy, r = fit_circle(pts)
         assert (cx, cy, r) == pytest.approx((0.4, -0.1, 0.25), abs=1e-9)
 
+    def test_fit_circle_refuses_points_whose_squares_overflow(self):
+        with pytest.raises(NumericalError, match="finite"):
+            fit_circle([(1e200, 0.0), (0.0, 1e200), (-1e200, 0.0)])
+
     def test_exact_waypoints_give_zero_error(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
         path = WaypointPath(tuple(pts))
@@ -220,6 +224,44 @@ class TestTracking:
     def test_waypoint_path_rejects_duplicates(self):
         with pytest.raises(ValidationError):
             WaypointPath(((0.0, 0.0), (0.0, 0.0)))
+
+
+def _scanned_ends(traj, plan):
+    """Each translate span's last sample, found by scanning the whole segment column."""
+    achieved = []
+    for span in plan.spans:
+        if span.maneuver.kind == "translate":
+            idx = np.flatnonzero(traj.segment <= span.last_segment)
+            i = int(idx[-1]) if len(idx) else 0
+            achieved.append((float(traj.x[i]), float(traj.y[i])))
+    return tuple(achieved)
+
+
+def test_tracking_finds_the_ends_the_scan_finds():
+    cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
+    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    plan = plan_polygon((0.0, 0.0), 0.2, 10)    # criterion 08's 10-gon
+    compiled = compile_maneuvers(plan.maneuvers, calib)
+    traj = simulate(compiled.schedule, Configuration(ShapePoint(0.0, 0.0), plan.start_pose),
+                    PARAMS, cfg)
+    assert tracking_report(plan.path, traj, compiled).achieved == _scanned_ends(traj, compiled)
+
+
+def test_tracking_finds_the_ends_of_zero_cycle_spans():
+    calib = calibrate(PARAMS, basis_specs(default_config()), FAST_CFG)
+    tiny_x = 0.1 * calib["x"].per_cycle
+    tiny_turn = Maneuver("rotate", 0.1 * calib["theta"].per_cycle)
+    maneuvers = [Maneuver("translate", tiny_x), tiny_turn,
+                 Maneuver("translate", 0.02), tiny_turn, Maneuver("translate", tiny_x)]
+    compiled = compile_maneuvers(maneuvers, calib)
+    assert [s.cycles for s in compiled.spans][:2] == [0, 0]
+    assert compiled.spans[0].last_segment == -1
+    traj = simulate(compiled.schedule, Configuration(ShapePoint(0.0, 0.0), IDENT),
+                    PARAMS, FAST_CFG)
+    path = WaypointPath(((-1.0, 0.0), (0.0, 0.0), (0.5, 0.0), (1.0, 0.0)))
+    achieved = tracking_report(path, traj, compiled).achieved
+    assert achieved == _scanned_ends(traj, compiled)
+    assert achieved[0] == (0.0, 0.0)
 
 
 def _trajectory_through(points):

@@ -19,7 +19,8 @@ from purcell.gaits import ControlSchedule, ControlSegment
 from purcell.model import Configuration, ShapePoint, default_params
 from purcell.planner import calibrate, compile_maneuvers, plan_line
 from purcell.report import (_COLORS, _HEIGHT, _MARGIN, _WIDTH, CHUNK, CSV_HEADER, _ticks,
-                            read_trajectory_csv, write_plot_svg, write_trajectory_csv)
+                            check_out_dir, read_trajectory_csv, write_plot_svg,
+                            write_trajectory_csv)
 from purcell.se2 import GroupPose
 from purcell.simulate import IntegratorConfig, Trajectory, simulate
 
@@ -403,3 +404,13 @@ class TestWriteMemory:
             series = [{"x": rng.normal(size=n), "y": rng.normal(size=n), "label": "s"}]
             peaks.append(_peak_write_bytes(lambda: write_plot_svg(path, series)))
         assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_out_dir_check_refuses_files_and_creates_nothing(tmp_path):
+    (tmp_path / "a_file").write_text("")
+    for usable in ("new/deeper", "", "."):
+        check_out_dir(str(tmp_path / usable))
+    for refused in ("a_file", "a_file/sub", "a_file/sub/deeper"):
+        with pytest.raises(ValidationError, match="is not a directory"):
+            check_out_dir(str(tmp_path / refused))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]

@@ -5,19 +5,115 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from purcell.errors import ValidationError
+from purcell import simulate as sim
+from purcell.config import basis_specs, default_config
+from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
-                           commutator_schedule, reverse_schedule, synthesize)
+                           commutator_schedule, concatenate, repeat, reverse_schedule,
+                           synthesize)
 from purcell.lie import lie_bracket
 from purcell.model import Configuration, ShapePoint, default_params, swimmer_fields
+from purcell.planner import calibrate, compile_maneuvers, plan_polygon
 from purcell.se2 import GroupPose, compose, inverse, wrap_angle
-from purcell.simulate import (IntegratorConfig, convergence_probe, fit_loglog_slope,
-                              net_displacement, simulate, simulate_velocity_model,
-                              swimmer_velocity_model)
+from purcell.simulate import (MAX_STEPS, IntegratorConfig, Trajectory, convergence_probe,
+                              fit_loglog_slope, net_displacement, simulate,
+                              simulate_velocity_model, swimmer_velocity_model)
 
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
 CFG = IntegratorConfig(h=1e-3, min_substeps=16)
+_PI = math.pi
+
+
+def reference_simulate(schedule, q0, model, cfg=CFG) -> Trajectory:
+    """The world-frame RK4 loop that integrates every segment in turn: the
+    reference for simulate_velocity_model, which integrates each distinct
+    segment once in its body frame."""
+    if not (cfg.h > 0 and cfg.min_substeps >= 1):
+        raise ValidationError("integrator needs h > 0 and min_substeps >= 1")
+
+    segments = [(i, s) for i, s in enumerate(schedule.segments) if s.duration > 0.0]
+    counts, taken = [], 0
+    for _, s in segments:
+        steps = s.duration / cfg.h
+        if not max(steps, cfg.min_substeps) <= MAX_STEPS - taken:   # also refuses inf and nan
+            raise ValidationError(f"schedule needs more than {MAX_STEPS} integration steps")
+        counts.append(max(math.ceil(steps), cfg.min_substeps))
+        taken += counts[-1]
+    total = taken + 1
+
+    t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th = (
+        np.empty(total) for _ in range(9))
+    seg_col = np.empty(total, dtype=int)
+
+    a1, a2 = q0.shape
+    x, y, th = q0.pose
+    t[0], x_col[0], y_col[0] = 0.0, x, y
+    alpha1[0], alpha2[0], th_col[0] = wrap_angle(a1), wrap_angle(a2), wrap_angle(th)
+    now = 0.0
+    row = 1
+
+    if not segments:   # the trajectory is the initial sample alone
+        xi_x[0] = xi_y[0] = xi_th[0] = 0.0
+        seg_col[0] = -1
+
+    for (seg_idx, seg), n_steps in zip(segments, counts):
+        u1 = seg.amplitude if seg.channel == 1 else 0.0
+        u2 = seg.amplitude if seg.channel == 2 else 0.0
+        a1_0, a2_0 = a1, a2
+        xi = model(a1, a2, u1, u2)
+        if row == 1:
+            xi_x[0], xi_y[0], xi_th[0] = xi
+            seg_col[0] = seg_idx
+        t_0 = now
+        tau0 = 0.0
+        for k in range(n_steps):
+            tau1 = seg.duration * ((k + 1) / n_steps)
+            hs = tau1 - tau0
+            tm = tau0 + 0.5 * hs
+            xim = model(a1_0 + u1 * tm, a2_0 + u2 * tm, u1, u2)
+            a1 = a1_0 + u1 * tau1
+            a2 = a2_0 + u2 * tau1
+            xie = model(a1, a2, u1, u2)
+
+            c, s = math.cos(th), math.sin(th)
+            k1x = c * xi[0] - s * xi[1]
+            k1y = s * xi[0] + c * xi[1]
+            th2 = th + 0.5 * hs * xi[2]
+            c, s = math.cos(th2), math.sin(th2)
+            k2x = c * xim[0] - s * xim[1]
+            k2y = s * xim[0] + c * xim[1]
+            th3 = th + 0.5 * hs * xim[2]
+            c, s = math.cos(th3), math.sin(th3)
+            k3x = c * xim[0] - s * xim[1]
+            k3y = s * xim[0] + c * xim[1]
+            th4 = th + hs * xim[2]
+            c, s = math.cos(th4), math.sin(th4)
+            k4x = c * xie[0] - s * xie[1]
+            k4y = s * xie[0] + c * xie[1]
+
+            x += hs / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
+            y += hs / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
+            th += hs / 6.0 * (xi[2] + 4.0 * xim[2] + xie[2])
+
+            xi = xie
+            now = t_0 + tau1
+            # wrap_angle's in-range test inline: a call only for angles outside (-pi, pi]
+            t[row] = now
+            alpha1[row] = a1 if -_PI < a1 <= _PI else wrap_angle(a1)
+            alpha2[row] = a2 if -_PI < a2 <= _PI else wrap_angle(a2)
+            x_col[row] = x
+            y_col[row] = y
+            th_col[row] = th if -_PI < th <= _PI else wrap_angle(th)
+            xi_x[row], xi_y[row], xi_th[row] = xi
+            seg_col[row] = seg_idx
+            row += 1
+            tau0 = tau1
+
+    if segments and not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
+        raise NumericalError("integration produced a non-finite pose")
+    return Trajectory(t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th,
+                      seg_col)
 
 
 def test_empty_schedule_is_identity():
@@ -187,3 +283,125 @@ def test_net_displacement_requires_samples():
     # displacement is reported in the initial body frame
     manual = compose(inverse(traj.initial_pose), traj.final_pose)
     assert nd.delta == pytest.approx(tuple(manual))
+
+
+MODEL = swimmer_velocity_model(PARAMS)
+FAST = IntegratorConfig(h=1e-2, min_substeps=4)
+EXACT_COLUMNS = ("t", "alpha1", "alpha2", "xi_x", "xi_y", "xi_theta", "segment")
+POSE_TOL = 1e-9   # m for x and y, rad for the wrapped theta
+
+
+def assert_matches_reference(traj, ref):
+    """Columns the body-frame composition does not touch are bit-identical;
+    x, y and theta agree within POSE_TOL."""
+    for name in EXACT_COLUMNS:
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert np.max(np.abs(traj.x - ref.x)) <= POSE_TOL
+    assert np.max(np.abs(traj.y - ref.y)) <= POSE_TOL
+    dtheta = np.remainder(traj.theta - ref.theta + math.pi, 2.0 * math.pi) - math.pi
+    assert np.max(np.abs(dtheta)) <= POSE_TOL
+
+
+_blocks = st.lists(st.builds(ControlSegment, st.sampled_from((1, 2)), st.floats(-2.0, 2.0),
+                             st.floats(0.0, 0.05)), min_size=1, max_size=4)
+_words = st.lists(st.tuples(_blocks, st.integers(1, 4), st.booleans()), min_size=1, max_size=3)
+_nonzero = st.floats(-4.0, 4.0).filter(lambda a: a != 0.0)
+_shapes = st.one_of(st.builds(ShapePoint, _nonzero, _nonzero),
+                    st.builds(ShapePoint, st.integers(-3, 3), st.integers(-3, 3)))
+_headings = st.one_of(st.floats(_PI - 1e-6, _PI + 1e-6), st.floats(-_PI - 1e-6, -_PI + 1e-6),
+                      st.sampled_from((_PI, -_PI)), st.floats(-4.0, 4.0))
+_poses = st.builds(GroupPose, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _headings)
+
+
+def _word_schedule(parts):
+    """Concatenated powers of blocks, each block run forward or reversed."""
+    blocks = [ControlSchedule(tuple(segs)) for segs, _, _ in parts]
+    return concatenate([repeat(reverse_schedule(b) if back else b, k)
+                        for b, (_, k, back) in zip(blocks, parts)])
+
+
+# a zero rate on a signed-zero angle keeps the zero's sign: the first and last
+# segments start from -0.0 and +0.0 and must not share rows
+@example([([ControlSegment(1, -0.0, 0.01), ControlSegment(2, 0.5, 0.01),
+            ControlSegment(2, -0.5, 0.01)], 2, False)],
+         ShapePoint(-0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
+@example([([ControlSegment(1, 0.8, 0.03), ControlSegment(2, -0.5, 0.02)], 3, False),
+          ([ControlSegment(1, 0.8, 0.03), ControlSegment(2, -0.5, 0.02)], 2, True)],
+         ShapePoint(0, 0), GroupPose(0.3, -0.2, _PI))
+@given(_words, _shapes, _poses)
+def test_body_frame_reuse_matches_the_world_frame_loop(parts, shape, pose):
+    sched = _word_schedule(parts)
+    q0 = Configuration(shape, pose)
+    assert_matches_reference(simulate_velocity_model(sched, q0, MODEL, FAST),
+                             reference_simulate(sched, q0, MODEL, FAST))
+
+
+def test_integer_start_shape_matches_float_start():
+    sched = repeat(commutator_schedule(1, 2, 0.01), 3)
+    ints = Configuration(ShapePoint(0, 0), GroupPose(0, 0, 0))
+    traj = simulate(sched, ints, PARAMS, CFG)
+    assert_matches_reference(traj, reference_simulate(sched, ints, MODEL, CFG))
+    assert_matches_reference(traj, reference_simulate(sched, ORIGIN, MODEL, CFG))
+
+
+def test_moved_start_moves_every_reference_sample():
+    # left invariance, checked against the loop that integrates in the world frame
+    sched = repeat(commutator_schedule(1, 2, 0.25), 3)
+    base = reference_simulate(sched, ORIGIN, MODEL, CFG)
+    for g0 in (GroupPose(0.4, -0.7, 1.1), GroupPose(-2.0, 3.0, _PI), GroupPose(0.0, 0.0, -3.1)):
+        moved = simulate(sched, Configuration(ShapePoint(0.0, 0.0), g0), PARAMS, CFG)
+        c, s = math.cos(g0.theta), math.sin(g0.theta)
+        assert np.max(np.abs(moved.x - (g0.x + c * base.x - s * base.y))) < POSE_TOL
+        assert np.max(np.abs(moved.y - (g0.y + s * base.x + c * base.y))) < POSE_TOL
+        dtheta = np.remainder(moved.theta - base.theta - g0.theta + math.pi,
+                              2.0 * math.pi) - math.pi
+        assert np.max(np.abs(dtheta)) < POSE_TOL
+
+
+@pytest.mark.parametrize("xi", [(math.inf, 0.0, 0.0), (0.0, 0.0, math.inf)])
+def test_non_finite_pose_is_a_numerical_error(xi):
+    # an infinite heading is a numerical failure, not math.cos's ValueError
+    sched = ControlSchedule((ControlSegment(1, 1.0, 0.01), ControlSegment(2, 1.0, 0.01)))
+    with pytest.raises(NumericalError):
+        simulate_velocity_model(sched, ORIGIN, lambda a1, a2, u1, u2: xi, CFG)
+
+
+def _model_calls(monkeypatch, run):
+    """Connection evaluations made by run()."""
+    calls = []
+    original = sim.body_velocity_components
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(sim, "body_velocity_components", counting)
+    run()
+    return len(calls)
+
+
+def test_a_segment_costs_one_call_at_its_start_and_two_per_step(monkeypatch):
+    sched = ControlSchedule((ControlSegment(1, 0.5, 0.004),))   # 16 substeps, the floor
+    assert _model_calls(monkeypatch, lambda: simulate(sched, ORIGIN, PARAMS, CFG)) == 33
+
+
+def test_compiled_polygon_integrates_its_repeated_segments_once(monkeypatch):
+    # criterion 08's 10-gon: 1,300 cycles and 4.59 M steps, of which only the
+    # distinct segments are integrated (10,428 calls against 9.2 M)
+    cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
+    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    plan = plan_polygon((0.0, 0.0), 0.2, 10)
+    compiled = compile_maneuvers(plan.maneuvers, calib)
+    q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
+    assert _model_calls(monkeypatch,
+                        lambda: simulate(compiled.schedule, q0, PARAMS, cfg)) <= 20_000
+
+
+def test_copies_read_body_frame_rows_across_chunks():
+    # 40,000 rows: later cycles copy rows that lie chunks behind them
+    sched = repeat(commutator_schedule(1, 2, 0.01), 100)
+    q0 = Configuration(ShapePoint(0.2, -0.1), GroupPose(0.5, 0.5, 3.0))
+    traj = simulate(sched, q0, PARAMS, CFG)
+    assert len(traj) > 2 * sim._CHUNK
+    assert_matches_reference(traj, reference_simulate(sched, q0, MODEL, CFG))
