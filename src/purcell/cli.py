@@ -98,7 +98,8 @@ def cmd_coefficients(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def cmd_synthesize(args, cfg: RunConfig, rep: RunReport) -> int:
-    check_out_dir(cfg.out_dir)
+    name = f"gait_{args.direction}.txt"
+    check_out_dir(cfg.out_dir, [name])
     spec = cfg.gaits[args.direction]
     gait = basis_specs(cfg)["x"] if args.direction == "x" else spec
     if isinstance(gait, ControlSchedule):   # gait.x.composite
@@ -112,7 +113,7 @@ def cmd_synthesize(args, cfg: RunConfig, rep: RunReport) -> int:
     rep.scalar("segments", len(schedule))
     rep.scalar("duration_s", f"{schedule.total_duration:.6g}")
     rep.scalar("max_joint_excursion_rad", f"{shape_excursion(schedule):.6g}")
-    _write_schedule(schedule, cfg.out_dir, f"gait_{args.direction}.txt", comment, rep)
+    _write_schedule(schedule, cfg.out_dir, name, comment, rep)
     return 0
 
 
@@ -126,21 +127,24 @@ def _write_schedule(schedule, out_dir, name, comment, rep):
     rep.artifact(path)
 
 
+def _run_files(stem):
+    """The CSV and the two SVGs _write_run_outputs writes for `stem`."""
+    return [f"{stem}.csv", f"{stem}_path.svg", f"{stem}_shape.svg"]
+
+
 def _write_run_outputs(traj, out_dir, stem, rep, max_rows, circle=None, overlay=None):
     """CSV and two SVGs of every (len(traj) // max_rows)-th sample of `traj`."""
     traj = traj.decimate(max(1, len(traj) // max_rows))
     out = ensure_out_dir(out_dir)
-    csv_path = os.path.join(out, f"{stem}.csv")
+    csv_path, svg_path, ts_path = (os.path.join(out, name) for name in _run_files(stem))
     write_trajectory_csv(traj, csv_path)
     rep.artifact(csv_path)
     series = [{"x": traj.x, "y": traj.y, "label": "base link path"}]
     if overlay is not None:
         series.append(overlay)
-    svg_path = os.path.join(out, f"{stem}_path.svg")
     write_plot_svg(svg_path, series, kind="path", title=f"{stem}: base-link path",
                    xlabel="x (m)", ylabel="y (m)", circle=circle)
     rep.artifact(svg_path)
-    ts_path = os.path.join(out, f"{stem}_shape.svg")
     write_plot_svg(ts_path,
                    [{"x": traj.t, "y": traj.alpha1, "label": "alpha1"},
                     {"x": traj.t, "y": traj.alpha2, "label": "alpha2"}],
@@ -150,7 +154,8 @@ def _write_run_outputs(traj, out_dir, stem, rep, max_rows, circle=None, overlay=
 
 
 def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
-    check_out_dir(cfg.out_dir)
+    stem = "sim_" + os.path.splitext(os.path.basename(args.schedule))[0]
+    check_out_dir(cfg.out_dir, _run_files(stem))
     try:
         with open(args.schedule) as fh:
             schedule = parse_schedule(fh.read())
@@ -165,8 +170,7 @@ def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
     rep.scalar("net_dy_m", f"{nd.delta.y:.9g}")
     rep.scalar("net_dtheta_rad", f"{nd.delta.theta:.9g}")
     rep.scalar("shape_closure", f"{nd.shape_closure:.3e}")
-    stem = os.path.splitext(os.path.basename(args.schedule))[0]
-    _write_run_outputs(traj, cfg.out_dir, f"sim_{stem}", rep, 20000)
+    _write_run_outputs(traj, cfg.out_dir, stem, rep, 20000)
     return 0
 
 
@@ -204,7 +208,7 @@ def _calibration(cfg: RunConfig, rep: RunReport):
 
 
 def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
-    check_out_dir(cfg.out_dir)
+    check_out_dir(cfg.out_dir, _run_files("plan_line") + ["plan_line_schedule.txt"])
     bearing, distance = cfg.line_bearing, cfg.line_distance
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
     maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
@@ -230,7 +234,7 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
-    check_out_dir(cfg.out_dir)
+    check_out_dir(cfg.out_dir, _run_files("plan_circle") + ["plan_circle_schedule.txt"])
     plan = plan_polygon((0.0, 0.0), cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
     rep.scalar("side_length_m", f"{plan.side_length:.6g}")

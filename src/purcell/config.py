@@ -221,12 +221,21 @@ def config_echo(cfg: RunConfig) -> list:
         f"swimmer.k_long = {p.k_long!r}", f"swimmer.k_lat = {p.k_lat!r}",
         f"integrator.h = {cfg.integrator.h!r}",
         f"integrator.min_substeps = {cfg.integrator.min_substeps}",
+        f"bracket.h = {cfg.bracket_h!r}", f"bracket.inner_h = {cfg.bracket_inner_h!r}",
+        f"bracket.outer_h = {cfg.bracket_outer_h!r}",
         f"gait.nesting = {cfg.gaits['x'].nesting}",
     ]
     for d in ("x", "y", "theta"):
         g = cfg.gaits[d]
         lines.append(f"gait.{d} = alpha={g.alpha!r} beta={g.beta!r} "
                      f"gamma={g.gamma!r} t={g.t!r} n={g.n}")
-    lines.append(f"gait.x.composite = {str(cfg.x_composite).lower()}")
-    lines.append(f"run.seed = {cfg.seed}")
+    lines += [
+        f"gait.x.composite = {str(cfg.x_composite).lower()}",
+        f"plan.line.bearing = {cfg.line_bearing!r}",
+        f"plan.line.distance = {cfg.line_distance!r}",
+        f"plan.circle.radius = {cfg.circle_radius!r}",
+        f"plan.circle.sides = {cfg.circle_sides}",
+        f"run.out = {cfg.out_dir}",
+        f"run.seed = {cfg.seed}",
+    ]
     return lines

@@ -224,13 +224,18 @@ def ensure_out_dir(out_dir: str) -> str:
     return out_dir
 
 
-def check_out_dir(out_dir: str) -> None:
+def check_out_dir(out_dir: str, names=()) -> None:
     """Refuse an output directory that is an existing non-directory or lies
-    below one, creating nothing: commands call this before they calibrate or
-    integrate, and ensure_out_dir when they write."""
+    below one, or that holds a directory where one of the files `names` goes,
+    creating nothing: commands call this before they calibrate or integrate,
+    and ensure_out_dir when they write."""
     path = os.path.abspath(out_dir)
     while not os.path.exists(path) and os.path.dirname(path) != path:
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ValidationError(f"cannot create output directory {out_dir}: "
                               f"{path} is not a directory")
+    for name in names:
+        target = os.path.join(out_dir, name)
+        if os.path.isdir(target):
+            raise ValidationError(f"cannot write {target}: it is a directory")

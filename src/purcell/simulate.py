@@ -16,10 +16,22 @@ where the step-by-step loop made 9.2 M.  The time, shape, body-velocity and
 segment columns are those of the step-by-step loop bit for bit; x, y and
 theta differ from it by rounding, within 1e-9 (tests/test_simulate.py keeps
 that loop as the reference).
+
+`simulate` also keeps, for the life of the process, the body-frame rows of
+every segment that occurs at least twice in one call, keyed by the exact
+bits of the swimmer parameters, the step count, the start shape, the rates
+and the duration.  A later call copies them in place of integrating, so a
+plan after calibration integrates none of the gait blocks it repeats.  At
+most 32,768 rows are kept in all (2.4 MB at 72 bytes a row), the least
+recently used dropped first, and a longer segment is never kept.  A kept
+row is the row that integrating would write, bit for bit, so no output
+depends on what is kept.  An arbitrary velocity model passed to
+`simulate_velocity_model` cannot be keyed and never uses the kept rows.
 """
 
 import math
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,6 +49,8 @@ _PI = math.pi
 MAX_STEPS = 25_000_000
 # Rows moved to the world frame per numpy pass: about 0.5 MB of temporaries.
 _CHUNK = 4096
+# Body-frame rows kept across calls, in all: 2.4 MB at 72 bytes a row.
+_KEPT_ROWS = 1 << 15
 
 
 class IntegratorConfig(NamedTuple):
@@ -90,12 +104,44 @@ class Trajectory:
 VelocityModel = Callable[[float, float, float, float], tuple]
 
 
+class _KeptSegments:
+    """Body-frame rows of recurring segments, kept from one call to the next:
+    at most `cap` rows in all, the least recently used dropped first."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.rows = 0
+        self.entries = OrderedDict()   # key -> (nine columns, start velocity, end state)
+
+    def get(self, key):
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+        return entry
+
+    def keep(self, key, columns, xi0, end):
+        """Copies of `columns`, so that no trajectory stays pinned by a view."""
+        n = len(columns[0])
+        if n > self.cap:
+            return
+        while self.rows + n > self.cap:
+            _, (body, _, _) = self.entries.popitem(last=False)
+            self.rows -= len(body[0])
+        self.entries[key] = (tuple(col.copy() for col in columns), xi0, end)
+        self.rows += n
+
+
+_KEPT = _KeptSegments(_KEPT_ROWS)
+
+
 def swimmer_velocity_model(params: SwimmerParams) -> VelocityModel:
     validate_params(params)
 
     def model(a1, a2, u1, u2):
         return body_velocity_components(a1, a2, u1, u2, params)
 
+    if all(type(v) is float for v in params):   # key for the rows simulate keeps
+        model.kept_key = struct.pack("<5d", *params)
     return model
 
 
@@ -110,9 +156,10 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     """Integrate a schedule under an arbitrary shape-to-body-velocity map.
 
     Pass 1 integrates each distinct segment once, in its own body frame from
-    the identity pose, into the rows of its first occurrence; a later segment
-    with the same start shape, rates and duration only records where those
-    rows are.  Pass 2 moves every segment's rows by its start pose and start
+    the identity pose, into the rows of its first occurrence, or copies them
+    there when an earlier call under the same swimmer model kept them; a
+    later segment with the same start shape, rates and duration only records
+    where those rows are.  Pass 2 moves every segment's rows by its start pose and start
     time, chunk by chunk from the last row back, so a copied segment still
     reads its source's body-frame rows.
     """
@@ -145,7 +192,14 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     # Pass 1.  Keys are exact bits: a -0.0 start keeps its sign through a zero
     # rate, so it may not share rows with 0.0; an int shape keys as its float.
     # The step count follows from the duration, so the key leaves it out.
-    known = {}    # key -> (first row, end shape, body-frame end pose and time)
+    # Under the swimmer model a segment is also looked up in the rows kept by
+    # earlier calls, and kept once it recurs here; that key adds the model's
+    # parameter bits and the step count, and a start shape that is not a
+    # Python float (an int ShapePoint) is neither looked up nor kept.
+    model_key = getattr(model, "kept_key", None)
+    columns = (t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th)
+    known = {}    # key -> (first row, (end shape, body-frame end pose and time))
+    unkept = {}   # key -> (kept-rows key, start velocity) of segments integrated here
     firsts, shifts, ids, starts = [], [], [], []   # per segment
     try:   # math.cos and math.sin refuse an infinite angle
         for (seg_idx, seg), n_steps in zip(segments, counts):
@@ -153,55 +207,27 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
             u2 = seg.amplitude if seg.channel == 2 else 0.0
             key = struct.pack("<5d", a1, a2, u1, u2, seg.duration)
             if key not in known:
-                a1_0, a2_0 = a1, a2
-                xi = model(a1, a2, u1, u2)
+                kept_key = entry = None
+                if model_key is not None and type(a1) is float and type(a2) is float:
+                    kept_key = (model_key, n_steps, key)
+                    entry = _KEPT.get(kept_key)
+                if entry is None:
+                    xi0, end = _integrate_segment(model, a1, a2, u1, u2, seg.duration,
+                                                  n_steps, columns, row)
+                    if kept_key is not None:
+                        unkept[key] = (kept_key, xi0)
+                else:
+                    body, xi0, end = entry
+                    for col, rows in zip(columns, body):
+                        col[row:row + n_steps] = rows
                 if row == 1:
-                    xi_x[0], xi_y[0], xi_th[0] = xi
-                bx = by = bth = 0.0
-                tau0 = 0.0
-                r = row
-                for k in range(n_steps):
-                    tau1 = seg.duration * ((k + 1) / n_steps)
-                    hs = tau1 - tau0
-                    tm = tau0 + 0.5 * hs
-                    xim = model(a1_0 + u1 * tm, a2_0 + u2 * tm, u1, u2)
-                    a1 = a1_0 + u1 * tau1
-                    a2 = a2_0 + u2 * tau1
-                    xie = model(a1, a2, u1, u2)
-
-                    c, s = math.cos(bth), math.sin(bth)
-                    k1x = c * xi[0] - s * xi[1]
-                    k1y = s * xi[0] + c * xi[1]
-                    th2 = bth + 0.5 * hs * xi[2]
-                    c, s = math.cos(th2), math.sin(th2)
-                    k2x = c * xim[0] - s * xim[1]
-                    k2y = s * xim[0] + c * xim[1]
-                    th3 = bth + 0.5 * hs * xim[2]
-                    c, s = math.cos(th3), math.sin(th3)
-                    k3x = c * xim[0] - s * xim[1]
-                    k3y = s * xim[0] + c * xim[1]
-                    th4 = bth + hs * xim[2]
-                    c, s = math.cos(th4), math.sin(th4)
-                    k4x = c * xie[0] - s * xie[1]
-                    k4y = s * xie[0] + c * xie[1]
-
-                    bx += hs / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
-                    by += hs / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
-                    bth += hs / 6.0 * (xi[2] + 4.0 * xim[2] + xie[2])
-
-                    xi = xie
-                    # wrap_angle's in-range test inline: a call only for angles outside (-pi, pi]
-                    t[r] = tau1
-                    alpha1[r] = a1 if -_PI < a1 <= _PI else wrap_angle(a1)
-                    alpha2[r] = a2 if -_PI < a2 <= _PI else wrap_angle(a2)
-                    x_col[r] = bx
-                    y_col[r] = by
-                    th_col[r] = bth
-                    xi_x[r], xi_y[r], xi_th[r] = xi
-                    r += 1
-                    tau0 = tau1
-                known[key] = (row, a1, a2, bx, by, bth, tau1)
-            first, a1, a2, bx, by, bth, tau1 = known[key]
+                    xi_x[0], xi_y[0], xi_th[0] = xi0
+                known[key] = (row, end)
+            elif key in unkept:   # recurs: keep its rows before pass 2 moves them
+                kept_key, xi0 = unkept.pop(key)
+                first, end = known[key]
+                _KEPT.keep(kept_key, [col[first:first + n_steps] for col in columns], xi0, end)
+            first, (a1, a2, bx, by, bth, tau1) = known[key]
             firsts.append(row)
             shifts.append(first - row)
             ids.append(seg_idx)
@@ -240,6 +266,58 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
             raise NumericalError("integration produced a non-finite pose")
     return Trajectory(t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th,
                       seg_col)
+
+
+def _integrate_segment(model, a1, a2, u1, u2, duration, n_steps, columns, r):
+    """RK4 over one segment in its body frame from the identity pose, into
+    rows r to r + n_steps - 1 of `columns`.  Returns the start velocity and
+    the end state: shape, body-frame pose and time."""
+    t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th = columns
+    a1_0, a2_0 = a1, a2
+    xi0 = xi = model(a1, a2, u1, u2)
+    bx = by = bth = 0.0
+    tau0 = 0.0
+    for k in range(n_steps):
+        tau1 = duration * ((k + 1) / n_steps)
+        hs = tau1 - tau0
+        tm = tau0 + 0.5 * hs
+        xim = model(a1_0 + u1 * tm, a2_0 + u2 * tm, u1, u2)
+        a1 = a1_0 + u1 * tau1
+        a2 = a2_0 + u2 * tau1
+        xie = model(a1, a2, u1, u2)
+
+        c, s = math.cos(bth), math.sin(bth)
+        k1x = c * xi[0] - s * xi[1]
+        k1y = s * xi[0] + c * xi[1]
+        th2 = bth + 0.5 * hs * xi[2]
+        c, s = math.cos(th2), math.sin(th2)
+        k2x = c * xim[0] - s * xim[1]
+        k2y = s * xim[0] + c * xim[1]
+        th3 = bth + 0.5 * hs * xim[2]
+        c, s = math.cos(th3), math.sin(th3)
+        k3x = c * xim[0] - s * xim[1]
+        k3y = s * xim[0] + c * xim[1]
+        th4 = bth + hs * xim[2]
+        c, s = math.cos(th4), math.sin(th4)
+        k4x = c * xie[0] - s * xie[1]
+        k4y = s * xie[0] + c * xie[1]
+
+        bx += hs / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        by += hs / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        bth += hs / 6.0 * (xi[2] + 4.0 * xim[2] + xie[2])
+
+        xi = xie
+        # wrap_angle's in-range test inline: a call only for angles outside (-pi, pi]
+        t[r] = tau1
+        alpha1[r] = a1 if -_PI < a1 <= _PI else wrap_angle(a1)
+        alpha2[r] = a2 if -_PI < a2 <= _PI else wrap_angle(a2)
+        x_col[r] = bx
+        y_col[r] = by
+        th_col[r] = bth
+        xi_x[r], xi_y[r], xi_th[r] = xi
+        r += 1
+        tau0 = tau1
+    return xi0, (a1, a2, bx, by, bth, tau1)
 
 
 def _wrap_angles(a: np.ndarray) -> np.ndarray:

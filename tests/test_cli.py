@@ -279,9 +279,22 @@ def test_out_that_cannot_be_written_exits_one(tmp_path, argv, out):
     code, out_text, err = run_process(argv + ["--out", out], tmp_path)
     assert code == 1
     assert err.startswith("error: cannot ") and err.count("\n") == 1
-    if out != "taken":   # refused before any work: stdout is the config echo alone
-        assert "calibration" not in out_text
-        assert all(ln.startswith(("command: ", "config: ")) for ln in out_text.splitlines())
+    # refused before any work: stdout is the config echo alone
+    assert "calibration" not in out_text
+    assert all(ln.startswith(("command: ", "config: ")) for ln in out_text.splitlines())
+
+
+def test_config_echo_shows_the_line_target(tmp_path, capsys):
+    # an --out that is a file stops each run right after the echo
+    (tmp_path / "a_file").write_text("")
+    echoes = []
+    for flags in ([], ["--bearing", "30 deg", "--distance", "0.02"]):
+        assert run(["plan-line", "--out", str(tmp_path / "a_file"), *flags]) == 1
+        echoes.append([ln for ln in capsys.readouterr().out.splitlines()
+                       if ln.startswith("config: ")])
+    assert echoes[0] != echoes[1]
+    assert "config: plan.line.bearing = 0.5235987755982988" in echoes[1]
+    assert "config: plan.line.distance = 0.02" in echoes[1]
 
 
 def test_line_flags_write_what_the_config_keys_write(tmp_path, capsys):

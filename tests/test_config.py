@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from purcell.config import default_config, parse_config
+from purcell.config import KEYS, config_echo, default_config, parse_config
 from purcell.errors import ConfigError, ValidationError
 
 
@@ -123,3 +123,14 @@ def test_overrides_are_checked_like_the_file(key, value, message):
     for args in ((f"{key} = {value}\n",), ("", {key: value})):
         with pytest.raises(ValidationError, match=message):
             parse_config(*args)
+
+
+def test_config_echo_names_every_key():
+    lines = config_echo(parse_config("", {"run.out": "elsewhere"}))
+    assert "run.out = elsewhere" in lines
+    # the drag provenance keys are echoed as the k_long and k_lat they resolve to
+    # and a gait's keys as the fields of its one line, `gait.x = alpha=... t=...`
+    for key in KEYS - {"swimmer.coefficients", "swimmer.cfd_speed"}:
+        group, _, field = key.rpartition(".")
+        assert any(ln.startswith(f"{key} = ") or
+                   (ln.startswith(f"{group} = ") and f" {field}=" in ln) for ln in lines), key

@@ -414,3 +414,13 @@ def test_out_dir_check_refuses_files_and_creates_nothing(tmp_path):
         with pytest.raises(ValidationError, match="is not a directory"):
             check_out_dir(str(tmp_path / refused))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+
+def test_out_dir_check_refuses_a_directory_where_a_file_goes(tmp_path):
+    (tmp_path / "out" / "taken.csv").mkdir(parents=True)
+    out = str(tmp_path / "out")
+    check_out_dir(out, ["free.csv"])
+    check_out_dir(str(tmp_path / "new"), ["taken.csv"])
+    with pytest.raises(ValidationError, match="taken.csv: it is a directory"):
+        check_out_dir(out, ["free.csv", "taken.csv"])
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "taken.csv"]

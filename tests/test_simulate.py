@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
                            commutator_schedule, concatenate, repeat, reverse_schedule,
                            synthesize)
 from purcell.lie import lie_bracket
-from purcell.model import Configuration, ShapePoint, default_params, swimmer_fields
-from purcell.planner import calibrate, compile_maneuvers, plan_polygon
+from purcell.model import (Configuration, ShapePoint, SwimmerParams, default_params,
+                           derive_drag_coefficients, swimmer_fields)
+from purcell.planner import calibrate, compile_maneuvers, plan_line, plan_polygon
 from purcell.se2 import GroupPose, compose, inverse, wrap_angle
 from purcell.simulate import (MAX_STEPS, IntegratorConfig, Trajectory, convergence_probe,
                               fit_loglog_slope, net_displacement, simulate,
@@ -376,12 +378,14 @@ def _model_calls(monkeypatch, run):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(sim, "body_velocity_components", counting)
-    run()
+    with monkeypatch.context() as m:
+        m.setattr(sim, "body_velocity_components", counting)
+        run()
     return len(calls)
 
 
 def test_a_segment_costs_one_call_at_its_start_and_two_per_step(monkeypatch):
+    _cold_store(monkeypatch)
     sched = ControlSchedule((ControlSegment(1, 0.5, 0.004),))   # 16 substeps, the floor
     assert _model_calls(monkeypatch, lambda: simulate(sched, ORIGIN, PARAMS, CFG)) == 33
 
@@ -394,6 +398,7 @@ def test_compiled_polygon_integrates_its_repeated_segments_once(monkeypatch):
     plan = plan_polygon((0.0, 0.0), 0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
+    _cold_store(monkeypatch)
     assert _model_calls(monkeypatch,
                         lambda: simulate(compiled.schedule, q0, PARAMS, cfg)) <= 20_000
 
@@ -405,3 +410,200 @@ def test_copies_read_body_frame_rows_across_chunks():
     traj = simulate(sched, q0, PARAMS, CFG)
     assert len(traj) > 2 * sim._CHUNK
     assert_matches_reference(traj, reference_simulate(sched, q0, MODEL, CFG))
+
+
+# Rows kept across calls.  Each test below starts from a cold store of its own,
+# so the order tests run in cannot change what is kept or counted.
+
+def _cold_store(monkeypatch, cap=sim._KEPT_ROWS):
+    kept = sim._KeptSegments(cap)
+    monkeypatch.setattr(sim, "_KEPT", kept)
+    return kept
+
+
+def _cold_run(monkeypatch, *args):
+    """simulate(*args) on a cold store, leaving the test's store as it was."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_KEPT", sim._KeptSegments(sim._KEPT_ROWS))
+        return simulate(*args)
+
+
+def assert_same_bits(traj, ref):
+    for got, want in zip(traj._columns(), ref._columns()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _assert_within_cap(kept):
+    held = sum(len(body[0]) for body, _, _ in kept.entries.values())
+    assert kept.rows == held <= kept.cap
+
+
+PLAN_CFG = IntegratorConfig(h=2.5e-3, min_substeps=16)
+
+
+def _line_plans(calib, count, seed=5):
+    """Line plans of three gait cycles from seeded start poses, as the plan
+    benchmark draws them: one or two rotate cycles, the rest translation."""
+    rng = np.random.default_rng(seed)
+    quanta = (calib["theta"].per_cycle, calib["x"].per_cycle)
+    plans = []
+    for i in range(count):
+        rotate = 1 + i % 2
+        rotation, distance = ((c + rng.uniform(-0.4, 0.4)) * abs(q) * rng.choice((-1.0, 1.0))
+                              for c, q in ((rotate, quanta[0]), (3 - rotate, quanta[1])))
+        start = GroupPose(*rng.uniform(-1.0, 1.0, 2), rng.uniform(-_PI, _PI))
+        bearing = start.theta + rotation + (0.0 if distance > 0 else _PI)
+        target = (start.x + abs(distance) * math.cos(bearing),
+                  start.y + abs(distance) * math.sin(bearing))
+        compiled = compile_maneuvers(plan_line(start, target), calib)
+        plans.append((compiled.schedule, Configuration(ShapePoint(0.0, 0.0), start)))
+    return plans
+
+
+def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
+    kept = _cold_store(monkeypatch)
+    specs = basis_specs(default_config())
+    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, PLAN_CFG)
+    warm_calls = cold_calls = 0
+    for sched, q0 in _line_plans(calib, 8):
+        runs = []
+        warm_calls += _model_calls(monkeypatch, lambda: runs.append(
+            simulate(sched, q0, PARAMS, PLAN_CFG)))
+        cold_calls += _model_calls(monkeypatch, lambda: runs.append(
+            _cold_run(monkeypatch, sched, q0, PARAMS, PLAN_CFG)))
+        assert_same_bits(*runs)
+        _assert_within_cap(kept)
+    assert kept.entries and warm_calls < cold_calls / 2
+
+
+def _column_digests(traj):
+    return [hashlib.sha256(col.tobytes()).hexdigest() for col in traj._columns()]
+
+
+def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
+    # criterion 08's plan at a coarser step: 1.15 M rows a run, compared by digest
+    cfg = IntegratorConfig(h=1e-2, min_substeps=16)
+    kept = _cold_store(monkeypatch)
+    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    plan = plan_polygon((0.0, 0.0), 0.2, 10)
+    compiled = compile_maneuvers(plan.maneuvers, calib)
+    q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
+    cold = _column_digests(simulate(compiled.schedule, q0, PARAMS, cfg))
+    assert kept.entries
+    assert _model_calls(monkeypatch, lambda: cold.append(
+        _column_digests(simulate(compiled.schedule, q0, PARAMS, cfg)))) == 0
+    assert cold[:-1] == cold[-1]
+
+
+def test_signed_zero_and_int_starts_never_share_kept_rows(monkeypatch):
+    # a zero rate keeps a -0.0 start's sign, so its first rows differ in bits
+    # from those of a 0.0 start; an int start is neither looked up nor kept
+    kept = _cold_store(monkeypatch)
+    block = ControlSchedule((ControlSegment(1, -0.0, 0.01), ControlSegment(2, 0.5, 0.01),
+                             ControlSegment(2, -0.5, 0.01)))
+    sched = repeat(block, 3)
+    pose = GroupPose(0.3, -0.2, 1.0)
+    simulate(sched, Configuration(ShapePoint(0.0, 0.0), pose), PARAMS, CFG)
+    assert len(kept.entries) == 3
+    # segments of 16 steps, 33 calls each, are integrated until a start is 0.0
+    # (-0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0); the later cycles are copied
+    for shape, integrated in ((ShapePoint(-0.0, 0.0), 2), (ShapePoint(0.0, -0.0), 1),
+                              (ShapePoint(0, 0), 1)):
+        q0 = Configuration(shape, pose)
+        runs = []
+        assert _model_calls(monkeypatch, lambda: runs.append(
+            simulate(sched, q0, PARAMS, CFG))) == 33 * integrated
+        assert_same_bits(runs[0], _cold_run(monkeypatch, sched, q0, PARAMS, CFG))
+    assert len(kept.entries) == 3
+
+
+def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
+    kept = _cold_store(monkeypatch)
+    sched = repeat(commutator_schedule(1, 2, 0.01), 2)
+    runs = [(PARAMS, IntegratorConfig(h=1.0, min_substeps=16)),
+            (PARAMS, IntegratorConfig(h=1.0, min_substeps=17)),
+            (derive_drag_coefficients(SwimmerParams(L=0.06)),
+             IntegratorConfig(h=1.0, min_substeps=16))]
+    for params, cfg in runs:
+        cold_calls = _model_calls(monkeypatch, lambda: _cold_run(
+            monkeypatch, sched, ORIGIN, params, cfg))
+        warm = []
+        assert _model_calls(monkeypatch, lambda: warm.append(
+            simulate(sched, ORIGIN, params, cfg))) == cold_calls
+        assert_same_bits(warm[0], _cold_run(monkeypatch, sched, ORIGIN, params, cfg))
+    assert len(kept.entries) == 3 * 4
+    # the same segments and step count at another h share the kept rows
+    assert _model_calls(monkeypatch, lambda: simulate(
+        sched, ORIGIN, PARAMS, IntegratorConfig(h=2.0, min_substeps=16))) == 0
+
+
+def test_a_schedule_that_never_repeats_a_segment_keeps_nothing(monkeypatch):
+    kept = _cold_store(monkeypatch)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        sched = ControlSchedule(tuple(
+            ControlSegment(int(rng.integers(1, 3)), float(rng.uniform(-2.0, 2.0)),
+                           float(rng.uniform(0.01, 0.05))) for _ in range(20)))
+        simulate(sched, ORIGIN, PARAMS, CFG)
+    assert kept.rows == 0 and not kept.entries
+
+
+def test_held_rows_never_exceed_the_cap(monkeypatch):
+    kept = _cold_store(monkeypatch, cap=200)
+    for k, duration in enumerate((0.016, 0.02, 0.03, 0.016, 0.045, 0.02, 0.03)):
+        block = commutator_schedule(1, 2, duration ** 2)   # four segments of `duration`
+        q0 = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.1 * k, 0.0, 0.5 * k))
+        sched = repeat(block, 3)
+        traj = simulate(sched, q0, PARAMS, CFG)
+        _assert_within_cap(kept)
+        assert_same_bits(traj, _cold_run(monkeypatch, sched, q0, PARAMS, CFG))
+        # the least recently used go first, so this call's block is held whole
+        # whenever it fits
+        rows = sum(max(math.ceil(s.duration / CFG.h), CFG.min_substeps) for s in block.segments)
+        assert 64 <= rows <= kept.cap
+        assert _model_calls(monkeypatch, lambda: simulate(sched, q0, PARAMS, CFG)) == 0
+    assert len(kept.entries) < 4 * 4   # four distinct blocks of four segments
+
+
+def test_the_least_recently_used_segments_go_first(monkeypatch):
+    blocks = [repeat(commutator_schedule(1, 2, d ** 2), 2) for d in (0.016, 0.017, 0.018)]
+    kept = _cold_store(monkeypatch, cap=4 * (16 + 18))   # blocks of 4 x 16, 17 and 18 rows
+    for sched in (blocks[0], blocks[1], blocks[0], blocks[2]):   # the third evicts the second
+        simulate(sched, ORIGIN, PARAMS, CFG)
+    _assert_within_cap(kept)
+    assert _model_calls(monkeypatch, lambda: simulate(blocks[0], ORIGIN, PARAMS, CFG)) == 0
+    assert _model_calls(monkeypatch, lambda: simulate(blocks[1], ORIGIN, PARAMS, CFG)) > 0
+
+
+def test_a_recurring_segment_longer_than_the_cap_is_never_kept(monkeypatch):
+    # criterion 11's 500 s segments, at h = 10 ms: 50,000 rows each
+    kept = _cold_store(monkeypatch)
+    sched = ControlSchedule((ControlSegment(1, 0.9, 500.0), ControlSegment(1, -0.9, 500.0),
+                             ControlSegment(1, 0.9, 500.0)))
+    cfg = IntegratorConfig(h=1e-2, min_substeps=1)
+    assert 500.0 / cfg.h > sim._KEPT_ROWS
+    simulate(sched, ORIGIN, PARAMS, cfg)
+    assert not kept.entries and kept.rows == 0
+
+
+def test_a_warm_repeat_of_a_line_plan_integrates_nothing(monkeypatch):
+    _cold_store(monkeypatch)
+    cfg = IntegratorConfig(h=5e-3, min_substeps=16)
+    specs = basis_specs(default_config())
+    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
+    compiled = compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), (-0.01, 0.004)), calib)
+    assert all(abs(span.cycles) >= 2 for span in compiled.spans)   # every block recurs
+    cold = simulate(compiled.schedule, ORIGIN, PARAMS, cfg)
+    warm = []
+    assert _model_calls(monkeypatch, lambda: warm.append(
+        simulate(compiled.schedule, ORIGIN, PARAMS, cfg))) == 0
+    assert_same_bits(warm[0], cold)
+
+
+def test_arbitrary_models_never_use_the_kept_rows(monkeypatch):
+    kept = _cold_store(monkeypatch)
+    sched = repeat(commutator_schedule(1, 2, 0.01), 3)
+    simulate_velocity_model(sched, ORIGIN, lambda a1, a2, u1, u2: MODEL(a1, a2, u1, u2), CFG)
+    assert not kept.entries
+    simulate_velocity_model(sched, ORIGIN, swimmer_velocity_model(PARAMS), CFG)
+    assert kept.entries
