@@ -88,12 +88,17 @@ class Trajectory:
         return GroupPose(float(self.x[-1]), float(self.y[-1]), float(self.theta[-1]))
 
     def decimate(self, stride: int) -> "Trajectory":
-        """Every stride-th sample, always keeping the last one."""
+        """Every stride-th sample, always keeping the last one.
+
+        When the last sample falls on the stride (always at stride 1) the
+        columns are views of this trajectory's: a write to one writes both.
+        """
         if stride < 1:
             raise ValidationError("stride must be >= 1")
-        idx = np.arange(0, len(self.t), stride)
-        if idx[-1] != len(self.t) - 1:
-            idx = np.append(idx, len(self.t) - 1)
+        last = len(self.t) - 1
+        if last % stride == 0:
+            return Trajectory(*(col[::stride] for col in self._columns()))
+        idx = np.append(np.arange(0, last, stride), last)
         return Trajectory(*(col[idx] for col in self._columns()))
 
     def _columns(self):

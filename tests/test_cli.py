@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from purcell import selftest
 from purcell.cli import dispatch, main
-from purcell.config import basis_specs, default_config
+from purcell.config import KEYS, basis_specs, default_config
 from purcell.gaits import format_schedule, parse_schedule, synthesize
 from purcell.model import default_params
 from purcell.selftest import MAX_GRID, MAX_POSES, rank_sweep
@@ -237,6 +237,11 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["plan-line", "--config", "inf_bearing.cfg"],
     ["plan-circle", "--sides", "3.5"],
     ["selftest", "--only", "nope"],   # refused before any check runs
+    # numpy would refuse the seed with a traceback
+    ["analyze", "--grid", "1", "--poses", "1", "--config", "negative_seed.cfg"],
+    # a flow speed that no provenance reads
+    ["coefficients", "--config", "cfd_speed_alone.cfg"],
+    ["coefficients", "--config", "slender_cfd_speed.cfg"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -255,6 +260,9 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
         "short.txt": "1 0.5 0.1\n",
         "huge_substeps.cfg": "integrator.min_substeps = 1e300\n",
         "tiny_h.cfg": "integrator.h = 5e-324\n",
+        "negative_seed.cfg": "run.seed = -1\n",
+        "cfd_speed_alone.cfg": "swimmer.cfd_speed = 0.01\n",
+        "slender_cfd_speed.cfg": "swimmer.coefficients = slender\nswimmer.cfd_speed = 0.01\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -282,6 +290,17 @@ def test_out_that_cannot_be_written_exits_one(tmp_path, argv, out):
     # refused before any work: stdout is the config echo alone
     assert "calibration" not in out_text
     assert all(ln.startswith(("command: ", "config: ")) for ln in out_text.splitlines())
+
+
+# test_bad_sizes_and_targets_exit_one passes an --out of its own, which would
+# override an empty run.out
+@pytest.mark.parametrize("argv", [["--out", ""], ["--config", "empty_out.cfg"]])
+def test_empty_out_exits_one_before_any_work(tmp_path, argv):
+    (tmp_path / "empty_out.cfg").write_text("run.out =\n")
+    code, out_text, err = run_process(["synthesize", "--direction", "x", *argv], tmp_path)
+    assert (code, err) == (1, "error: run.out must not be empty\n")
+    assert all(ln.startswith(("command: ", "config: ")) for ln in out_text.splitlines())
+    assert list(tmp_path.iterdir()) == [tmp_path / "empty_out.cfg"]
 
 
 def test_config_echo_shows_the_line_target(tmp_path, capsys):
@@ -366,10 +385,10 @@ def test_ill_conditioned_drag_exits_two(tmp_path):
     assert err.count("\n") == 1 and "ill-conditioned" in err
 
 
-FUZZ_KEYS = ["swimmer.L", "swimmer.b", "swimmer.mu", "swimmer.k_long", "swimmer.k_lat",
-             "swimmer.cfd_speed", "bracket.h", "bracket.inner_h", "bracket.outer_h"] + [
-    f"gait.{d}.{f}" for d in ("x", "y", "theta") for f in ("alpha", "beta", "gamma", "t", "n")]
-FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "5e-324"]
+# Each command below that writes files gets an --out, which overrides a drawn
+# run.out, so no draw names a directory outside the test's own.
+FUZZ_KEYS = list(KEYS)
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "5e-324", ""]
 
 
 def _fuzz_config(tmp, values, cfd):
@@ -404,12 +423,20 @@ def test_config_fuzz_exits_cleanly(values, cfd):
             assert "inf" not in text and "nan" not in text
 
 
-SIMULATE_FUZZ_KEYS = ["integrator.h", "integrator.min_substeps"] + [
-    k for k in FUZZ_KEYS if k.startswith("swimmer.")]
+@example({"run.seed": "-1"}, False)
+@given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+                       min_size=1, max_size=4),
+       st.booleans())
+def test_analyze_config_fuzz_exits_cleanly(values, cfd):
+    # a 1x1 grid at one pose is one basis, and analyze is the command that reads run.seed
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _fuzz_config(tmp, values, cfd)
+        argv = ["analyze", "--grid", "1", "--poses", "1", "--config", config]
+        assert _exit_code(argv) in (0, 1, 2)
 
 
 @example({"integrator.h": "5e-324"}, False)
-@given(st.dictionaries(st.sampled_from(SIMULATE_FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+@given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
                        min_size=1, max_size=4),
        st.booleans())
 def test_simulate_config_fuzz_exits_cleanly(values, cfd):
@@ -425,10 +452,6 @@ def test_simulate_config_fuzz_exits_cleanly(values, cfd):
         assert _exit_code(argv) in (0, 1, 2)
 
 
-PLAN_FUZZ_KEYS = SIMULATE_FUZZ_KEYS + [
-    k for k in FUZZ_KEYS if k.startswith(("gait.x.", "gait.theta."))] + [
-    "gait.x.composite", "plan.line.bearing", "plan.line.distance",
-    "plan.circle.radius", "plan.circle.sides"]
 # A small plan of each kind, so a draw that keeps these values still runs in
 # well under a second; every drawn value overrides its key here.
 PLAN_FUZZ_BASE = {"integrator.h": "0.02", "plan.line.distance": "3 cm",
@@ -437,7 +460,7 @@ PLAN_FUZZ_BASE = {"integrator.h": "0.02", "plan.line.distance": "3 cm",
 
 @example({"swimmer.L": "1e300"}, False)     # a path too long to fit a circle to
 @example({"gait.x.alpha": "1e300"}, False)   # rates that reach the integrator
-@given(st.dictionaries(st.sampled_from(PLAN_FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
+@given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
                        min_size=1, max_size=4),
        st.booleans())
 def test_plan_config_fuzz_exits_cleanly(values, cfd):

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -118,6 +120,8 @@ def test_overrides_apply_after_the_file_with_the_same_units():
     ("plan.line.bearing", "inf", "plan.line.bearing must be finite"),
     ("plan.line.bearing", "nan", "plan.line.bearing must be finite"),
     ("plan.circle.sides", "3.5", "key 'plan.circle.sides' expects an integer"),
+    ("run.seed", "-1", "run.seed must be >= 0"),
+    ("run.out", "", "run.out must not be empty"),
 ])
 def test_overrides_are_checked_like_the_file(key, value, message):
     for args in ((f"{key} = {value}\n",), ("", {key: value})):
@@ -127,10 +131,50 @@ def test_overrides_are_checked_like_the_file(key, value, message):
 
 def test_config_echo_names_every_key():
     lines = config_echo(parse_config("", {"run.out": "elsewhere"}))
+    assert [ln.partition(" = ")[0] for ln in lines] == list(KEYS)
     assert "run.out = elsewhere" in lines
-    # the drag provenance keys are echoed as the k_long and k_lat they resolve to
-    # and a gait's keys as the fields of its one line, `gait.x = alpha=... t=...`
-    for key in KEYS - {"swimmer.coefficients", "swimmer.cfd_speed"}:
-        group, _, field = key.rpartition(".")
-        assert any(ln.startswith(f"{key} = ") or
-                   (ln.startswith(f"{group} = ") and f" {field}=" in ln) for ln in lines), key
+    assert {"swimmer.coefficients = slender", "swimmer.cfd_speed = unset",
+            "gait.x.composite = true", "gait.y.n = 2"} <= set(lines)
+
+
+def test_config_echo_tells_cfd_from_explicit_coefficients():
+    cfd = parse_config("swimmer.coefficients = cfd\nswimmer.cfd_speed = 0.01\n")
+    explicit = parse_config(f"swimmer.k_long = {cfd.params.k_long!r}\n"
+                            f"swimmer.k_lat = {cfd.params.k_lat!r}\n")
+    assert explicit.params == cfd.params
+    assert config_echo(explicit) != config_echo(cfd)
+    assert {"swimmer.coefficients = cfd", "swimmer.cfd_speed = 0.01",
+            f"swimmer.k_long = {cfd.params.k_long!r}"} <= set(config_echo(cfd))
+    assert {"swimmer.coefficients = unset", "swimmer.cfd_speed = unset",
+            f"swimmer.k_lat = {cfd.params.k_lat!r}"} <= set(config_echo(explicit))
+
+
+@pytest.mark.parametrize("text", [
+    "swimmer.cfd_speed = 0.01\n",
+    "swimmer.coefficients = slender\nswimmer.cfd_speed = 0.01\n",
+    "swimmer.cfd_speed = 0.01\nswimmer.k_long = 1.0\nswimmer.k_lat = 2.0\n",
+])
+def test_cfd_speed_needs_cfd_provenance(text):
+    with pytest.raises(ValidationError, match="swimmer.cfd_speed is only read with "
+                                              "swimmer.coefficients = cfd"):
+        parse_config(text)
+
+
+def _expand_braces(name):
+    """`gait.{x,y}.t` -> {"gait.x.t", "gait.y.t"}."""
+    m = re.search(r"\{([^}]*)\}", name)
+    if m is None:
+        return {name}
+    return set().union(*(_expand_braces(name[:m.start()] + alt + name[m.end():])
+                         for alt in m.group(1).split(",")))
+
+
+def test_readme_table_names_every_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                named |= _expand_braces(name)
+    assert named == set(KEYS)

@@ -136,6 +136,15 @@ class TestControllability:
             rep = controllability_report(random_config(rng), PARAMS)
             assert rep.rank == 5
 
+    def test_rank_five_where_a_coarse_outer_step_reads_four(self):
+        # an outer step of 1e-2 puts sigma5/sigma1 at 2.5e-9 here; the converged
+        # ratio is 3.95e-7
+        q = Configuration(ShapePoint(-1.343638547525214, -0.7911675163058991),
+                          GroupPose(-0.9834490021778961, -0.593022886161849, 1.4046297842213313))
+        rep = controllability_report(q, PARAMS)
+        assert rep.rank == 5
+        assert rep.singular_values[4] / rep.singular_values[0] > 3.8e-7
+
     def test_duplicated_columns_drop_rank(self):
         basis = bracket_basis(ORIGIN, PARAMS)
         degenerate = basis.copy()

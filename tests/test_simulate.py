@@ -277,6 +277,19 @@ def test_decimate_keeps_ends():
     assert len(thin) < len(traj)
 
 
+def test_decimate_is_index_selection_and_shares_memory_on_the_stride():
+    sched = ControlSchedule((ControlSegment(1, 1.0, 1.0),))
+    traj = simulate(sched, ORIGIN, PARAMS, IntegratorConfig(h=1e-2, min_substeps=1))
+    last = len(traj) - 1
+    assert last == 100
+    for stride in (1, 7, 25):   # 1 and 25 land on the last sample, 7 does not
+        idx = sorted(set(range(0, len(traj), stride)) | {last})
+        for got, col in zip(traj.decimate(stride)._columns(), traj._columns()):
+            assert got.dtype == col.dtype and np.array_equal(got, col[idx])
+    for got, col in zip(traj.decimate(1)._columns(), traj._columns()):
+        assert np.shares_memory(got, col)
+
+
 def test_net_displacement_requires_samples():
     sched = ControlSchedule((ControlSegment(2, -1.0, 0.5),))
     traj = simulate(sched, ORIGIN, PARAMS, CFG)
