@@ -213,9 +213,9 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
     maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
     calib = _calibration(cfg, rep)
+    compiled = compile_maneuvers(maneuvers, calib)   # before any result: it may refuse
     rep.scalar("rotate_deg", f"{math.degrees(maneuvers[0].magnitude):.6g}")
     rep.scalar("translate_m", f"{maneuvers[1].magnitude:.6g}")
-    compiled = compile_maneuvers(maneuvers, calib)
     for span in compiled.spans:
         rep.scalar(f"{span.maneuver.kind}_cycles", span.cycles)
         rep.scalar(f"{span.maneuver.kind}_residual", f"{span.residual:.4g}")
@@ -237,9 +237,9 @@ def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     check_out_dir(cfg.out_dir, _run_files("plan_circle") + ["plan_circle_schedule.txt"])
     plan = plan_polygon((0.0, 0.0), cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
+    compiled = compile_maneuvers(plan.maneuvers, calib)   # before any result: it may refuse
     rep.scalar("side_length_m", f"{plan.side_length:.6g}")
     rep.scalar("turn_deg", f"{math.degrees(plan.turn):.6g}")
-    compiled = compile_maneuvers(plan.maneuvers, calib)
     rep.scalar("segments", len(compiled.schedule))
     rep.scalar("schedule_duration_s", f"{compiled.schedule.total_duration:.6g}")
     for w in compiled.warnings:

@@ -21,7 +21,7 @@ of that closing square; "derived" is the default.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -48,6 +48,9 @@ class GaitSpec:
 @dataclass(frozen=True)
 class ControlSchedule:
     segments: tuple = ()
+    # a simulate.SegmentTable whose body-frame rows simulate may copy in place
+    # of integrating; it changes no output, so equality and hashing ignore it
+    rows: object = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.segments)

@@ -7,7 +7,7 @@ compensated.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,11 +16,14 @@ from .gaits import (ControlSchedule, commutator_schedule, concatenate, repeat,
                     reverse_schedule, synthesize)
 from .model import Configuration, ShapePoint, SwimmerParams
 from .se2 import GroupPose, wrap_angle
-from .simulate import IntegratorConfig, Trajectory, net_displacement, simulate
+from .simulate import IntegratorConfig, SegmentTable, Trajectory, net_displacement
 
 MIN_DOMINANCE = 2.0
 MAX_SIDES = 1000        # polygon sides; the 10-gon of the acceptance check uses 10
 MAX_CYCLES = 10_000     # whole gait cycles per compiled plan; that 10-gon uses 1,300
+# where calibration runs each gait, and where each gait block of a plan that
+# starts straight begins: the gaits close their shape loops
+STRAIGHT = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class CalibrationEntry:
 @dataclass(frozen=True)
 class CalibrationTable:
     entries: dict
+    # rows of the calibrated gaits, and of their reversals once a plan needs them
+    rows: SegmentTable = field(compare=False, repr=False)
 
     def __getitem__(self, direction: str) -> CalibrationEntry:
         return self.entries[direction]
@@ -113,17 +118,17 @@ def calibrate(params: SwimmerParams, specs: dict,
     Rejects gaits whose principal displacement fails to dominate the
     cross-leakage by MIN_DOMINANCE; such a gait cannot be compiled into
     maneuvers.  Angles and lengths are compared through the 6L span of the
-    swimmer.
+    swimmer.  The table keeps the body-frame rows of every gait for the
+    plans compiled from it.
     """
     char_length = 6.0 * params.L
-    q0 = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
+    rows = SegmentTable(params, cfg)
     entries = {}
     for direction, spec in specs.items():
         if direction not in ("x", "y", "theta"):
             raise ValidationError(f"unknown gait direction {direction!r}")
         schedule = spec if isinstance(spec, ControlSchedule) else synthesize(spec)
-        traj = simulate(schedule, q0, params, cfg)
-        nd = net_displacement(traj)
+        nd = net_displacement(rows.add(schedule, STRAIGHT))
         if nd.shape_closure > 1e-8:
             raise ValidationError(
                 f"{direction} gait does not close its shape loop "
@@ -147,7 +152,7 @@ def calibrate(params: SwimmerParams, specs: dict,
             duration=schedule.total_duration,
             dominance=dominance,
         )
-    return CalibrationTable(entries=entries)
+    return CalibrationTable(entries=entries, rows=rows)
 
 
 def plan_line(start: GroupPose, target: tuple) -> list:
@@ -208,7 +213,9 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     Each maneuver becomes round(magnitude / per-cycle) repetitions; negative
     counts use the time-reversed gait (the exact inverse flow).  Residuals
     stay in the spans.  A plan of more than MAX_CYCLES cycles in all is
-    refused before any of it is expanded.
+    refused before any of it is expanded.  The schedule carries the
+    calibration's rows, to which a reversed gait is added from the straight
+    shape the first time a plan uses it.
     """
     for direction in ("x", "theta"):
         if direction not in calib.entries:
@@ -219,6 +226,7 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     segs = []
     spans = []
     warnings = []
+    reversals = []
     total = 0
     for m in maneuvers:
         entry = calib["theta"] if m.kind == "rotate" else calib["x"]
@@ -240,8 +248,13 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
         else:
             block = entry.schedule if cycles > 0 else reverse_schedule(entry.schedule)
             segs.extend(repeat(block, abs(cycles)).segments)
+            if cycles < 0:
+                reversals.append(block)
         spans.append(ManeuverSpan(m, cycles, len(segs) - 1, residual))
-    return CompiledPlan(schedule=ControlSchedule(tuple(segs)),
+    for block in reversals:
+        if block.segments not in calib.rows.blocks:
+            calib.rows.add(block, STRAIGHT)
+    return CompiledPlan(schedule=ControlSchedule(tuple(segs), rows=calib.rows),
                         spans=tuple(spans), warnings=tuple(warnings))
 
 

@@ -90,12 +90,19 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return ticks
 
 
+def _text(s: str) -> str:
+    """`s` as SVG text content: &, < and > escaped (xml.sax.saxutils.escape,
+    without the import of urllib that comes with it)."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_plot_svg(path: str, series: list, kind: str = "path",
                    title: str = "", circle: tuple = None,
                    xlabel: str = "", ylabel: str = "") -> str:
     """Render one or more polylines as a standalone SVG.
 
-    `series` is a list of dicts with keys x, y (sequences) and label.
+    `series` is a list of dicts with keys x, y (sequences) and label.  The
+    title, axis labels and series labels are text: &, < and > are escaped.
     kind "path" keeps the aspect ratio square; "time-series" scales the axes
     independently.  `circle` draws an overlay (cx, cy, r) in data units.
     """
@@ -148,7 +155,7 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
     if title:
         out.append(f'<text x="{_WIDTH/2:.1f}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{title}</text>')
+                   f'font-family="sans-serif" font-size="15">{_text(title)}</text>')
 
     ax_x0, ax_y0 = to_px(x_lo, y_lo)
     ax_x1, ax_y1 = to_px(x_hi, y_hi)
@@ -170,11 +177,11 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
                    f'font-family="sans-serif" font-size="11">{ty:.3g}</text>')
     if xlabel:
         out.append(f'<text x="{_WIDTH/2:.1f}" y="{_HEIGHT - 16}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">{xlabel}</text>')
+                   f'font-family="sans-serif" font-size="12">{_text(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="18" y="{_HEIGHT/2:.1f}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 18 {_HEIGHT/2:.1f})">{ylabel}</text>')
+                   f'transform="rotate(-90 18 {_HEIGHT/2:.1f})">{_text(ylabel)}</text>')
 
     if circle is not None:
         cx_px, cy_px = to_px(circle[0], circle[1])
@@ -209,7 +216,7 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
                     fh.write(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                              f'stroke="{color}" stroke-width="2"/>\n'
                              f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-                             f'font-size="11">{label}</text>\n')
+                             f'font-size="11">{_text(label)}</text>\n')
             fh.write("</svg>\n")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")

@@ -25,8 +25,7 @@ from .planner import (calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
 from .se2 import GroupPose, wrap_angle
 from .simulate import (ConvergenceReport, IntegratorConfig, convergence_probe,
-                       fit_loglog_slope, net_displacement, simulate,
-                       swimmer_velocity_model)
+                       fit_loglog_slope, net_displacement, simulate)
 
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
 
@@ -155,8 +154,7 @@ def commutator_probe(params: SwimmerParams, integrator: IntegratorConfig,
     g1, g2 = swimmer_fields(params)
     reference = lie_bracket(g1, g2, ORIGIN, h=h)
     return convergence_probe(lambda eps: commutator_schedule(1, 2, eps * eps),
-                             LADDER, reference, ORIGIN,
-                             swimmer_velocity_model(params), integrator)
+                             LADDER, reference, ORIGIN, params, integrator)
 
 
 def _net_motion(schedule, params: SwimmerParams, integrator: IntegratorConfig) -> GroupPose:

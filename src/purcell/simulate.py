@@ -17,21 +17,20 @@ segment columns are those of the step-by-step loop bit for bit; x, y and
 theta differ from it by rounding, within 1e-9 (tests/test_simulate.py keeps
 that loop as the reference).
 
-`simulate` also keeps, for the life of the process, the body-frame rows of
-every segment that occurs at least twice in one call, keyed by the exact
-bits of the swimmer parameters, the step count, the start shape, the rates
-and the duration.  A later call copies them in place of integrating, so a
-plan after calibration integrates none of the gait blocks it repeats.  At
-most 32,768 rows are kept in all (2.4 MB at 72 bytes a row), the least
-recently used dropped first, and a longer segment is never kept.  A kept
-row is the row that integrating would write, bit for bit, so no output
-depends on what is kept.  An arbitrary velocity model passed to
-`simulate_velocity_model` cannot be keyed and never uses the kept rows.
+`simulate` keeps nothing from one call to the next.  Rows that outlive a
+call belong to a `SegmentTable`, which the planner's calibration creates for
+its swimmer parameters and integrator config and hands on with the plans it
+compiles (`ControlSchedule.rows`).  The table holds the body-frame rows,
+start velocity and end state of every distinct segment of the gait blocks it
+was given: calibration adds each basis gait, and compilation adds a gait's
+time reversal the first time a plan runs it backwards.  It lives as long as
+the calibration does.  `simulate` only reads it, and only when the call's
+parameters and config equal the table's: a copied row is then the row that
+integrating would write, bit for bit, so no output depends on the table.
 """
 
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -49,8 +48,6 @@ _PI = math.pi
 MAX_STEPS = 25_000_000
 # Rows moved to the world frame per numpy pass: about 0.5 MB of temporaries.
 _CHUNK = 4096
-# Body-frame rows kept across calls, in all: 2.4 MB at 72 bytes a row.
-_KEPT_ROWS = 1 << 15
 
 
 class IntegratorConfig(NamedTuple):
@@ -106,70 +103,52 @@ class Trajectory:
                 self.xi_x, self.xi_y, self.xi_theta, self.segment)
 
 
-VelocityModel = Callable[[float, float, float, float], tuple]
+class SegmentTable:
+    """Body-frame rows of the distinct segments of whole gait blocks,
+    integrated once under one swimmer and integrator config."""
 
+    def __init__(self, params: SwimmerParams, cfg: IntegratorConfig):
+        self.params = params
+        self.cfg = cfg
+        self.segments = {}    # key -> (nine body-frame columns, start velocity, end state)
+        self.blocks = set()   # the segment tuple of every schedule added
 
-class _KeptSegments:
-    """Body-frame rows of recurring segments, kept from one call to the next:
-    at most `cap` rows in all, the least recently used dropped first."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.rows = 0
-        self.entries = OrderedDict()   # key -> (nine columns, start velocity, end state)
-
-    def get(self, key):
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-        return entry
-
-    def keep(self, key, columns, xi0, end):
-        """Copies of `columns`, so that no trajectory stays pinned by a view."""
-        n = len(columns[0])
-        if n > self.cap:
-            return
-        while self.rows + n > self.cap:
-            _, (body, _, _) = self.entries.popitem(last=False)
-            self.rows -= len(body[0])
-        self.entries[key] = (tuple(col.copy() for col in columns), xi0, end)
-        self.rows += n
-
-
-_KEPT = _KeptSegments(_KEPT_ROWS)
-
-
-def swimmer_velocity_model(params: SwimmerParams) -> VelocityModel:
-    validate_params(params)
-
-    def model(a1, a2, u1, u2):
-        return body_velocity_components(a1, a2, u1, u2, params)
-
-    if all(type(v) is float for v in params):   # key for the rows simulate keeps
-        model.kept_key = struct.pack("<5d", *params)
-    return model
+    def add(self, schedule: ControlSchedule, q0: Configuration) -> Trajectory:
+        """simulate(schedule, q0), keeping a copy of the body-frame rows of
+        each segment it integrates."""
+        self.blocks.add(schedule.segments)
+        return simulate_velocity_model(schedule, q0, self.params, self.cfg, keep=self)
 
 
 def simulate(schedule: ControlSchedule, q0: Configuration, params: SwimmerParams,
              cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    return simulate_velocity_model(schedule, q0, swimmer_velocity_model(params), cfg)
+    """The swimmer's trajectory under `schedule` from q0."""
+    return simulate_velocity_model(schedule, q0, params, cfg)
 
 
 def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
-                            model: VelocityModel,
-                            cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    """Integrate a schedule under an arbitrary shape-to-body-velocity map.
+                            params: SwimmerParams,
+                            cfg: IntegratorConfig = IntegratorConfig(),
+                            keep: SegmentTable = None) -> Trajectory:
+    """Integrate a schedule under the swimmer's connection.
 
     Pass 1 integrates each distinct segment once, in its own body frame from
     the identity pose, into the rows of its first occurrence, or copies them
-    there when an earlier call under the same swimmer model kept them; a
-    later segment with the same start shape, rates and duration only records
-    where those rows are.  Pass 2 moves every segment's rows by its start pose and start
-    time, chunk by chunk from the last row back, so a copied segment still
-    reads its source's body-frame rows.
+    there from `schedule.rows` when that table holds them under these
+    parameters and this config; a later segment with the same start shape,
+    rates and duration only records where those rows are.  Pass 2 moves
+    every segment's rows by its start pose and start time, chunk by chunk
+    from the last row back, so a copied segment still reads its source's
+    body-frame rows.  `keep`, a table of these parameters and this config,
+    is read in place of `schedule.rows` and gets a copy of the rows of every
+    segment this call integrates.
     """
+    validate_params(params)
     if not (cfg.h > 0 and cfg.min_substeps >= 1):
         raise ValidationError("integrator needs h > 0 and min_substeps >= 1")
+    table = keep if keep is not None else schedule.rows
+    if table is not None and (table.params, table.cfg) != (params, cfg):
+        table = keep = None   # rows of another swimmer or integrator config
 
     segments = [(i, s) for i, s in enumerate(schedule.segments) if s.duration > 0.0]
     counts, taken = [], 0
@@ -195,16 +174,11 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     row = 1
 
     # Pass 1.  Keys are exact bits: a -0.0 start keeps its sign through a zero
-    # rate, so it may not share rows with 0.0; an int shape keys as its float.
-    # The step count follows from the duration, so the key leaves it out.
-    # Under the swimmer model a segment is also looked up in the rows kept by
-    # earlier calls, and kept once it recurs here; that key adds the model's
-    # parameter bits and the step count, and a start shape that is not a
-    # Python float (an int ShapePoint) is neither looked up nor kept.
-    model_key = getattr(model, "kept_key", None)
+    # rate, so it may not share rows with 0.0.  An int shape keys as its float,
+    # whose rows it integrates to bit for bit.  The step count follows from
+    # the duration and the config, so the key leaves it out.
     columns = (t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th)
     known = {}    # key -> (first row, (end shape, body-frame end pose and time))
-    unkept = {}   # key -> (kept-rows key, start velocity) of segments integrated here
     firsts, shifts, ids, starts = [], [], [], []   # per segment
     try:   # math.cos and math.sin refuse an infinite angle
         for (seg_idx, seg), n_steps in zip(segments, counts):
@@ -212,15 +186,13 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
             u2 = seg.amplitude if seg.channel == 2 else 0.0
             key = struct.pack("<5d", a1, a2, u1, u2, seg.duration)
             if key not in known:
-                kept_key = entry = None
-                if model_key is not None and type(a1) is float and type(a2) is float:
-                    kept_key = (model_key, n_steps, key)
-                    entry = _KEPT.get(kept_key)
+                entry = None if table is None else table.segments.get(key)
                 if entry is None:
-                    xi0, end = _integrate_segment(model, a1, a2, u1, u2, seg.duration,
+                    xi0, end = _integrate_segment(params, a1, a2, u1, u2, seg.duration,
                                                   n_steps, columns, row)
-                    if kept_key is not None:
-                        unkept[key] = (kept_key, xi0)
+                    if keep is not None:   # copies: pass 2 moves these rows
+                        keep.segments[key] = (
+                            tuple(col[row:row + n_steps].copy() for col in columns), xi0, end)
                 else:
                     body, xi0, end = entry
                     for col, rows in zip(columns, body):
@@ -228,10 +200,6 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
                 if row == 1:
                     xi_x[0], xi_y[0], xi_th[0] = xi0
                 known[key] = (row, end)
-            elif key in unkept:   # recurs: keep its rows before pass 2 moves them
-                kept_key, xi0 = unkept.pop(key)
-                first, end = known[key]
-                _KEPT.keep(kept_key, [col[first:first + n_steps] for col in columns], xi0, end)
             first, (a1, a2, bx, by, bth, tau1) = known[key]
             firsts.append(row)
             shifts.append(first - row)
@@ -273,23 +241,23 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
                       seg_col)
 
 
-def _integrate_segment(model, a1, a2, u1, u2, duration, n_steps, columns, r):
+def _integrate_segment(params, a1, a2, u1, u2, duration, n_steps, columns, r):
     """RK4 over one segment in its body frame from the identity pose, into
     rows r to r + n_steps - 1 of `columns`.  Returns the start velocity and
     the end state: shape, body-frame pose and time."""
     t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th = columns
     a1_0, a2_0 = a1, a2
-    xi0 = xi = model(a1, a2, u1, u2)
+    xi0 = xi = body_velocity_components(a1, a2, u1, u2, params)
     bx = by = bth = 0.0
     tau0 = 0.0
     for k in range(n_steps):
         tau1 = duration * ((k + 1) / n_steps)
         hs = tau1 - tau0
         tm = tau0 + 0.5 * hs
-        xim = model(a1_0 + u1 * tm, a2_0 + u2 * tm, u1, u2)
+        xim = body_velocity_components(a1_0 + u1 * tm, a2_0 + u2 * tm, u1, u2, params)
         a1 = a1_0 + u1 * tau1
         a2 = a2_0 + u2 * tau1
-        xie = model(a1, a2, u1, u2)
+        xie = body_velocity_components(a1, a2, u1, u2, params)
 
         c, s = math.cos(bth), math.sin(bth)
         k1x = c * xi[0] - s * xi[1]
@@ -367,7 +335,7 @@ def fit_loglog_slope(levels, errors) -> float:
 
 def convergence_probe(family: Callable[[float], ControlSchedule], levels,
                       reference: np.ndarray, q0: Configuration,
-                      model: VelocityModel,
+                      params: SwimmerParams,
                       cfg: IntegratorConfig = IntegratorConfig()) -> ConvergenceReport:
     """Run a gait family over a ladder and compare to a scaled reference motion.
 
@@ -377,7 +345,7 @@ def convergence_probe(family: Callable[[float], ControlSchedule], levels,
     ref_group = np.asarray(reference, dtype=float)[2:]
     errors = []
     for eps in levels:
-        traj = simulate_velocity_model(family(eps), q0, model, cfg)
+        traj = simulate(family(eps), q0, params, cfg)
         delta = net_displacement(traj).delta
         achieved = np.array([delta.x, delta.y, delta.theta])
         errors.append(float(np.linalg.norm(achieved - eps * eps * ref_group)))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given
@@ -117,6 +118,17 @@ def test_simulate_roundtrip(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "sim_square.csv"))
     assert os.path.exists(os.path.join(out, "sim_square_path.svg"))
     assert os.path.exists(os.path.join(out, "sim_square_shape.svg"))
+
+
+def test_simulate_svgs_escape_the_schedule_name(tmp_path, capsys):
+    sched = tmp_path / "a&b<c.txt"
+    sched.write_text("1 1 0.3\n2 1 0.3\n")
+    out = tmp_path / "o"
+    assert run(["simulate", "--schedule", str(sched), "--out", str(out), "--quiet"]) == 0
+    for name, title in (("sim_a&b<c_path.svg", "sim_a&b<c: base-link path"),
+                        ("sim_a&b<c_shape.svg", "sim_a&b<c: joint angles")):
+        root = ElementTree.parse(out / name).getroot()   # raises unless well-formed
+        assert title in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def test_simulate_empty_schedule_exits_one(tmp_path, capsys):
@@ -242,6 +254,8 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     # a flow speed that no provenance reads
     ["coefficients", "--config", "cfd_speed_alone.cfg"],
     ["coefficients", "--config", "slender_cfd_speed.cfg"],
+    # past the cycle cap, which compile_maneuvers applies after calibrating
+    ["plan-line", "--distance", "1e6"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -266,10 +280,11 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    code, _, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
+    code, out, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""   # a refused run prints no result
 
 
 @pytest.mark.parametrize("out", ["a_file", "a_file/sub", "taken"])

@@ -11,7 +11,7 @@ from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, Calibratio
                              CompiledPlan, Maneuver, ManeuverSpan, WaypointPath, calibrate, compile_maneuvers,
                              composite_square_gait, fit_circle, plan_line, plan_polygon, tracking_report)
 from purcell.se2 import GroupPose
-from purcell.simulate import IntegratorConfig, simulate
+from purcell.simulate import IntegratorConfig, SegmentTable, simulate
 
 PARAMS = default_params()
 FAST_CFG = IntegratorConfig(h=5e-3, min_substeps=4)
@@ -26,7 +26,7 @@ def synthetic_table(dx=0.01, dtheta=0.05):
         "x": CalibrationEntry("x", x_sched, (dx, 0.0, 0.0), 2.0, 100.0),
         "theta": CalibrationEntry("theta", th_sched, (0.0, 0.0, dtheta), 2.0, 100.0),
     }
-    return CalibrationTable(entries=entries)
+    return CalibrationTable(entries=entries, rows=SegmentTable(PARAMS, FAST_CFG))
 
 
 class TestCalibrate:

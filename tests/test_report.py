@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def reference_svg(path, series, kind="path", title="", circle=None, xlabel="", y
            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
     if title:
         out.append(f'<text x="{_WIDTH/2:.1f}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{title}</text>')
+                   f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
     ax_x0, ax_y0 = to_px(x_lo, y_lo)
     ax_x1, ax_y1 = to_px(x_hi, y_hi)
     out.append(f'<line x1="{ax_x0:.1f}" y1="{ax_y0:.1f}" x2="{ax_x1:.1f}" '
@@ -108,11 +109,11 @@ def reference_svg(path, series, kind="path", title="", circle=None, xlabel="", y
                    f'font-family="sans-serif" font-size="11">{ty:.3g}</text>')
     if xlabel:
         out.append(f'<text x="{_WIDTH/2:.1f}" y="{_HEIGHT - 16}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">{xlabel}</text>')
+                   f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="18" y="{_HEIGHT/2:.1f}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 18 {_HEIGHT/2:.1f})">{ylabel}</text>')
+                   f'transform="rotate(-90 18 {_HEIGHT/2:.1f})">{escape(ylabel)}</text>')
     if circle is not None:
         cx_px, cy_px = to_px(circle[0], circle[1])
         out.append(f'<circle cx="{cx_px:.2f}" cy="{cy_px:.2f}" r="{circle[2] * sx:.2f}" '
@@ -135,7 +136,7 @@ def reference_svg(path, series, kind="path", title="", circle=None, xlabel="", y
             out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                        f'stroke="{color}" stroke-width="2"/>')
             out.append(f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-                       f'font-size="11">{label}</text>')
+                       f'font-size="11">{escape(label)}</text>')
     out.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -13,18 +14,22 @@ from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
                            commutator_schedule, concatenate, repeat, reverse_schedule,
                            synthesize)
 from purcell.lie import lie_bracket
-from purcell.model import (Configuration, ShapePoint, SwimmerParams, default_params,
-                           derive_drag_coefficients, swimmer_fields)
-from purcell.planner import calibrate, compile_maneuvers, plan_line, plan_polygon
+from purcell.model import (Configuration, ShapePoint, SwimmerParams, body_velocity_components,
+                           default_params, derive_drag_coefficients, swimmer_fields)
+from purcell.planner import STRAIGHT, calibrate, compile_maneuvers, plan_line, plan_polygon
 from purcell.se2 import GroupPose, compose, inverse, wrap_angle
-from purcell.simulate import (MAX_STEPS, IntegratorConfig, Trajectory, convergence_probe,
-                              fit_loglog_slope, net_displacement, simulate,
-                              simulate_velocity_model, swimmer_velocity_model)
+from purcell.simulate import (MAX_STEPS, IntegratorConfig, SegmentTable, Trajectory,
+                              convergence_probe, fit_loglog_slope, net_displacement, simulate)
 
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
 CFG = IntegratorConfig(h=1e-3, min_substeps=16)
 _PI = math.pi
+
+
+def MODEL(a1, a2, u1, u2):
+    """The swimmer's connection at PARAMS, as the references call it."""
+    return body_velocity_components(a1, a2, u1, u2, PARAMS)
 
 
 def reference_simulate(schedule, q0, model, cfg=CFG) -> Trajectory:
@@ -154,7 +159,7 @@ def test_square_gait_matches_bracket_and_euler_oracle():
     assert np.linalg.norm(got - ref) < 5.0 * eps ** 3
 
     # independent fixed-step Euler at 10x finer step
-    model = swimmer_velocity_model(PARAMS)
+    model = MODEL
     x = y = th = a1 = a2 = 0.0
     h = CFG.h / 10.0
     for seg in sched.segments:
@@ -236,15 +241,14 @@ def test_synthesized_schedule_closes_shape():
     assert net_displacement(traj).shape_closure < 1e-10
 
 
-def test_commuting_pair_square_cancels():
+def test_commuting_pair_square_cancels(monkeypatch):
     # two constant commuting fields: the square gait nets to zero exactly
-    def model(a1, a2, u1, u2):
-        return (0.3 * u1, 0.2 * u2, 0.0)
-
+    monkeypatch.setattr(sim, "body_velocity_components",
+                        lambda a1, a2, u1, u2, params: (0.3 * u1, 0.2 * u2, 0.0))
     errors = []
     for eps in (0.2, 0.1, 0.05):
         sched = commutator_schedule(1, 2, eps * eps)
-        traj = simulate_velocity_model(sched, ORIGIN, model, CFG)
+        traj = simulate(sched, ORIGIN, PARAMS, CFG)
         d = net_displacement(traj).delta
         errors.append(math.hypot(d.x, d.y) + abs(d.theta))
     assert max(errors) < 1e-10
@@ -254,8 +258,7 @@ def test_convergence_probe_on_square_gait():
     g1, g2 = swimmer_fields(PARAMS)
     ref = lie_bracket(g1, g2, ORIGIN)
     rep = convergence_probe(lambda e: commutator_schedule(1, 2, e * e),
-                            [0.2, 0.1, 0.05], ref, ORIGIN,
-                            swimmer_velocity_model(PARAMS), CFG)
+                            [0.2, 0.1, 0.05], ref, ORIGIN, PARAMS, CFG)
     assert rep.slope >= 2.7
     assert rep.monotone
 
@@ -300,7 +303,6 @@ def test_net_displacement_requires_samples():
     assert nd.delta == pytest.approx(tuple(manual))
 
 
-MODEL = swimmer_velocity_model(PARAMS)
 FAST = IntegratorConfig(h=1e-2, min_substeps=4)
 EXACT_COLUMNS = ("t", "alpha1", "alpha2", "xi_x", "xi_y", "xi_theta", "segment")
 POSE_TOL = 1e-9   # m for x and y, rad for the wrapped theta
@@ -348,7 +350,7 @@ def _word_schedule(parts):
 def test_body_frame_reuse_matches_the_world_frame_loop(parts, shape, pose):
     sched = _word_schedule(parts)
     q0 = Configuration(shape, pose)
-    assert_matches_reference(simulate_velocity_model(sched, q0, MODEL, FAST),
+    assert_matches_reference(simulate(sched, q0, PARAMS, FAST),
                              reference_simulate(sched, q0, MODEL, FAST))
 
 
@@ -375,11 +377,12 @@ def test_moved_start_moves_every_reference_sample():
 
 
 @pytest.mark.parametrize("xi", [(math.inf, 0.0, 0.0), (0.0, 0.0, math.inf)])
-def test_non_finite_pose_is_a_numerical_error(xi):
+def test_non_finite_pose_is_a_numerical_error(monkeypatch, xi):
     # an infinite heading is a numerical failure, not math.cos's ValueError
+    monkeypatch.setattr(sim, "body_velocity_components", lambda a1, a2, u1, u2, params: xi)
     sched = ControlSchedule((ControlSegment(1, 1.0, 0.01), ControlSegment(2, 1.0, 0.01)))
     with pytest.raises(NumericalError):
-        simulate_velocity_model(sched, ORIGIN, lambda a1, a2, u1, u2: xi, CFG)
+        simulate(sched, ORIGIN, PARAMS, CFG)
 
 
 def _model_calls(monkeypatch, run):
@@ -398,7 +401,6 @@ def _model_calls(monkeypatch, run):
 
 
 def test_a_segment_costs_one_call_at_its_start_and_two_per_step(monkeypatch):
-    _cold_store(monkeypatch)
     sched = ControlSchedule((ControlSegment(1, 0.5, 0.004),))   # 16 substeps, the floor
     assert _model_calls(monkeypatch, lambda: simulate(sched, ORIGIN, PARAMS, CFG)) == 33
 
@@ -411,9 +413,8 @@ def test_compiled_polygon_integrates_its_repeated_segments_once(monkeypatch):
     plan = plan_polygon((0.0, 0.0), 0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
-    _cold_store(monkeypatch)
-    assert _model_calls(monkeypatch,
-                        lambda: simulate(compiled.schedule, q0, PARAMS, cfg)) <= 20_000
+    plain = ControlSchedule(compiled.schedule.segments)   # without the calibration's rows
+    assert _model_calls(monkeypatch, lambda: simulate(plain, q0, PARAMS, cfg)) <= 20_000
 
 
 def test_copies_read_body_frame_rows_across_chunks():
@@ -425,30 +426,30 @@ def test_copies_read_body_frame_rows_across_chunks():
     assert_matches_reference(traj, reference_simulate(sched, q0, MODEL, CFG))
 
 
-# Rows kept across calls.  Each test below starts from a cold store of its own,
-# so the order tests run in cannot change what is kept or counted.
-
-def _cold_store(monkeypatch, cap=sim._KEPT_ROWS):
-    kept = sim._KeptSegments(cap)
-    monkeypatch.setattr(sim, "_KEPT", kept)
-    return kept
 
 
-def _cold_run(monkeypatch, *args):
-    """simulate(*args) on a cold store, leaving the test's store as it was."""
-    with monkeypatch.context() as m:
-        m.setattr(sim, "_KEPT", sim._KeptSegments(sim._KEPT_ROWS))
-        return simulate(*args)
+def test_simulate_module_holds_no_state_between_calls():
+    # rows that outlive a call belong to a SegmentTable that a caller created
+    # and passed; a module-level container or package object would be a cache
+    held = [name for name, value in vars(sim).items()
+            if not (name.startswith("__") and name.endswith("__"))
+            and (isinstance(value, (dict, list, set, OrderedDict))
+                 or (not isinstance(value, type)
+                     and type(value).__module__.split(".")[0] == "purcell"))]
+    assert held == []
 
+
+# The calibration's segment table.  Each test makes its own table, so the
+# order tests run in cannot change what is read or counted.
 
 def assert_same_bits(traj, ref):
     for got, want in zip(traj._columns(), ref._columns()):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _assert_within_cap(kept):
-    held = sum(len(body[0]) for body, _, _ in kept.entries.values())
-    assert kept.rows == held <= kept.cap
+def _plain(schedule):
+    """The same segments without a table."""
+    return ControlSchedule(schedule.segments)
 
 
 PLAN_CFG = IntegratorConfig(h=2.5e-3, min_substeps=16)
@@ -474,19 +475,18 @@ def _line_plans(calib, count, seed=5):
 
 
 def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
-    kept = _cold_store(monkeypatch)
     specs = basis_specs(default_config())
     calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, PLAN_CFG)
     warm_calls = cold_calls = 0
     for sched, q0 in _line_plans(calib, 8):
+        assert sched.rows is calib.rows
         runs = []
         warm_calls += _model_calls(monkeypatch, lambda: runs.append(
             simulate(sched, q0, PARAMS, PLAN_CFG)))
         cold_calls += _model_calls(monkeypatch, lambda: runs.append(
-            _cold_run(monkeypatch, sched, q0, PARAMS, PLAN_CFG)))
+            simulate(_plain(sched), q0, PARAMS, PLAN_CFG)))
         assert_same_bits(*runs)
-        _assert_within_cap(kept)
-    assert kept.entries and warm_calls < cold_calls / 2
+    assert warm_calls == 0 < cold_calls
 
 
 def _column_digests(traj):
@@ -496,127 +496,107 @@ def _column_digests(traj):
 def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
     # criterion 08's plan at a coarser step: 1.15 M rows a run, compared by digest
     cfg = IntegratorConfig(h=1e-2, min_substeps=16)
-    kept = _cold_store(monkeypatch)
     calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
     plan = plan_polygon((0.0, 0.0), 0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
-    cold = _column_digests(simulate(compiled.schedule, q0, PARAMS, cfg))
-    assert kept.entries
+    cold = _column_digests(simulate(_plain(compiled.schedule), q0, PARAMS, cfg))
     assert _model_calls(monkeypatch, lambda: cold.append(
         _column_digests(simulate(compiled.schedule, q0, PARAMS, cfg)))) == 0
     assert cold[:-1] == cold[-1]
 
 
-def test_signed_zero_and_int_starts_never_share_kept_rows(monkeypatch):
+def test_a_warm_repeat_of_a_line_plan_integrates_nothing(monkeypatch):
+    # compiling the first plan that runs a gait backwards integrates the
+    # reversed gait into the table; no later compile or simulate integrates
+    cfg = IntegratorConfig(h=5e-3, min_substeps=16)
+    specs = basis_specs(default_config())
+    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
+    maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), (-0.01, 0.004))
+    plans = []
+    assert _model_calls(monkeypatch, lambda: plans.append(
+        compile_maneuvers(maneuvers, calib))) > 0
+    assert any(span.cycles < 0 for span in plans[0].spans)
+    assert _model_calls(monkeypatch, lambda: plans.append(
+        compile_maneuvers(maneuvers, calib))) == 0
+    cold = simulate(_plain(plans[0].schedule), ORIGIN, PARAMS, cfg)
+    for compiled in plans:
+        warm = []
+        assert _model_calls(monkeypatch, lambda: warm.append(
+            simulate(compiled.schedule, ORIGIN, PARAMS, cfg))) == 0
+        assert_same_bits(warm[0], cold)
+
+
+def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
+    # a table is read only under its own parameters and integrator config,
+    # even where another config gives the same step counts
+    sched = repeat(commutator_schedule(1, 2, 0.01), 2)
+    table = SegmentTable(PARAMS, IntegratorConfig(h=1.0, min_substeps=16))
+    table.add(sched, ORIGIN)
+    held = dict(table.segments)
+    carried = ControlSchedule(sched.segments, rows=table)
+    for params, cfg in ((PARAMS, IntegratorConfig(h=1.0, min_substeps=17)),
+                        (PARAMS, IntegratorConfig(h=2.0, min_substeps=16)),
+                        (derive_drag_coefficients(SwimmerParams(L=0.06)), table.cfg)):
+        cold = []
+        cold_calls = _model_calls(monkeypatch, lambda: cold.append(
+            simulate(sched, ORIGIN, params, cfg)))
+        warm = []
+        assert _model_calls(monkeypatch, lambda: warm.append(
+            simulate(carried, ORIGIN, params, cfg))) == cold_calls > 0
+        assert_same_bits(warm[0], cold[0])
+    assert _model_calls(monkeypatch, lambda: simulate(carried, ORIGIN, PARAMS, table.cfg)) == 0
+    assert table.segments.keys() == held.keys()
+    assert all(table.segments[key] is entry for key, entry in held.items())
+
+
+def test_a_schedule_that_never_repeats_a_segment_keeps_nothing():
+    # simulate reads a table and never adds to it
+    table = SegmentTable(PARAMS, CFG)
+    table.add(commutator_schedule(1, 2, 0.01), ORIGIN)
+    held, blocks = dict(table.segments), set(table.blocks)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        segs = tuple(ControlSegment(int(rng.integers(1, 3)), float(rng.uniform(-2.0, 2.0)),
+                                    float(rng.uniform(0.01, 0.05))) for _ in range(20))
+        traj = simulate(ControlSchedule(segs, rows=table), ORIGIN, PARAMS, CFG)
+        assert_same_bits(traj, simulate(ControlSchedule(segs), ORIGIN, PARAMS, CFG))
+    assert table.segments.keys() == held.keys() and table.blocks == blocks
+
+
+def test_signed_zero_starts_never_share_table_rows(monkeypatch):
     # a zero rate keeps a -0.0 start's sign, so its first rows differ in bits
-    # from those of a 0.0 start; an int start is neither looked up nor kept
-    kept = _cold_store(monkeypatch)
+    # from those of a 0.0 start; an int start keys as its float and
+    # integrates to the same bits, so it may read the float start's rows
     block = ControlSchedule((ControlSegment(1, -0.0, 0.01), ControlSegment(2, 0.5, 0.01),
                              ControlSegment(2, -0.5, 0.01)))
-    sched = repeat(block, 3)
     pose = GroupPose(0.3, -0.2, 1.0)
-    simulate(sched, Configuration(ShapePoint(0.0, 0.0), pose), PARAMS, CFG)
-    assert len(kept.entries) == 3
+    table = SegmentTable(PARAMS, CFG)
+    table.add(block, Configuration(ShapePoint(0.0, 0.0), pose))
+    assert len(table.segments) == 3
+    sched = ControlSchedule(repeat(block, 3).segments, rows=table)
     # segments of 16 steps, 33 calls each, are integrated until a start is 0.0
     # (-0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0); the later cycles are copied
     for shape, integrated in ((ShapePoint(-0.0, 0.0), 2), (ShapePoint(0.0, -0.0), 1),
-                              (ShapePoint(0, 0), 1)):
+                              (ShapePoint(0, 0), 0)):
         q0 = Configuration(shape, pose)
         runs = []
         assert _model_calls(monkeypatch, lambda: runs.append(
             simulate(sched, q0, PARAMS, CFG))) == 33 * integrated
-        assert_same_bits(runs[0], _cold_run(monkeypatch, sched, q0, PARAMS, CFG))
-    assert len(kept.entries) == 3
+        assert_same_bits(runs[0], simulate(_plain(sched), q0, PARAMS, CFG))
+    assert len(table.segments) == 3
 
 
-def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
-    kept = _cold_store(monkeypatch)
-    sched = repeat(commutator_schedule(1, 2, 0.01), 2)
-    runs = [(PARAMS, IntegratorConfig(h=1.0, min_substeps=16)),
-            (PARAMS, IntegratorConfig(h=1.0, min_substeps=17)),
-            (derive_drag_coefficients(SwimmerParams(L=0.06)),
-             IntegratorConfig(h=1.0, min_substeps=16))]
-    for params, cfg in runs:
-        cold_calls = _model_calls(monkeypatch, lambda: _cold_run(
-            monkeypatch, sched, ORIGIN, params, cfg))
-        warm = []
-        assert _model_calls(monkeypatch, lambda: warm.append(
-            simulate(sched, ORIGIN, params, cfg))) == cold_calls
-        assert_same_bits(warm[0], _cold_run(monkeypatch, sched, ORIGIN, params, cfg))
-    assert len(kept.entries) == 3 * 4
-    # the same segments and step count at another h share the kept rows
-    assert _model_calls(monkeypatch, lambda: simulate(
-        sched, ORIGIN, PARAMS, IntegratorConfig(h=2.0, min_substeps=16))) == 0
-
-
-def test_a_schedule_that_never_repeats_a_segment_keeps_nothing(monkeypatch):
-    kept = _cold_store(monkeypatch)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        sched = ControlSchedule(tuple(
-            ControlSegment(int(rng.integers(1, 3)), float(rng.uniform(-2.0, 2.0)),
-                           float(rng.uniform(0.01, 0.05))) for _ in range(20)))
-        simulate(sched, ORIGIN, PARAMS, CFG)
-    assert kept.rows == 0 and not kept.entries
-
-
-def test_held_rows_never_exceed_the_cap(monkeypatch):
-    kept = _cold_store(monkeypatch, cap=200)
-    for k, duration in enumerate((0.016, 0.02, 0.03, 0.016, 0.045, 0.02, 0.03)):
-        block = commutator_schedule(1, 2, duration ** 2)   # four segments of `duration`
-        q0 = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.1 * k, 0.0, 0.5 * k))
-        sched = repeat(block, 3)
-        traj = simulate(sched, q0, PARAMS, CFG)
-        _assert_within_cap(kept)
-        assert_same_bits(traj, _cold_run(monkeypatch, sched, q0, PARAMS, CFG))
-        # the least recently used go first, so this call's block is held whole
-        # whenever it fits
-        rows = sum(max(math.ceil(s.duration / CFG.h), CFG.min_substeps) for s in block.segments)
-        assert 64 <= rows <= kept.cap
-        assert _model_calls(monkeypatch, lambda: simulate(sched, q0, PARAMS, CFG)) == 0
-    assert len(kept.entries) < 4 * 4   # four distinct blocks of four segments
-
-
-def test_the_least_recently_used_segments_go_first(monkeypatch):
-    blocks = [repeat(commutator_schedule(1, 2, d ** 2), 2) for d in (0.016, 0.017, 0.018)]
-    kept = _cold_store(monkeypatch, cap=4 * (16 + 18))   # blocks of 4 x 16, 17 and 18 rows
-    for sched in (blocks[0], blocks[1], blocks[0], blocks[2]):   # the third evicts the second
-        simulate(sched, ORIGIN, PARAMS, CFG)
-    _assert_within_cap(kept)
-    assert _model_calls(monkeypatch, lambda: simulate(blocks[0], ORIGIN, PARAMS, CFG)) == 0
-    assert _model_calls(monkeypatch, lambda: simulate(blocks[1], ORIGIN, PARAMS, CFG)) > 0
-
-
-def test_a_recurring_segment_longer_than_the_cap_is_never_kept(monkeypatch):
-    # criterion 11's 500 s segments, at h = 10 ms: 50,000 rows each
-    kept = _cold_store(monkeypatch)
-    sched = ControlSchedule((ControlSegment(1, 0.9, 500.0), ControlSegment(1, -0.9, 500.0),
-                             ControlSegment(1, 0.9, 500.0)))
-    cfg = IntegratorConfig(h=1e-2, min_substeps=1)
-    assert 500.0 / cfg.h > sim._KEPT_ROWS
-    simulate(sched, ORIGIN, PARAMS, cfg)
-    assert not kept.entries and kept.rows == 0
-
-
-def test_a_warm_repeat_of_a_line_plan_integrates_nothing(monkeypatch):
-    _cold_store(monkeypatch)
+def test_calibration_keeps_the_rows_of_its_gaits_and_their_reversals():
     cfg = IntegratorConfig(h=5e-3, min_substeps=16)
     specs = basis_specs(default_config())
     calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
-    compiled = compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), (-0.01, 0.004)), calib)
-    assert all(abs(span.cycles) >= 2 for span in compiled.spans)   # every block recurs
-    cold = simulate(compiled.schedule, ORIGIN, PARAMS, cfg)
-    warm = []
-    assert _model_calls(monkeypatch, lambda: warm.append(
-        simulate(compiled.schedule, ORIGIN, PARAMS, cfg))) == 0
-    assert_same_bits(warm[0], cold)
-
-
-def test_arbitrary_models_never_use_the_kept_rows(monkeypatch):
-    kept = _cold_store(monkeypatch)
-    sched = repeat(commutator_schedule(1, 2, 0.01), 3)
-    simulate_velocity_model(sched, ORIGIN, lambda a1, a2, u1, u2: MODEL(a1, a2, u1, u2), CFG)
-    assert not kept.entries
-    simulate_velocity_model(sched, ORIGIN, swimmer_velocity_model(PARAMS), CFG)
-    assert kept.entries
+    rows = calib.rows
+    assert (rows.params, rows.cfg) == (PARAMS, cfg)
+    assert rows.blocks == {calib["x"].schedule.segments, calib["theta"].schedule.segments}
+    compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), (-0.01, 0.004)), calib)
+    assert reverse_schedule(calib["theta"].schedule).segments in rows.blocks
+    # the table's rows of a gait are those that integrating it writes
+    for block in rows.blocks:
+        traj = simulate(ControlSchedule(block), STRAIGHT, PARAMS, cfg)
+        assert_same_bits(traj, simulate(ControlSchedule(block, rows=rows), STRAIGHT, PARAMS, cfg))
