@@ -1,6 +1,5 @@
 import hashlib
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -430,10 +429,11 @@ def test_copies_read_body_frame_rows_across_chunks():
 
 def test_simulate_module_holds_no_state_between_calls():
     # rows that outlive a call belong to a SegmentTable that a caller created
-    # and passed; a module-level container or package object would be a cache
+    # and passed; a module-level container (an OrderedDict is a dict) or
+    # package object would be a cache
     held = [name for name, value in vars(sim).items()
             if not (name.startswith("__") and name.endswith("__"))
-            and (isinstance(value, (dict, list, set, OrderedDict))
+            and (isinstance(value, (dict, list, set))
                  or (not isinstance(value, type)
                      and type(value).__module__.split(".")[0] == "purcell"))]
     assert held == []
