@@ -9,17 +9,17 @@ import os
 import pathlib
 import sys
 
-from .config import KEYS, RunConfig, basis_specs, config_echo, parse_config
+from .config import KEYS, RunConfig, basis_specs, config_echo, parse_config, plan_specs
 from .errors import NumericalError, ValidationError
 from .gaits import (ControlSchedule, format_schedule, parse_schedule, shape_excursion,
                     synthesize)
 from .lie import solve_bracket_coefficients
 from .model import Configuration, ShapePoint
-from .planner import (calibrate, compile_maneuvers, fit_circle, plan_line,
+from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
 from .report import check_out_dir, ensure_out_dir, write_plot_svg, write_trajectory_csv
 from .se2 import GroupPose
-from .selftest import (ORIGIN, commutator_probe, leakage_ratios, rank_sweep,
+from .selftest import (LADDER, commutator_probe, leakage_ratios, rank_sweep,
                        run_acceptance, variant_slopes)
 from .simulate import net_displacement, simulate
 
@@ -72,8 +72,7 @@ class RunReport:
 
 
 def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
-    sweep = rank_sweep(cfg.params, args.grid, args.poses, cfg.seed, args.tol,
-                       cfg.bracket_inner_h, cfg.bracket_outer_h)
+    sweep = rank_sweep(cfg.params, args.grid, args.poses, cfg.seed)
     rep.scalar("grid", f"{args.grid}x{args.grid} shapes x {args.poses} poses")
     rep.scalar("min_rank", sweep.min_rank)
     rep.scalar("min_sigma_ratio", f"{sweep.min_ratio:.3e}")
@@ -87,9 +86,7 @@ def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
 def cmd_coefficients(args, cfg: RunConfig, rep: RunReport) -> int:
     print(f"{'direction':>9s} {'alpha':>14s} {'beta':>14s} {'gamma':>14s}")
     for d in ("x", "y", "theta"):
-        c = solve_bracket_coefficients(d, ORIGIN, cfg.params,
-                                       h_inner=cfg.bracket_inner_h,
-                                       h_outer=cfg.bracket_outer_h)
+        c = solve_bracket_coefficients(d, STRAIGHT, cfg.params)
         print(f"{d:>9s} {c.alpha:14.6g} {c.beta:14.6g} {c.gamma:14.6g}")
         rep.scalars[f"{d}.alpha"] = c.alpha
         rep.scalars[f"{d}.beta"] = c.beta
@@ -163,7 +160,7 @@ def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
         raise ValidationError(f"cannot read schedule {args.schedule}: {exc}")
     if len(schedule) == 0:
         raise ValidationError(f"schedule {args.schedule} contains no segments")
-    traj = simulate(schedule, ORIGIN, cfg.params, cfg.integrator)
+    traj = simulate(schedule, STRAIGHT, cfg.params, cfg.integrator)
     nd = net_displacement(traj)
     rep.scalar("samples", len(traj))
     rep.scalar("net_dx_m", f"{nd.delta.x:.9g}")
@@ -176,11 +173,11 @@ def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
 
 def cmd_probe(args, cfg: RunConfig, rep: RunReport) -> int:
     if args.kind == "commutator":
-        probe = commutator_probe(cfg.params, cfg.integrator, cfg.bracket_h)
-        for eps, err in probe.rows():
+        errors, slope, monotone = commutator_probe(cfg.params, cfg.integrator)
+        for eps, err in zip(LADDER, errors):
             print(f"eps = {eps:<8g} error = {err:.6e}")
-        rep.scalar("slope", f"{probe.slope:.3f}")
-        rep.scalar("monotone", probe.monotone)
+        rep.scalar("slope", f"{slope:.3f}")
+        rep.scalar("monotone", monotone)
     elif args.kind == "variants":
         slopes = variant_slopes(cfg.params, cfg.integrator)
         for (i, j), slope in slopes:
@@ -197,9 +194,8 @@ def cmd_probe(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def _calibration(cfg: RunConfig, rep: RunReport):
-    """Calibrate the two gaits a plan compiles: x (translate) and theta (rotate)."""
-    specs = basis_specs(cfg)
-    calib = calibrate(cfg.params, {d: specs[d] for d in ("x", "theta")}, cfg.integrator)
+    """Calibrate the gaits a plan compiles."""
+    calib = calibrate(cfg.params, plan_specs(cfg), cfg.integrator)
     for d, entry in calib.entries.items():
         rep.info(f"calibration {d}: per-cycle delta = "
                  f"({entry.delta[0]:.6g}, {entry.delta[1]:.6g}, {entry.delta[2]:.6g}), "
@@ -221,7 +217,7 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
         rep.scalar(f"{span.maneuver.kind}_residual", f"{span.residual:.4g}")
     for w in compiled.warnings:
         rep.info(f"warning: {w}")
-    traj = simulate(compiled.schedule, ORIGIN, cfg.params, cfg.integrator)
+    traj = simulate(compiled.schedule, STRAIGHT, cfg.params, cfg.integrator)
     final = traj.final_pose
     err = math.hypot(final.x - target[0], final.y - target[1])
     rep.scalar("final_pose", f"({final.x:.6g}, {final.y:.6g}, {final.theta:.6g})")
@@ -296,7 +292,6 @@ def build_parser() -> _Parser:
                        help="controllability rank over a shape grid")
     p.add_argument("--grid", type=int, default=12)
     p.add_argument("--poses", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("coefficients", parents=[common], help="bracket coefficients per group direction")

@@ -15,7 +15,7 @@ from . import lie
 from .errors import ConfigError, ValidationError
 from .gaits import MAX_N, GaitSpec
 from .model import SwimmerParams, cfd_drag_coefficients, derive_drag_coefficients
-from .planner import MAX_SIDES, composite_square_gait
+from .planner import MAX_SIDES, PLAN_GAITS, composite_square_gait
 from .simulate import IntegratorConfig
 
 
@@ -54,9 +54,6 @@ KEYS = {key.name: key for key in (
     Key("integrator.h", _INTEGRATOR.h, float, lambda v: v > 0, "must be positive"),
     Key("integrator.min_substeps", _INTEGRATOR.min_substeps, int, lambda v: v >= 1,
         "must be >= 1"),
-    Key("bracket.h", lie.DEFAULT_STEP, float, *_POSITIVE_FINITE),
-    Key("bracket.inner_h", lie.INNER_STEP, float, *_POSITIVE_FINITE),
-    Key("bracket.outer_h", lie.OUTER_STEP, float, *_POSITIVE_FINITE),
     Key("gait.nesting", "derived", str, lambda v: v in ("derived", "literal"),
         "must be 'derived' or 'literal'"),
     *_gait_keys("x", 1.0, 0.0, 0.0, 0.25, 1),
@@ -84,9 +81,10 @@ class RunConfig:
     integrator: IntegratorConfig
     gaits: dict                 # direction -> GaitSpec
 
-    bracket_h = _value("bracket.h")
-    bracket_inner_h = _value("bracket.inner_h")
-    bracket_outer_h = _value("bracket.outer_h")
+    # Not settable: the benchmark's analyze op reads these two.  They go when
+    # ROADMAP item 5 replaces the finite-difference brackets.
+    bracket_inner_h = lie.INNER_STEP
+    bracket_outer_h = lie.OUTER_STEP
     x_composite = _value("gait.x.composite")      # planner uses the 4-variant composite for x
     line_bearing = _value("plan.line.bearing")    # rad
     line_distance = _value("plan.line.distance")  # m
@@ -199,6 +197,11 @@ def basis_specs(cfg: RunConfig) -> dict:
             raise ValidationError("gait.x.composite needs gait.x.beta = gait.x.gamma = 0")
         specs["x"] = composite_square_gait(x.t, scale=x.alpha)
     return specs
+
+
+def plan_specs(cfg: RunConfig) -> dict:
+    """The basis_specs of the gaits a plan compiles (planner.PLAN_GAITS)."""
+    return {d: spec for d, spec in basis_specs(cfg).items() if d in PLAN_GAITS}
 
 
 def _echo_value(value) -> str:

@@ -85,21 +85,14 @@ def lie_bracket(X: VectorFieldHandle, Y: VectorFieldHandle, q: Configuration,
     return out
 
 
-def bracket_field(X: VectorFieldHandle, Y: VectorFieldHandle,
-                  h: float = DEFAULT_STEP) -> VectorFieldHandle:
-    """[X, Y] as a new field, recomputed pointwise (no caching)."""
-
-    def field(q: Configuration) -> np.ndarray:
-        return lie_bracket(X, Y, q, h)
-
-    return field
-
-
 def bracket_basis(p: Configuration, params: SwimmerParams,
                   h_inner: float = INNER_STEP, h_outer: float = OUTER_STEP) -> np.ndarray:
     """Columns g1, g2, [g1,g2], [g1,[g1,g2]], [g2,[g1,g2]] evaluated at p."""
     g1, g2 = swimmer_fields(params)
-    z = bracket_field(g1, g2, h_inner)
+
+    def z(q: Configuration) -> np.ndarray:   # [g1, g2] as a field, recomputed pointwise
+        return lie_bracket(g1, g2, q, h_inner)
+
     cols = [
         g1(p),
         g2(p),
@@ -116,10 +109,11 @@ def controllability_report(p: Configuration, params: SwimmerParams,
                            h_outer: float = OUTER_STEP) -> ControllabilityReport:
     """Rank of the bracket-generated distribution at p.
 
-    rank counts singular values above tol * sigma_max.
+    rank counts singular values above tol * sigma_max, so a tol of 1 or more
+    would read rank 0 everywhere.
     """
-    if not tol > 0:
-        raise ValidationError("rank tolerance must be positive")
+    if not 0 < tol < 1:
+        raise ValidationError(f"rank tolerance must be between 0 and 1, got {tol}")
     basis = bracket_basis(p, params, h_inner, h_outer)
     return rank_report(basis, tol)
 

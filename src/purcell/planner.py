@@ -24,6 +24,7 @@ MAX_CYCLES = 10_000     # whole gait cycles per compiled plan; that 10-gon uses 
 # where calibration runs each gait, and where each gait block of a plan that
 # starts straight begins: the gaits close their shape loops
 STRAIGHT = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
+PLAN_GAITS = ("x", "theta")   # the gaits compile_maneuvers reads: translate and rotate
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     calibration's rows, to which a reversed gait is added from the straight
     shape the first time a plan uses it.
     """
-    for direction in ("x", "theta"):
+    for direction in PLAN_GAITS:
         if direction not in calib.entries:
             raise ValidationError(f"calibration table lacks the {direction} gait")
         if calib[direction].dominance < MIN_DOMINANCE:

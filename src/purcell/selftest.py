@@ -12,22 +12,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import basis_specs, default_config
+from .config import default_config, plan_specs
 from .errors import ValidationError
 from .gaits import GaitSpec, commutator_schedule, synthesize
-from .lie import (DEFAULT_RANK_TOL, DEFAULT_STEP, INNER_STEP, OUTER_STEP,
-                  controllability_report, lie_bracket, solve_bracket_coefficients)
+from .lie import controllability_report, lie_bracket, solve_bracket_coefficients
 from .model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
                     body_velocity, body_velocity_components, default_params,
                     swimmer_fields)
 from .oracle import reference_body_velocity
-from .planner import (calibrate, compile_maneuvers, fit_circle, plan_line,
+from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
 from .se2 import GroupPose, wrap_angle
-from .simulate import (ConvergenceReport, IntegratorConfig, convergence_probe,
-                       fit_loglog_slope, net_displacement, simulate)
-
-ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
+from .simulate import IntegratorConfig, net_displacement, simulate
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,7 @@ class RankSweep(NamedTuple):
     weakest_shape: tuple    # last shape at which the rank or the ratio set a new minimum
 
 
-def rank_sweep(params: SwimmerParams, grid: int, poses: int, seed: int = 1234,
-               tol: float = DEFAULT_RANK_TOL, h_inner: float = INNER_STEP,
-               h_outer: float = OUTER_STEP) -> RankSweep:
+def rank_sweep(params: SwimmerParams, grid: int, poses: int, seed: int = 1234) -> RankSweep:
     """Controllability rank on a grid x grid shape grid with `poses` seeded
     random poses per shape."""
     if not 1 <= grid <= MAX_GRID:
@@ -101,8 +95,7 @@ def rank_sweep(params: SwimmerParams, grid: int, poses: int, seed: int = 1234,
                 pose = GroupPose(rng.uniform(-1, 1), rng.uniform(-1, 1),
                                  rng.uniform(-math.pi, math.pi))
                 q = Configuration(ShapePoint(float(a1), float(a2)), pose)
-                rep = controllability_report(q, params, tol=tol,
-                                             h_inner=h_inner, h_outer=h_outer)
+                rep = controllability_report(q, params)
                 ratio = float(rep.singular_values[-1] / rep.singular_values[0])
                 if rep.rank < worst_rank or ratio < worst_ratio:
                     worst_shape = (float(a1), float(a2))
@@ -120,7 +113,7 @@ def check_controllability_rank():
 
 
 def _pattern_residuals(params: SwimmerParams) -> dict:
-    cx, cy, ct = (solve_bracket_coefficients(d, ORIGIN, params) for d in ("x", "y", "theta"))
+    cx, cy, ct = (solve_bracket_coefficients(d, STRAIGHT, params) for d in ("x", "y", "theta"))
     return {
         "x": max(abs(cx.beta), abs(cx.gamma)) / abs(cx.alpha),
         "y": max(abs(cy.alpha), abs(cy.beta + cy.gamma)) / abs(cy.beta),
@@ -145,20 +138,34 @@ def check_coefficient_pattern():
                           f"{len(params_list)} parameter sets (tol 1e-6)")
 
 
-LADDER = (0.2, 0.1, 0.05, 0.025)    # eps; each square-gait leg lasts eps
+LADDER = (0.2, 0.1, 0.05, 0.025)    # eps, decreasing; each square-gait leg lasts eps
 
 
-def commutator_probe(params: SwimmerParams, integrator: IntegratorConfig,
-                     h: float = DEFAULT_STEP) -> ConvergenceReport:
-    """Square-gait displacement against eps^2 [g1,g2] over LADDER."""
-    g1, g2 = swimmer_fields(params)
-    reference = lie_bracket(g1, g2, ORIGIN, h=h)
-    return convergence_probe(lambda eps: commutator_schedule(1, 2, eps * eps),
-                             LADDER, reference, ORIGIN, params, integrator)
+def fit_loglog_slope(levels, errors) -> float:
+    """Least-squares slope of log(error) against log(level)."""
+    if len(levels) < 3:
+        raise ValidationError("need at least 3 ladder points")
+    lx = np.log(np.asarray(levels, dtype=float))
+    ly = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
+    coeffs = np.polyfit(lx, ly, 1)
+    return float(coeffs[0])
 
 
 def _net_motion(schedule, params: SwimmerParams, integrator: IntegratorConfig) -> GroupPose:
-    return net_displacement(simulate(schedule, ORIGIN, params, integrator)).delta
+    return net_displacement(simulate(schedule, STRAIGHT, params, integrator)).delta
+
+
+def commutator_probe(params: SwimmerParams, integrator: IntegratorConfig) -> tuple:
+    """(errors, slope, monotone): per eps of LADDER, the norm of the square
+    gait's net motion minus eps^2 times the group part of [g1,g2]; the
+    log-log slope of those errors; and whether they fall as eps does."""
+    g1, g2 = swimmer_fields(params)
+    reference = lie_bracket(g1, g2, STRAIGHT)[2:]
+    errors = [float(np.linalg.norm(
+        np.array(_net_motion(commutator_schedule(1, 2, eps * eps), params, integrator))
+        - eps * eps * reference)) for eps in LADDER]
+    monotone = all(a >= b for a, b in zip(errors, errors[1:]))
+    return errors, fit_loglog_slope(LADDER, errors), monotone
 
 
 def variant_slopes(params: SwimmerParams, integrator: IntegratorConfig) -> list:
@@ -186,9 +193,10 @@ def leakage_ratios(params: SwimmerParams, integrator: IntegratorConfig,
 @_check("commutator_convergence", limit=30)
 def check_commutator_convergence():
     """Square-gait displacement vs eps^2 [g1,g2]: slope >= 2.7."""
-    rep = commutator_probe(default_params(), IntegratorConfig(h=1e-3, min_substeps=16))
-    table = ", ".join(f"{e:.0e}" for e in rep.errors)
-    return rep.slope >= 2.7, f"slope {rep.slope:.2f} (need >= 2.7), errors [{table}]"
+    errors, slope, _ = commutator_probe(default_params(),
+                                        IntegratorConfig(h=1e-3, min_substeps=16))
+    table = ", ".join(f"{e:.0e}" for e in errors)
+    return slope >= 2.7, f"slope {slope:.2f} (need >= 2.7), errors [{table}]"
 
 
 @_check("gait_variant_equivalence")
@@ -261,7 +269,7 @@ def check_integrator():
         # making the substep exactly halve across the ladder
         for substeps in (8, 16, 32):
             cfg = IntegratorConfig(h=10.0, min_substeps=substeps)
-            traj = simulate(sched, ORIGIN, params, cfg)
+            traj = simulate(sched, STRAIGHT, params, cfg)
             finals.append(np.array([traj.x[-1], traj.y[-1], traj.theta[-1]]))
         d1 = np.linalg.norm(finals[0] - finals[1])
         d2 = np.linalg.norm(finals[1] - finals[2])
@@ -304,7 +312,7 @@ def check_schedule_closure():
         worst_integral = max(worst_integral,
                              abs(sched.channel_integral(1)),
                              abs(sched.channel_integral(2)))
-        traj = simulate(sched, ORIGIN, params, cfg)
+        traj = simulate(sched, STRAIGHT, params, cfg)
         worst_closure = max(worst_closure, net_displacement(traj).shape_closure)
     return (worst_integral < 1e-12 and worst_closure < 1e-10,
             f"worst channel integral {worst_integral:.2e} (tol 1e-12), "
@@ -318,7 +326,7 @@ def check_polygon_tracking():
     within 15 %, closure under 25 % of the circumference."""
     params = default_params()
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
-    calib = calibrate(params, basis_specs(default_config()), cfg)
+    calib = calibrate(params, plan_specs(default_config()), cfg)
     plan = plan_polygon((0.0, 0.0), 0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
@@ -371,7 +379,7 @@ def check_boundedness():
     sched = ControlSchedule((ControlSegment(1, 0.9, 500.0),
                              ControlSegment(2, -0.7, 500.0)))
     cfg = IntegratorConfig(h=h, min_substeps=1)
-    traj = simulate(sched, ORIGIN, params, cfg)
+    traj = simulate(sched, STRAIGHT, params, cfg)
     steps = len(traj) - 1
     finite = all(np.all(np.isfinite(col)) for col in
                  (traj.x, traj.y, traj.theta, traj.alpha1, traj.alpha2,

@@ -1,4 +1,4 @@
-"""Trajectory integration of schedules and the convergence probes built on it.
+"""Integration of control schedules into swimmer trajectories.
 
 Joint angles evolve exactly linearly within a segment (their rates are the
 controls); the pose is advanced by classical RK4 on (x, y, theta) using the
@@ -32,7 +32,7 @@ integrating would write, bit for bit, so no output depends on the table.
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,47 +310,3 @@ def net_displacement(traj: Trajectory) -> NetDisplacement:
         (float(traj.alpha1[0]), float(traj.alpha2[0])),
         (float(traj.alpha1[-1]), float(traj.alpha2[-1])))
     return NetDisplacement(delta, closure)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    levels: tuple
-    errors: tuple
-    slope: float
-    monotone: bool
-
-    def rows(self):
-        return list(zip(self.levels, self.errors))
-
-
-def fit_loglog_slope(levels, errors) -> float:
-    """Least-squares slope of log(error) against log(level)."""
-    if len(levels) < 3:
-        raise ValidationError("need at least 3 ladder points")
-    lx = np.log(np.asarray(levels, dtype=float))
-    ly = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    coeffs = np.polyfit(lx, ly, 1)
-    return float(coeffs[0])
-
-
-def convergence_probe(family: Callable[[float], ControlSchedule], levels,
-                      reference: np.ndarray, q0: Configuration,
-                      params: SwimmerParams,
-                      cfg: IntegratorConfig = IntegratorConfig()) -> ConvergenceReport:
-    """Run a gait family over a ladder and compare to a scaled reference motion.
-
-    The reference is a tangent 5-vector; the error at level eps is the norm of
-    the net displacement minus eps^2 times the reference group part.
-    """
-    ref_group = np.asarray(reference, dtype=float)[2:]
-    errors = []
-    for eps in levels:
-        traj = simulate(family(eps), q0, params, cfg)
-        delta = net_displacement(traj).delta
-        achieved = np.array([delta.x, delta.y, delta.theta])
-        errors.append(float(np.linalg.norm(achieved - eps * eps * ref_group)))
-    slope = fit_loglog_slope(levels, errors)
-    ordered = sorted(range(len(levels)), key=lambda i: levels[i], reverse=True)
-    monotone = all(errors[ordered[i]] >= errors[ordered[i + 1]]
-                   for i in range(len(ordered) - 1))
-    return ConvergenceReport(tuple(levels), tuple(errors), slope, monotone)

@@ -229,9 +229,10 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["plan-circle", "--radius", "1e300"],
     ["plan-circle", "--sides", "1000000000000"],
     ["plan-circle", "--config", "inf_radius.cfg"],
-    ["coefficients", "--config", "inf_inner_h.cfg"],
-    ["coefficients", "--config", "inf_outer_h.cfg"],
-    ["probe", "--config", "inf_h.cfg"],
+    # the finite-difference steps are not config keys
+    ["coefficients", "--config", "inner_h.cfg"],
+    ["coefficients", "--config", "outer_h.cfg"],
+    ["probe", "--config", "h.cfg"],
     ["coefficients", "--config", "tiny_cfd_speed.cfg"],
     ["synthesize", "--direction", "x", "--config", "inf_x_t.cfg"],
     ["plan-line", "--config", "inf_x_t.cfg"],
@@ -261,9 +262,9 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
         "inf_radius.cfg": "plan.circle.radius = inf\n",
         "inf_bearing.cfg": "plan.line.bearing = inf\n",
-        "inf_inner_h.cfg": "bracket.inner_h = inf\n",
-        "inf_outer_h.cfg": "bracket.outer_h = inf\n",
-        "inf_h.cfg": "bracket.h = inf\n",
+        "inner_h.cfg": "bracket.inner_h = 1e-3\n",
+        "outer_h.cfg": "bracket.outer_h = 1e-3\n",
+        "h.cfg": "bracket.h = 1e-5\n",
         "tiny_cfd_speed.cfg": "swimmer.coefficients = cfd\nswimmer.cfd_speed = 5e-324\n",
         "inf_x_t.cfg": "gait.x.t = inf\n",
         # the composite x gait has no beta or gamma term to honour
@@ -285,6 +286,13 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""   # a refused run prints no result
+
+
+def test_analyze_takes_no_rank_tolerance(capsys):
+    assert run(["analyze", "--tol", "1e-8", "--grid", "1", "--poses", "1", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol 1e-8" in captured.err
 
 
 @pytest.mark.parametrize("out", ["a_file", "a_file/sub", "taken"])

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from purcell import lie
 from purcell.config import KEYS, config_echo, default_config, parse_config
 from purcell.errors import ConfigError, ValidationError
 
@@ -17,6 +18,14 @@ def test_empty_text_gives_defaults():
     assert cfg.params.k_lat == pytest.approx(2 * cfg.params.k_long)
     assert cfg.integrator.h == 1e-3
     assert cfg.circle_sides == 10
+
+
+def test_bracket_steps_are_the_lie_constants():
+    cfg = default_config()
+    assert (cfg.bracket_inner_h, cfg.bracket_outer_h) == (lie.INNER_STEP, lie.OUTER_STEP)
+    for key in ("bracket.h", "bracket.inner_h", "bracket.outer_h"):
+        with pytest.raises(ConfigError, match=f"^line 1: unknown key '{re.escape(key)}'$"):
+            parse_config(f"{key} = 1e-3\n")
 
 
 def test_single_override_leaves_rest_default():

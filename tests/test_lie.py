@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from purcell.errors import NumericalError, ValidationError
-from purcell.lie import (bracket_basis, bracket_field, controllability_report,
-                         jacobian, lie_bracket, rank_report,
-                         solve_bracket_coefficients)
+from purcell.lie import (bracket_basis, controllability_report, jacobian, lie_bracket,
+                         rank_report, solve_bracket_coefficients)
 from purcell.model import Configuration, ShapePoint, default_params, swimmer_fields
 from purcell.se2 import GroupPose
 
@@ -117,7 +116,10 @@ class TestLieBracket:
 
     def test_nested_bracket_field(self):
         g1, g2 = swimmer_fields(PARAMS)
-        z = bracket_field(g1, g2, h=1e-3)
+
+        def z(q):
+            return lie_bracket(g1, g2, q, h=1e-3)
+
         nested = lie_bracket(g1, z, ORIGIN, h=1e-2)
         assert abs(nested[0]) < 1e-10 and abs(nested[1]) < 1e-10
         assert abs(nested[2]) < 1e-6          # x response is symmetry-forbidden
@@ -154,8 +156,10 @@ class TestControllability:
         assert rep.rank <= 4
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValidationError):
-            controllability_report(ORIGIN, PARAMS, tol=0.0)
+        # rank counts sigma > tol * sigma1: a tol of 1 or more reads rank 0 everywhere
+        for tol in (0.0, 1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="rank tolerance must be between 0 and 1"):
+                controllability_report(ORIGIN, PARAMS, tol=tol)
 
 
 class TestCoefficients:

@@ -17,8 +17,9 @@ from purcell.model import (Configuration, ShapePoint, SwimmerParams, body_veloci
                            default_params, derive_drag_coefficients, swimmer_fields)
 from purcell.planner import STRAIGHT, calibrate, compile_maneuvers, plan_line, plan_polygon
 from purcell.se2 import GroupPose, compose, inverse, wrap_angle
+from purcell.selftest import LADDER, commutator_probe, fit_loglog_slope
 from purcell.simulate import (MAX_STEPS, IntegratorConfig, SegmentTable, Trajectory,
-                              convergence_probe, fit_loglog_slope, net_displacement, simulate)
+                              net_displacement, simulate)
 
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
@@ -254,12 +255,10 @@ def test_commuting_pair_square_cancels(monkeypatch):
 
 
 def test_convergence_probe_on_square_gait():
-    g1, g2 = swimmer_fields(PARAMS)
-    ref = lie_bracket(g1, g2, ORIGIN)
-    rep = convergence_probe(lambda e: commutator_schedule(1, 2, e * e),
-                            [0.2, 0.1, 0.05], ref, ORIGIN, PARAMS, CFG)
-    assert rep.slope >= 2.7
-    assert rep.monotone
+    errors, slope, monotone = commutator_probe(PARAMS, CFG)
+    assert len(errors) == len(LADDER)
+    assert slope >= 2.7
+    assert monotone
 
 
 def test_fit_loglog_slope_exact_cubic():
