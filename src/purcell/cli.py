@@ -35,7 +35,7 @@ def _load_config(args) -> RunConfig:
     """The --config file (or the defaults), then the flags that set config keys."""
     try:
         text = "" if args.config is None else pathlib.Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {args.config}: {exc}")
     return parse_config(text, {k: v for k, v in vars(args).items() if k in KEYS})
 
@@ -156,7 +156,7 @@ def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
     try:
         with open(args.schedule) as fh:
             schedule = parse_schedule(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read schedule {args.schedule}: {exc}")
     if len(schedule) == 0:
         raise ValidationError(f"schedule {args.schedule} contains no segments")

@@ -101,6 +101,8 @@ def _parse_value(key: str, token: str, lineno: int):
     token = token.strip()
     kind = KEYS[key].kind
     if kind is str:
+        if "\0" in token:   # no path or name holds one: os.makedirs would raise ValueError
+            raise ConfigError(f"key {key!r} must not hold a NUL byte", lineno)
         return token
     if kind is bool:
         low = token.lower()

@@ -6,6 +6,7 @@ compiled to whole numbers of cycles.  Rounding residuals are reported, not
 compensated.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -290,7 +291,8 @@ def tracking_report(path: WaypointPath, traj: Trajectory,
     achieved = []
     for last in ends:
         # the last sample of a segment <= last; the segment column never decreases
-        i = max(int(np.searchsorted(traj.segment, last, side="right")) - 1, 0)
+        # (bisect reads the strided column in place, np.searchsorted would copy it)
+        i = max(bisect.bisect_right(traj.segment, last) - 1, 0)
         achieved.append((float(traj.x[i]), float(traj.y[i])))
     errors = [math.hypot(a[0] - t[0], a[1] - t[1]) for a, t in zip(achieved, targets)]
     closure = math.hypot(float(traj.x[-1]) - path.points[-1][0],

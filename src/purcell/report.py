@@ -9,42 +9,36 @@ import os
 import numpy as np
 
 from .errors import ValidationError
-from .simulate import Trajectory
+from .simulate import COLUMNS, Trajectory
 
-CSV_HEADER = "t,alpha1,alpha2,x,y,theta,xi_x,xi_y,xi_theta,segment"
+CSV_HEADER = ",".join(COLUMNS)
 
-CHUNK = 4096   # rows formatted and written at once: bounds the memory of a write
+# Rows formatted and written at once: about 1.1 MB of temporaries, whatever
+# the length of the trajectory.
+CHUNK = 2048
 
 _CSV_ROW = ",".join(["%.15g"] * 9 + ["%d"]) + "\n"
 
 
-def _format_rows(template: str, columns, sep: str = "") -> str:
-    """`template` filled from `columns` row by row, rows joined by `sep`.
+def _format_rows(template: str, rows: np.ndarray, sep: str = "") -> str:
+    """`template` filled from each row of the 2-D array `rows`, rows joined
+    by `sep`.
 
-    The columns are equal-length 1-D arrays, one per template field.  `%`
-    uses the same float formatting as `format`, so a row reads exactly as if
-    each value were formatted on its own.
+    `%` uses the same float formatting as `format`, so a row reads exactly
+    as if each value were formatted on its own.
     """
-    k = len(columns)
-    flat = [None] * (k * len(columns[0]))
-    for j, col in enumerate(columns):
-        flat[j::k] = col.tolist()
-    return sep.join([template] * len(columns[0])) % tuple(flat)
+    return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> str:
     """One row per sample, 15 significant digits, LF line endings."""
     if len(traj) == 0:
         raise ValidationError("refusing to write an empty trajectory")
-    columns = [np.asarray(c, dtype=float) for c in
-               (traj.t, traj.alpha1, traj.alpha2, traj.x, traj.y, traj.theta,
-                traj.xi_x, traj.xi_y, traj.xi_theta)]
-    columns.append(np.asarray(traj.segment))
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for lo in range(0, len(traj), CHUNK):
-                fh.write(_format_rows(_CSV_ROW, [c[lo:lo + CHUNK] for c in columns]))
+                fh.write(_format_rows(_CSV_ROW, traj.rows[lo:lo + CHUNK]))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
     return path
@@ -56,11 +50,16 @@ def read_trajectory_csv(path: str) -> Trajectory:
             header = fh.readline().strip()
             if header != CSV_HEADER:
                 raise ValidationError(f"{path}: unexpected CSV header {header!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
-    cols = [data[:, i] for i in range(9)]
-    return Trajectory(*cols, segment=data[:, 9].astype(int))
+    except ValidationError:
+        raise
+    except ValueError as exc:   # a ragged or non-numeric row
+        raise ValidationError(f"{path}: {exc}")
+    if rows.shape[1] != len(COLUMNS):   # also a file with no rows
+        raise ValidationError(f"{path}: expected rows of {len(COLUMNS)} values")
+    return Trajectory(rows)
 
 
 _COLORS = ("#1f6fb2", "#c44e52", "#2a9d5c", "#8a63b8", "#c48a18")
@@ -207,7 +206,7 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
                             px, py = to_px(x[lo:lo + CHUNK], y[lo:lo + CHUNK])
                         if lo:
                             fh.write(" ")
-                        fh.write(_format_rows("%.2f,%.2f", (px, py), " "))
+                        fh.write(_format_rows("%.2f,%.2f", np.column_stack((px, py)), " "))
                     fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
                 label = s_def.get("label", "")
                 if label:

@@ -381,9 +381,7 @@ def check_boundedness():
     cfg = IntegratorConfig(h=h, min_substeps=1)
     traj = simulate(sched, STRAIGHT, params, cfg)
     steps = len(traj) - 1
-    finite = all(np.all(np.isfinite(col)) for col in
-                 (traj.x, traj.y, traj.theta, traj.alpha1, traj.alpha2,
-                  traj.xi_x, traj.xi_y, traj.xi_theta))
+    finite = bool(np.isfinite(traj.rows).all())
     on_torus = bool(np.max(np.abs(traj.alpha1)) <= math.pi
                     and np.max(np.abs(traj.alpha2)) <= math.pi)
     return (finite and on_torus and steps >= 10 ** 6,

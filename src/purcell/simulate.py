@@ -2,8 +2,9 @@
 
 Joint angles evolve exactly linearly within a segment (their rates are the
 controls); the pose is advanced by classical RK4 on (x, y, theta) using the
-world rate of the body velocity at each stage.  Samples are recorded at every
-substep boundary.
+world rate of the body velocity at each stage.  A sample is recorded at every
+substep boundary, as one row of a `Trajectory`: time, shape, pose, body
+velocity and segment index, in the order of `COLUMNS` and of the CSV.
 
 The dynamics are left-invariant on SE(2) (Kelly & Murray 1995): a segment's
 motion depends only on its start shape, rates and duration, and its start
@@ -60,21 +61,22 @@ class NetDisplacement(NamedTuple):
     shape_closure: float   # torus distance between first and last shape
 
 
+# The values of a trajectory row, in CSV order.
+COLUMNS = ("t", "alpha1", "alpha2", "x", "y", "theta", "xi_x", "xi_y", "xi_theta", "segment")
+
+
 @dataclass
 class Trajectory:
-    t: np.ndarray
-    alpha1: np.ndarray
-    alpha2: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    xi_x: np.ndarray
-    xi_y: np.ndarray
-    xi_theta: np.ndarray
-    segment: np.ndarray
+    """Row k of `rows` is sample k, its values in `COLUMNS` order.  Each
+    column name reads a view of its column, so a write through it writes the
+    rows.  The segment index (-1 when no segment ran) is an exact float."""
+    rows: np.ndarray   # (samples, 10)
+
+    t, alpha1, alpha2, x, y, theta, xi_x, xi_y, xi_theta, segment = (
+        property(lambda self, i=i: self.rows[:, i]) for i in range(len(COLUMNS)))
 
     def __len__(self):
-        return len(self.t)
+        return len(self.rows)
 
     @property
     def initial_pose(self) -> GroupPose:
@@ -88,19 +90,14 @@ class Trajectory:
         """Every stride-th sample, always keeping the last one.
 
         When the last sample falls on the stride (always at stride 1) the
-        columns are views of this trajectory's: a write to one writes both.
+        rows are a view of this trajectory's: a write to one writes both.
         """
         if stride < 1:
             raise ValidationError("stride must be >= 1")
-        last = len(self.t) - 1
+        last = len(self.rows) - 1
         if last % stride == 0:
-            return Trajectory(*(col[::stride] for col in self._columns()))
-        idx = np.append(np.arange(0, last, stride), last)
-        return Trajectory(*(col[idx] for col in self._columns()))
-
-    def _columns(self):
-        return (self.t, self.alpha1, self.alpha2, self.x, self.y, self.theta,
-                self.xi_x, self.xi_y, self.xi_theta, self.segment)
+            return Trajectory(self.rows[::stride])
+        return Trajectory(self.rows[np.append(np.arange(0, last, stride), last)])
 
 
 class SegmentTable:
@@ -110,7 +107,7 @@ class SegmentTable:
     def __init__(self, params: SwimmerParams, cfg: IntegratorConfig):
         self.params = params
         self.cfg = cfg
-        self.segments = {}    # key -> (nine body-frame columns, start velocity, end state)
+        self.segments = {}    # key -> ((n, 9) body-frame rows, start velocity, end state)
         self.blocks = set()   # the segment tuple of every schedule added
 
     def add(self, schedule: ControlSchedule, q0: Configuration) -> Trajectory:
@@ -160,16 +157,13 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
         taken += counts[-1]
     total = taken + 1
 
-    t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th = (
-        np.empty(total) for _ in range(9))
-    seg_col = np.empty(total, dtype=int)
+    rows = np.empty((total, len(COLUMNS)))
+    columns = tuple(rows.T)   # views: the RK4 loop writes one scalar at a time
 
     a1, a2 = q0.shape
     x, y, th = q0.pose
-    t[0], x_col[0], y_col[0] = 0.0, x, y
-    alpha1[0], alpha2[0], th_col[0] = wrap_angle(a1), wrap_angle(a2), wrap_angle(th)
-    xi_x[0] = xi_y[0] = xi_th[0] = 0.0
-    seg_col[0] = segments[0][0] if segments else -1
+    rows[0] = (0.0, wrap_angle(a1), wrap_angle(a2), x, y, wrap_angle(th), 0.0, 0.0, 0.0,
+               segments[0][0] if segments else -1)
     now = 0.0
     row = 1
 
@@ -177,7 +171,6 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     # rate, so it may not share rows with 0.0.  An int shape keys as its float,
     # whose rows it integrates to bit for bit.  The step count follows from
     # the duration and the config, so the key leaves it out.
-    columns = (t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th)
     known = {}    # key -> (first row, (end shape, body-frame end pose and time))
     firsts, shifts, ids, starts = [], [], [], []   # per segment
     try:   # math.cos and math.sin refuse an infinite angle
@@ -190,15 +183,13 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
                 if entry is None:
                     xi0, end = _integrate_segment(params, a1, a2, u1, u2, seg.duration,
                                                   n_steps, columns, row)
-                    if keep is not None:   # copies: pass 2 moves these rows
-                        keep.segments[key] = (
-                            tuple(col[row:row + n_steps].copy() for col in columns), xi0, end)
+                    if keep is not None:   # a copy: pass 2 moves these rows
+                        keep.segments[key] = (rows[row:row + n_steps, :9].copy(), xi0, end)
                 else:
                     body, xi0, end = entry
-                    for col, rows in zip(columns, body):
-                        col[row:row + n_steps] = rows
+                    rows[row:row + n_steps, :9] = body
                 if row == 1:
-                    xi_x[0], xi_y[0], xi_th[0] = xi0
+                    rows[0, 6:9] = xi0
                 known[key] = (row, end)
             first, (a1, a2, bx, by, bth, tau1) = known[key]
             firsts.append(row)
@@ -220,32 +211,29 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
         starts = np.array(starts).T   # start x, y, theta, time, cos and sin per segment
         for lo in reversed(range(1, total, _CHUNK)):
             hi = min(lo + _CHUNK, total)
-            rows = np.arange(lo, hi)
-            j = np.searchsorted(firsts, rows, side="right") - 1   # segment of each row
+            at = np.arange(lo, hi)
+            j = np.searchsorted(firsts, at, side="right") - 1   # segment of each row
+            block = rows[lo:hi]
+            if shifts[j[0]:j[-1] + 1].any():   # a first occurrence already holds its rows
+                block[:] = rows[at + shifts[j]]
             px, py, pth, pt, c, s = starts[:, j]
-            copied = shifts[j[0]:j[-1] + 1].any()
-            src = rows + shifts[j] if copied else slice(lo, hi)
-            bx, by = x_col[src], y_col[src]
+            bt, _, _, bx, by, bth, _, _, _, bseg = block.T
             with np.errstate(invalid="ignore", over="ignore"):   # non-finite: raised below
-                # both before either is stored: bx and by may be views of these rows
-                x_col[lo:hi], y_col[lo:hi] = px + (c * bx - s * by), py + (s * bx + c * by)
-                th_col[lo:hi] = _wrap_angles(pth + th_col[src])
-            t[lo:hi] = pt + t[src]
-            if copied:   # a first occurrence already holds its shapes and velocities
-                for col in (alpha1, alpha2, xi_x, xi_y, xi_th):
-                    col[lo:hi] = col[src]
-            seg_col[lo:hi] = ids[j]
+                # both before either is stored: bx and by are views of these rows
+                bx[:], by[:] = px + (c * bx - s * by), py + (s * bx + c * by)
+                bth[:] = _wrap_angles(pth + bth)
+            bt[:] = pt + bt
+            bseg[:] = ids[j]
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
             raise NumericalError("integration produced a non-finite pose")
-    return Trajectory(t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th,
-                      seg_col)
+    return Trajectory(rows)
 
 
 def _integrate_segment(params, a1, a2, u1, u2, duration, n_steps, columns, r):
     """RK4 over one segment in its body frame from the identity pose, into
     rows r to r + n_steps - 1 of `columns`.  Returns the start velocity and
     the end state: shape, body-frame pose and time."""
-    t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th = columns
+    t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th, _ = columns
     a1_0, a2_0 = a1, a2
     xi0 = xi = body_velocity_components(a1, a2, u1, u2, params)
     bx = by = bth = 0.0

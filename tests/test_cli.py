@@ -257,6 +257,9 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["coefficients", "--config", "slender_cfd_speed.cfg"],
     # past the cycle cap, which compile_maneuvers applies after calibrating
     ["plan-line", "--distance", "1e6"],
+    # files that do not decode as UTF-8 cannot be read
+    ["coefficients", "--config", "not_utf8.cfg"],
+    ["simulate", "--schedule", "not_utf8.txt"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -281,6 +284,8 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    for name in ("not_utf8.cfg", "not_utf8.txt"):
+        (tmp_path / name).write_bytes(b"# \xff\xfe\n")
     code, out, err = run_process(argv + ["--quiet", "--out", str(tmp_path / "o")], tmp_path)
     assert code == 1
     assert "Traceback" not in err

@@ -131,6 +131,7 @@ def test_overrides_apply_after_the_file_with_the_same_units():
     ("plan.circle.sides", "3.5", "key 'plan.circle.sides' expects an integer"),
     ("run.seed", "-1", "run.seed must be >= 0"),
     ("run.out", "", "run.out must not be empty"),
+    ("run.out", "a\0b", "key 'run.out' must not hold a NUL byte"),
 ])
 def test_overrides_are_checked_like_the_file(key, value, message):
     for args in ((f"{key} = {value}\n",), ("", {key: value})):

@@ -13,6 +13,8 @@ from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, Calibratio
 from purcell.se2 import GroupPose
 from purcell.simulate import IntegratorConfig, SegmentTable, simulate
 
+from conftest import trajectory_from_columns
+
 PARAMS = default_params()
 FAST_CFG = IntegratorConfig(h=5e-3, min_substeps=4)
 IDENT = GroupPose(0.0, 0.0, 0.0)
@@ -265,10 +267,9 @@ def test_tracking_finds_the_ends_of_zero_cycle_spans():
 
 
 def _trajectory_through(points):
-    from purcell.simulate import Trajectory
     n = len(points)
     zeros = np.zeros(n)
-    return Trajectory(
+    return trajectory_from_columns(
         t=np.arange(n, dtype=float),
         alpha1=zeros, alpha2=zeros,
         x=np.array([p[0] for p in points], dtype=float),

@@ -23,7 +23,9 @@ from purcell.report import (_COLORS, _HEIGHT, _MARGIN, _WIDTH, CHUNK, CSV_HEADER
                             check_out_dir, read_trajectory_csv, write_plot_svg,
                             write_trajectory_csv)
 from purcell.se2 import GroupPose
-from purcell.simulate import IntegratorConfig, Trajectory, simulate
+from purcell.simulate import COLUMNS, IntegratorConfig, simulate
+
+from conftest import trajectory_from_columns
 
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
@@ -171,7 +173,7 @@ def columns_trajectory(n, rng, values=None):
         cols = [rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n) for _ in range(9)]
     else:
         cols = [rng.choice(np.asarray(values, dtype=float), size=n) for _ in range(9)]
-    return Trajectory(*cols, segment=rng.integers(0, 10 ** 6, size=n))
+    return trajectory_from_columns(*cols, segment=rng.integers(0, 10 ** 6, size=n))
 
 
 def small_trajectory():
@@ -207,8 +209,26 @@ class TestCsv:
         write_trajectory_csv(traj, str(path))
         assert len(path.read_text().splitlines()) == 2
 
+    def test_header_names_the_row_columns(self):
+        traj = small_trajectory()
+        assert CSV_HEADER == ",".join(COLUMNS)
+        for i, name in enumerate(COLUMNS):
+            col = getattr(traj, name)
+            assert np.shares_memory(col, traj.rows) and np.array_equal(col, traj.rows[:, i])
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")   # numpy warns of the file with no rows
+    def test_bad_rows_refused(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for body in ("",                                          # no rows
+                     "0,1,2\n",                                   # too few values
+                     "0,1,2,3,4,5,6,7,8,9\n0,1,2,3,4,5,6,7,8\n",  # ragged
+                     "0,1,2,3,4,5,6,7,8,nine\n"):                 # not a number
+            path.write_text(CSV_HEADER + "\n" + body)
+            with pytest.raises(ValidationError, match="bad.csv"):
+                read_trajectory_csv(str(path))
+
     def test_empty_trajectory_refused(self, tmp_path):
-        empty = Trajectory(*[np.array([])] * 9, segment=np.array([], dtype=int))
+        empty = trajectory_from_columns(*[np.array([])] * 10)
         with pytest.raises(ValidationError):
             write_trajectory_csv(empty, str(tmp_path / "x.csv"))
 
@@ -292,7 +312,7 @@ class TestChunkedWritersMatchReference:
             col[:] = np.repeat(SPECIAL, len(SPECIAL))
         traj.y[:] = np.tile(SPECIAL, len(SPECIAL))
         assert_csv_matches(traj, tmp_path)
-        negated = Trajectory(*(-c for c in traj._columns()[:9]), segment=traj.segment)
+        negated = trajectory_from_columns(*(-traj.rows[:, :9].T), segment=traj.segment)
         assert_csv_matches(negated, tmp_path)
 
     def test_svg_special_values(self, tmp_path):
@@ -329,7 +349,7 @@ class TestChunkedWritersMatchReference:
         lambda n: st.lists(arrays(np.float64, n), min_size=9, max_size=9)))
     def test_csv_property(self, columns):
         n = len(columns[0])
-        traj = Trajectory(*columns, segment=np.arange(n) * 7919)
+        traj = trajectory_from_columns(*columns, segment=np.arange(n) * 7919)
         with tempfile.TemporaryDirectory() as tmp:
             assert_csv_matches(traj, pathlib.Path(tmp))
 

@@ -21,6 +21,8 @@ from purcell.selftest import LADDER, commutator_probe, fit_loglog_slope
 from purcell.simulate import (MAX_STEPS, IntegratorConfig, SegmentTable, Trajectory,
                               net_displacement, simulate)
 
+from conftest import trajectory_from_columns
+
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
 CFG = IntegratorConfig(h=1e-3, min_substeps=16)
@@ -119,8 +121,8 @@ def reference_simulate(schedule, q0, model, cfg=CFG) -> Trajectory:
 
     if segments and not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
         raise NumericalError("integration produced a non-finite pose")
-    return Trajectory(t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y, xi_th,
-                      seg_col)
+    return trajectory_from_columns(t, alpha1, alpha2, x_col, y_col, th_col, xi_x, xi_y,
+                                   xi_th, seg_col)
 
 
 def test_empty_schedule_is_identity():
@@ -285,10 +287,9 @@ def test_decimate_is_index_selection_and_shares_memory_on_the_stride():
     assert last == 100
     for stride in (1, 7, 25):   # 1 and 25 land on the last sample, 7 does not
         idx = sorted(set(range(0, len(traj), stride)) | {last})
-        for got, col in zip(traj.decimate(stride)._columns(), traj._columns()):
-            assert got.dtype == col.dtype and np.array_equal(got, col[idx])
-    for got, col in zip(traj.decimate(1)._columns(), traj._columns()):
-        assert np.shares_memory(got, col)
+        thin = traj.decimate(stride)
+        assert thin.rows.dtype == traj.rows.dtype and np.array_equal(thin.rows, traj.rows[idx])
+        assert np.shares_memory(thin.rows, traj.rows) == (stride != 7)
 
 
 def test_net_displacement_requires_samples():
@@ -442,8 +443,8 @@ def test_simulate_module_holds_no_state_between_calls():
 # order tests run in cannot change what is read or counted.
 
 def assert_same_bits(traj, ref):
-    for got, want in zip(traj._columns(), ref._columns()):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert traj.rows.dtype == ref.rows.dtype and traj.rows.shape == ref.rows.shape
+    assert traj.rows.tobytes() == ref.rows.tobytes()
 
 
 def _plain(schedule):
@@ -488,8 +489,8 @@ def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
     assert warm_calls == 0 < cold_calls
 
 
-def _column_digests(traj):
-    return [hashlib.sha256(col.tobytes()).hexdigest() for col in traj._columns()]
+def _rows_digest(traj):
+    return traj.rows.dtype, traj.rows.shape, hashlib.sha256(traj.rows).hexdigest()
 
 
 def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
@@ -499,10 +500,11 @@ def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
     plan = plan_polygon((0.0, 0.0), 0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
-    cold = _column_digests(simulate(_plain(compiled.schedule), q0, PARAMS, cfg))
-    assert _model_calls(monkeypatch, lambda: cold.append(
-        _column_digests(simulate(compiled.schedule, q0, PARAMS, cfg)))) == 0
-    assert cold[:-1] == cold[-1]
+    cold = _rows_digest(simulate(_plain(compiled.schedule), q0, PARAMS, cfg))
+    warm = []
+    assert _model_calls(monkeypatch, lambda: warm.append(
+        _rows_digest(simulate(compiled.schedule, q0, PARAMS, cfg)))) == 0
+    assert warm == [cold]
 
 
 def test_a_warm_repeat_of_a_line_plan_integrates_nothing(monkeypatch):
