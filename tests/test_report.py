@@ -288,7 +288,9 @@ class TestSvg:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+# Each side of the first chunk boundary, and of the second and fourth.
+LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+           4 * CHUNK + 1)
 
 
 class TestChunkedWritersMatchReference:
