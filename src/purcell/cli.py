@@ -43,8 +43,8 @@ def _load_config(args) -> RunConfig:
 class RunReport:
     """Command, config echo, key scalar results, and artifact paths.
 
-    Deterministic for a fixed config and seed; also handles the printing so
-    every command reports through one channel.
+    Deterministic for a fixed config; also handles the printing so every
+    command reports through one channel.
     """
 
     def __init__(self, command, cfg, quiet):
@@ -72,8 +72,8 @@ class RunReport:
 
 
 def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
-    sweep = rank_sweep(cfg.params, args.grid, args.poses, cfg.seed)
-    rep.scalar("grid", f"{args.grid}x{args.grid} shapes x {args.poses} poses")
+    sweep = rank_sweep(cfg.params, args.grid)
+    rep.scalar("grid", f"{args.grid}x{args.grid} shapes")
     rep.scalar("min_rank", sweep.min_rank)
     rep.scalar("min_sigma_ratio", f"{sweep.min_ratio:.3e}")
     a1, a2 = sweep.weakest_shape
@@ -84,9 +84,11 @@ def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def cmd_coefficients(args, cfg: RunConfig, rep: RunReport) -> int:
+    # all three solved first, so a failure prints no partial table
+    solved = {d: solve_bracket_coefficients(d, STRAIGHT, cfg.params)
+              for d in ("x", "y", "theta")}
     print(f"{'direction':>9s} {'alpha':>14s} {'beta':>14s} {'gamma':>14s}")
-    for d in ("x", "y", "theta"):
-        c = solve_bracket_coefficients(d, STRAIGHT, cfg.params)
+    for d, c in solved.items():
         print(f"{d:>9s} {c.alpha:14.6g} {c.beta:14.6g} {c.gamma:14.6g}")
         rep.scalars[f"{d}.alpha"] = c.alpha
         rep.scalars[f"{d}.beta"] = c.beta
@@ -209,7 +211,9 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
     maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
     calib = _calibration(cfg, rep)
-    compiled = compile_maneuvers(maneuvers, calib)   # before any result: it may refuse
+    # compiled and run before any result line: either may refuse
+    compiled = compile_maneuvers(maneuvers, calib)
+    traj = simulate(compiled.schedule, STRAIGHT, cfg.params, cfg.integrator)
     rep.scalar("rotate_deg", f"{math.degrees(maneuvers[0].magnitude):.6g}")
     rep.scalar("translate_m", f"{maneuvers[1].magnitude:.6g}")
     for span in compiled.spans:
@@ -217,7 +221,6 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
         rep.scalar(f"{span.maneuver.kind}_residual", f"{span.residual:.4g}")
     for w in compiled.warnings:
         rep.info(f"warning: {w}")
-    traj = simulate(compiled.schedule, STRAIGHT, cfg.params, cfg.integrator)
     final = traj.final_pose
     err = math.hypot(final.x - target[0], final.y - target[1])
     rep.scalar("final_pose", f"({final.x:.6g}, {final.y:.6g}, {final.theta:.6g})")
@@ -233,17 +236,18 @@ def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     check_out_dir(cfg.out_dir, _run_files("plan_circle") + ["plan_circle_schedule.txt"])
     plan = plan_polygon((0.0, 0.0), cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
-    compiled = compile_maneuvers(plan.maneuvers, calib)   # before any result: it may refuse
+    # compiled, run and fitted before any result line: each may refuse
+    compiled = compile_maneuvers(plan.maneuvers, calib)
+    q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
+    traj = simulate(compiled.schedule, q0, cfg.params, cfg.integrator)
+    track = tracking_report(plan.path, traj, compiled)
+    circle = fit_circle(track.achieved)
     rep.scalar("side_length_m", f"{plan.side_length:.6g}")
     rep.scalar("turn_deg", f"{math.degrees(plan.turn):.6g}")
     rep.scalar("segments", len(compiled.schedule))
     rep.scalar("schedule_duration_s", f"{compiled.schedule.total_duration:.6g}")
     for w in compiled.warnings:
         rep.info(f"warning: {w}")
-    q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
-    traj = simulate(compiled.schedule, q0, cfg.params, cfg.integrator)
-    track = tracking_report(plan.path, traj, compiled)
-    circle = fit_circle(track.achieved)
     rep.scalar("mean_waypoint_error_m", f"{track.mean_error:.6g}")
     rep.scalar("max_waypoint_error_m", f"{track.max_error:.6g}")
     rep.scalar("closure_error_m", f"{track.closure_error:.6g}")
@@ -291,7 +295,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", parents=[common],
                        help="controllability rank over a shape grid")
     p.add_argument("--grid", type=int, default=12)
-    p.add_argument("--poses", type=int, default=3)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("coefficients", parents=[common], help="bracket coefficients per group direction")

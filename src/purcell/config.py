@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple
 from . import lie
 from .errors import ConfigError, ValidationError
 from .gaits import MAX_N, GaitSpec
-from .model import SwimmerParams, cfd_drag_coefficients, derive_drag_coefficients
+from .model import (SwimmerParams, cfd_drag_coefficients, derive_drag_coefficients,
+                    validate_params)
 from .planner import MAX_SIDES, PLAN_GAITS, composite_square_gait
 from .simulate import IntegratorConfig
 
@@ -66,7 +67,6 @@ KEYS = {key.name: key for key in (
     Key("plan.circle.sides", 10, int, lambda v: 3 <= v <= MAX_SIDES,
         f"must be from 3 to {MAX_SIDES}"),
     Key("run.out", "out", str, bool, "must not be empty"),
-    Key("run.seed", 1234, int, lambda v: v >= 0, "must be >= 0"),
 )}
 
 
@@ -91,7 +91,6 @@ class RunConfig:
     circle_radius = _value("plan.circle.radius")  # m
     circle_sides = _value("plan.circle.sides")
     out_dir = _value("run.out")
-    seed = _value("run.seed")
 
 
 _UNIT_FACTORS = {"cm": 1e-2, "deg": math.pi / 180.0}
@@ -164,8 +163,7 @@ def _build(given: dict) -> RunConfig:
         if v["swimmer.k_long"] is None or v["swimmer.k_lat"] is None:
             raise ValidationError("explicit coefficients need both k_long and k_lat")
         params = base._replace(k_long=v["swimmer.k_long"], k_lat=v["swimmer.k_lat"])
-        if not (params.k_lat > params.k_long > 0):
-            raise ValidationError("need k_lat > k_long > 0")
+        validate_params(params)
         v["swimmer.coefficients"] = None   # no provenance: the pair is the input
     elif v["swimmer.coefficients"] == "cfd":
         if v["swimmer.cfd_speed"] is None:

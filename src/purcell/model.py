@@ -74,16 +74,16 @@ class ConnectionForm(NamedTuple):
 
 
 def validate_params(params: SwimmerParams, need_k: bool = True) -> None:
-    if not (params.L > 0 and params.b > 0 and params.mu > 0):
-        raise ValidationError("L, b, mu must all be positive")
+    if not (0 < params.L < math.inf and 0 < params.b < math.inf and 0 < params.mu < math.inf):
+        raise ValidationError("L, b, mu must all be positive and finite")
     if params.b >= params.L:
         raise ValidationError(
             f"slenderness violated: need b < L, got b={params.b}, L={params.L}")
     if need_k:
         if params.k_long is None or params.k_lat is None:
             raise ValidationError("drag coefficients unset; derive or supply them")
-        if not (params.k_lat > params.k_long > 0):
-            raise ValidationError("need k_lat > k_long > 0")
+        if not (math.inf > params.k_lat > params.k_long > 0):
+            raise ValidationError("need k_lat > k_long > 0, both finite")
 
 
 def derive_drag_coefficients(params: SwimmerParams) -> SwimmerParams:

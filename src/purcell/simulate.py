@@ -9,14 +9,14 @@ velocity and segment index, in the order of `COLUMNS` and of the CSV.
 The dynamics are left-invariant on SE(2) (Kelly & Murray 1995): a segment's
 motion depends only on its start shape, rates and duration, and its start
 pose only moves that motion.  So each distinct segment is integrated once,
-in its own body frame from the identity pose, and every occurrence of it is
-that motion composed with the pose it starts from.  A plan, whole cycles of
-a few gait blocks, costs its distinct segments plus one numpy composition
-over its rows: criterion 08's 10-gon makes 10,428 connection evaluations
-where the step-by-step loop made 9.2 M.  The time, shape, body-velocity and
-segment columns are those of the step-by-step loop bit for bit; x, y and
-theta differ from it by rounding, within 1e-9 (tests/test_simulate.py keeps
-that loop as the reference).
+in its own body frame from the identity pose, and every occurrence of it
+copies those body-frame rows; one numpy pass then composes each row with the
+pose its segment starts from.  A plan, whole cycles of a few gait blocks,
+costs its distinct segments plus that copy and composition: criterion 08's
+10-gon makes 10,428 connection evaluations where the step-by-step loop made
+9.2 M.  The time, shape, body-velocity and segment columns are those of the
+step-by-step loop bit for bit; x, y and theta differ from it by rounding,
+within 1e-9 (tests/test_simulate.py keeps that loop as the reference).
 
 `simulate` keeps nothing from one call to the next.  Rows that outlive a
 call belong to a `SegmentTable`, which the planner's calibration creates for
@@ -129,16 +129,14 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
                             keep: SegmentTable = None) -> Trajectory:
     """Integrate a schedule under the swimmer's connection.
 
-    Pass 1 integrates each distinct segment once, in its own body frame from
-    the identity pose, into the rows of its first occurrence, or copies them
-    there from `schedule.rows` when that table holds them under these
-    parameters and this config; a later segment with the same start shape,
-    rates and duration only records where those rows are.  Pass 2 moves
-    every segment's rows by its start pose and start time, chunk by chunk
-    from the last row back, so a copied segment still reads its source's
-    body-frame rows.  `keep`, a table of these parameters and this config,
-    is read in place of `schedule.rows` and gets a copy of the rows of every
-    segment this call integrates.
+    Pass 1 writes each segment's rows in its own body frame from the
+    identity pose: it integrates a segment the first time it runs, and
+    copies the rows of a segment seen before, earlier in this call or in
+    `schedule.rows` when that table holds it under these parameters and this
+    config.  Pass 2 then moves every row, in place and in order, by its
+    segment's start pose and start time.  `keep`, a table of these
+    parameters and this config, is read in place of `schedule.rows` and gets
+    a copy of the rows of every segment this call integrates.
     """
     validate_params(params)
     if not (cfg.h > 0 and cfg.min_substeps >= 1):
@@ -171,29 +169,28 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     # rate, so it may not share rows with 0.0.  An int shape keys as its float,
     # whose rows it integrates to bit for bit.  The step count follows from
     # the duration and the config, so the key leaves it out.
-    known = {}    # key -> (first row, (end shape, body-frame end pose and time))
-    firsts, shifts, ids, starts = [], [], [], []   # per segment
+    known = {}    # key -> (body-frame rows in `rows`, start velocity, end state)
+    firsts, ids, starts = [], [], []   # per segment
     try:   # math.cos and math.sin refuse an infinite angle
         for (seg_idx, seg), n_steps in zip(segments, counts):
             u1 = seg.amplitude if seg.channel == 1 else 0.0
             u2 = seg.amplitude if seg.channel == 2 else 0.0
             key = struct.pack("<5d", a1, a2, u1, u2, seg.duration)
-            if key not in known:
-                entry = None if table is None else table.segments.get(key)
-                if entry is None:
-                    xi0, end = _integrate_segment(params, a1, a2, u1, u2, seg.duration,
-                                                  n_steps, columns, row)
-                    if keep is not None:   # a copy: pass 2 moves these rows
-                        keep.segments[key] = (rows[row:row + n_steps, :9].copy(), xi0, end)
-                else:
-                    body, xi0, end = entry
-                    rows[row:row + n_steps, :9] = body
-                if row == 1:
-                    rows[0, 6:9] = xi0
-                known[key] = (row, end)
-            first, (a1, a2, bx, by, bth, tau1) = known[key]
+            entry = known.get(key)
+            if entry is None and table is not None:
+                entry = table.segments.get(key)
+            if entry is None:
+                xi0, end = _integrate_segment(params, a1, a2, u1, u2, seg.duration,
+                                              n_steps, columns, row)
+                entry = known[key] = (rows[row:row + n_steps, :9], xi0, end)
+                if keep is not None:   # a copy: pass 2 moves these rows
+                    keep.segments[key] = (entry[0].copy(), xi0, end)
+            else:
+                rows[row:row + n_steps, :9] = entry[0]
+            _, xi0, (a1, a2, bx, by, bth, tau1) = entry
+            if row == 1:
+                rows[0, 6:9] = xi0
             firsts.append(row)
-            shifts.append(first - row)
             ids.append(seg_idx)
             c, s = math.cos(th), math.sin(th)
             starts.append((x, y, th, now, c, s))
@@ -204,20 +201,15 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     except ValueError:
         raise NumericalError("integration left the finite range") from None
 
-    # Pass 2, from the last chunk back: a chunk reads body-frame rows at or
-    # before its own, and no earlier chunk has been moved yet.
+    # Pass 2: every row moves by its segment's start pose and start time.
     if segments:
-        firsts, shifts, ids = np.array(firsts), np.array(shifts), np.array(ids)
+        firsts, ids = np.array(firsts), np.array(ids)
         starts = np.array(starts).T   # start x, y, theta, time, cos and sin per segment
-        for lo in reversed(range(1, total, _CHUNK)):
+        for lo in range(1, total, _CHUNK):
             hi = min(lo + _CHUNK, total)
-            at = np.arange(lo, hi)
-            j = np.searchsorted(firsts, at, side="right") - 1   # segment of each row
-            block = rows[lo:hi]
-            if shifts[j[0]:j[-1] + 1].any():   # a first occurrence already holds its rows
-                block[:] = rows[at + shifts[j]]
+            j = np.searchsorted(firsts, np.arange(lo, hi), side="right") - 1   # row -> segment
             px, py, pth, pt, c, s = starts[:, j]
-            bt, _, _, bx, by, bth, _, _, _, bseg = block.T
+            bt, _, _, bx, by, bth, _, _, _, bseg = rows[lo:hi].T
             with np.errstate(invalid="ignore", over="ignore"):   # non-finite: raised below
                 # both before either is stored: bx and by are views of these rows
                 bx[:], by[:] = px + (c * bx - s * by), py + (s * bx + c * by)

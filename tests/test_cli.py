@@ -16,7 +16,7 @@ from purcell.cli import dispatch, main
 from purcell.config import KEYS, basis_specs, default_config
 from purcell.gaits import format_schedule, parse_schedule, synthesize
 from purcell.model import default_params
-from purcell.selftest import MAX_GRID, MAX_POSES, rank_sweep
+from purcell.selftest import MAX_GRID, rank_sweep
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -50,14 +50,14 @@ def test_coefficients_prints_table(capsys):
 
 
 def test_analyze_small_grid(capsys):
-    assert run(["analyze", "--grid", "3", "--poses", "1", "--quiet"]) == 0
+    assert run(["analyze", "--grid", "3", "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "min_rank = 5" in out
     # the command prints the shared sweep that criterion 01 runs
-    sweep = rank_sweep(default_params(), 3, 1)
+    sweep = rank_sweep(default_params(), 3)
     a1, a2 = sweep.weakest_shape
     assert out.splitlines() == [
-        "grid = 3x3 shapes x 1 poses",
+        "grid = 3x3 shapes",
         f"min_rank = {sweep.min_rank}",
         f"min_sigma_ratio = {sweep.min_ratio:.3e}",
         f"weakest_shape = ({a1:.3f}, {a2:.3f})",
@@ -66,7 +66,6 @@ def test_analyze_small_grid(capsys):
 
 @pytest.mark.parametrize("flag, message", [
     ("--grid", f"grid must be from 1 to {MAX_GRID}"),
-    ("--poses", f"poses must be from 1 to {MAX_POSES}"),
 ])
 def test_analyze_sizes_are_bounded(capsys, flag, message):
     # refused before the sweep allocates anything
@@ -222,7 +221,7 @@ def test_plan_circle_pipeline(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--grid", "0"],
-    ["analyze", "--poses", "0"],
+    ["analyze", "--grid", "1", "--config", "inf_L.cfg"],   # see coefficients below
     ["plan-line", "--distance", "nan"],
     ["plan-line", "--distance", "inf"],
     ["plan-circle", "--radius", "inf"],
@@ -250,8 +249,8 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["plan-line", "--config", "inf_bearing.cfg"],
     ["plan-circle", "--sides", "3.5"],
     ["selftest", "--only", "nope"],   # refused before any check runs
-    # numpy would refuse the seed with a traceback
-    ["analyze", "--grid", "1", "--poses", "1", "--config", "negative_seed.cfg"],
+    # the sweep draws no random poses, so no key seeds it
+    ["analyze", "--grid", "1", "--config", "seed.cfg"],
     # a flow speed that no provenance reads
     ["coefficients", "--config", "cfd_speed_alone.cfg"],
     ["coefficients", "--config", "slender_cfd_speed.cfg"],
@@ -260,6 +259,11 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     # files that do not decode as UTF-8 cannot be read
     ["coefficients", "--config", "not_utf8.cfg"],
     ["simulate", "--schedule", "not_utf8.txt"],
+    # over MAX_STEPS: refused before any result line is printed
+    ["plan-line", "--distance", "20"],
+    ["plan-circle", "--sides", "3", "--radius", "5"],
+    # an infinite length with explicit drag coefficients: refused, not an SVD traceback
+    ["coefficients", "--config", "inf_L.cfg"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -278,7 +282,8 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
         "short.txt": "1 0.5 0.1\n",
         "huge_substeps.cfg": "integrator.min_substeps = 1e300\n",
         "tiny_h.cfg": "integrator.h = 5e-324\n",
-        "negative_seed.cfg": "run.seed = -1\n",
+        "seed.cfg": "run.seed = 1\n",
+        "inf_L.cfg": "swimmer.L = inf\nswimmer.k_long = 1\nswimmer.k_lat = 2\n",
         "cfd_speed_alone.cfg": "swimmer.cfd_speed = 0.01\n",
         "slender_cfd_speed.cfg": "swimmer.coefficients = slender\nswimmer.cfd_speed = 0.01\n",
     }
@@ -294,10 +299,31 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
 
 
 def test_analyze_takes_no_rank_tolerance(capsys):
-    assert run(["analyze", "--tol", "1e-8", "--grid", "1", "--poses", "1", "--quiet"]) == 1
+    assert run(["analyze", "--tol", "1e-8", "--grid", "1", "--quiet"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --tol 1e-8" in captured.err
+
+
+def test_analyze_sweeps_shapes_only(tmp_path, capsys):
+    # the bracket basis depends on shape alone: no pose count and no seed
+    assert run(["analyze", "--poses", "3", "--grid", "1", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --poses 3" in captured.err
+    config = tmp_path / "seed.cfg"
+    config.write_text("run.seed = 1234\n")
+    assert run(["analyze", "--grid", "1", "--config", str(config), "--quiet"]) == 1
+    assert capsys.readouterr() == ("", "error: line 1: unknown key 'run.seed'\n")
+
+
+def test_coefficients_failure_prints_no_table(tmp_path):
+    # x already fails here, after the table's header used to be printed
+    (tmp_path / "huge.cfg").write_text("swimmer.L = 1e300\nswimmer.b = 1e299\n")
+    code, out, err = run_process(["coefficients", "--config", "huge.cfg", "--quiet"], tmp_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("out", ["a_file", "a_file/sub", "taken"])
@@ -417,6 +443,8 @@ def test_ill_conditioned_drag_exits_two(tmp_path):
 # run.out, so no draw names a directory outside the test's own.
 FUZZ_KEYS = list(KEYS)
 FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "5e-324", ""]
+# explicit drag coefficients and an infinite length: an SVD that did not converge
+INF_L = {"swimmer.L": "inf", "swimmer.k_long": "1", "swimmer.k_lat": "2"}
 
 
 def _fuzz_config(tmp, values, cfd):
@@ -435,6 +463,7 @@ def _exit_code(argv):
     return code
 
 
+@example(INF_L, False)
 @given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
                        min_size=1, max_size=4),
        st.booleans())
@@ -451,15 +480,15 @@ def test_config_fuzz_exits_cleanly(values, cfd):
             assert "inf" not in text and "nan" not in text
 
 
-@example({"run.seed": "-1"}, False)
+@example(INF_L, False)
 @given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES),
                        min_size=1, max_size=4),
        st.booleans())
 def test_analyze_config_fuzz_exits_cleanly(values, cfd):
-    # a 1x1 grid at one pose is one basis, and analyze is the command that reads run.seed
+    # a 1x1 grid is one basis
     with tempfile.TemporaryDirectory() as tmp:
         config = _fuzz_config(tmp, values, cfd)
-        argv = ["analyze", "--grid", "1", "--poses", "1", "--config", config]
+        argv = ["analyze", "--grid", "1", "--config", config]
         assert _exit_code(argv) in (0, 1, 2)
 
 

@@ -129,7 +129,6 @@ def test_overrides_apply_after_the_file_with_the_same_units():
     ("plan.line.bearing", "inf", "plan.line.bearing must be finite"),
     ("plan.line.bearing", "nan", "plan.line.bearing must be finite"),
     ("plan.circle.sides", "3.5", "key 'plan.circle.sides' expects an integer"),
-    ("run.seed", "-1", "run.seed must be >= 0"),
     ("run.out", "", "run.out must not be empty"),
     ("run.out", "a\0b", "key 'run.out' must not hold a NUL byte"),
 ])

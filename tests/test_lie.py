@@ -7,7 +7,8 @@ from purcell.errors import NumericalError, ValidationError
 from purcell.lie import (bracket_basis, controllability_report, jacobian, lie_bracket,
                          rank_report, solve_bracket_coefficients)
 from purcell.model import Configuration, ShapePoint, default_params, swimmer_fields
-from purcell.se2 import GroupPose
+from purcell.se2 import IDENTITY, GroupPose
+from purcell.selftest import _random_params
 
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
@@ -146,6 +147,19 @@ class TestControllability:
         rep = controllability_report(q, PARAMS)
         assert rep.rank == 5
         assert rep.singular_values[4] / rep.singular_values[0] > 3.8e-7
+
+    @pytest.mark.parametrize("params", [PARAMS, _random_params(np.random.default_rng(11))],
+                             ids=["default", "random"])
+    def test_basis_is_the_same_bits_at_every_pose(self, params):
+        # the fields are left-invariant on SE(2), which is why the rank sweep
+        # evaluates each shape at the identity pose alone
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            shape = ShapePoint(*rng.uniform(-math.pi, math.pi, 2))
+            at_identity = bracket_basis(Configuration(shape, IDENTITY), params).tobytes()
+            for _ in range(2):
+                pose = GroupPose(*rng.uniform(-10.0, 10.0, 2), rng.uniform(-math.pi, math.pi))
+                assert bracket_basis(Configuration(shape, pose), params).tobytes() == at_identity
 
     def test_duplicated_columns_drop_rank(self):
         basis = bracket_basis(ORIGIN, PARAMS)
