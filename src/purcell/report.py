@@ -1,6 +1,10 @@
 """Trajectory CSV and self-contained SVG plot output.
 
 Both writers are deterministic: identical inputs give byte-identical files.
+The bytes are those of `%` applied to each value on its own ('%.15g' and
+'%d' in the CSV, '%.2f' for polyline points), but a block of CHUNK rows or
+points is laid out at once by the numpy decimal kernel below; values in
+exponent notation, nan and inf go through `%` one at a time.
 """
 
 import math
@@ -13,9 +17,9 @@ from .simulate import COLUMNS, Trajectory
 
 CSV_HEADER = ",".join(COLUMNS)
 
-# Rows formatted and written at once: about 1.1 MB of temporaries, whatever
-# the length of the trajectory.
-CHUNK = 2048
+# Rows (CSV) or points (SVG) formatted and written at once: at most about
+# 0.5 MB of temporaries, whatever the length of the trajectory.
+CHUNK = 512
 
 _CSV_ROW = ",".join(["%.15g"] * 9 + ["%d"]) + "\n"
 
@@ -30,15 +34,196 @@ def _format_rows(template: str, rows: np.ndarray, sep: str = "") -> str:
     return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
+# ------------------------------------------------------------ decimal kernel
+# The writers lay out a block of values at once with numpy, byte for byte as
+# `%` formats them one at a time.  A value's digits are the integer nearest
+# its exact binary value times 10**k, ties to even.  Each value gets a
+# record of uint32 words of up to four characters, padded with NULs: its
+# separator and sign, the "0.000" of a value below 1, and one word per group
+# of three digits, looked up in _WORDS in the form its place in the number
+# needs.  One bytes.translate per block deletes the NULs.
+
+def _words(texts) -> np.ndarray:
+    """One uint32 word per text of at most four characters, NUL-padded."""
+    return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts), np.uint32)
+
+
+# Forms of a group of three digits: as is, with trailing or leading zeros
+# dropped, and with a point after its first, second or third digit; the
+# _TRIM forms drop trailing zeros after the point, and the point when no
+# digit follows it.
+_FULL, _TRIM, _LEAD, _P1, _P1_TRIM, _P2, _P2_TRIM, _P3 = range(8)
+
+
+def _digit_words() -> np.ndarray:
+    """Word `1000 * form + g` spells the group g (0..999) in that form."""
+    g = np.arange(1000)
+    d = (np.stack((g // 100, g // 10 % 10, g % 10), axis=1) + ord("0")).astype(np.uint8)
+    dot = ord(".")
+    t = np.zeros((8, 1000, 4), np.uint8)
+    t[[_FULL, _TRIM, _LEAD, _P3], :, :3] = d
+    t[_P3, :, 3] = dot
+    t[[_P1, _P1_TRIM], :, 0] = d[:, 0]
+    t[[_P1, _P1_TRIM], :, 1] = dot
+    t[[_P1, _P1_TRIM], :, 2:] = d[:, 1:]
+    t[[_P2, _P2_TRIM], :, :2] = d[:, :2]
+    t[[_P2, _P2_TRIM], :, 2] = dot
+    t[[_P2, _P2_TRIM], :, 3] = d[:, 2]
+    z1, z2, z3 = g % 10 == 0, g % 100 == 0, g == 0
+    t[_TRIM, z1, 2] = 0
+    t[_TRIM, z2, 1] = 0
+    t[_TRIM, z3, 0] = 0
+    t[_P1_TRIM, z1, 3] = 0
+    t[_P1_TRIM, z2, 1:3] = 0
+    t[_P2_TRIM, z1, 2:] = 0
+    t[_LEAD, g < 100, 0] = 0
+    t[_LEAD, g < 10, 1] = 0
+    t[_LEAD, z3, 2] = 0
+    return t.view(np.uint32).reshape(-1)
+
+
+_WORDS = _digit_words()
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+# '%.15g' of a value with 15 digits d and decimal exponent 14 - k, fixed
+# notation for k = 0..18: 15 - k digits before the point, or "0." and k - 15
+# zeros before d for k > 14.  _G_SELECT[i, 2 * k + z] is 1000 * the form of
+# group i (digits 3i..3i+2 of d), where z is 1 when every digit after the
+# group is 0; _G_SIGN[19 * negative + k] leads the record (its first byte
+# left for the separator) and _G_ZEROS[k] follows it.
+_G_FORMS = np.array([[_FULL, _TRIM], [_P1, _P1_TRIM], [_P2, _P2_TRIM], [_P3, _FULL],
+                     [_FULL, _FULL]])
+_G_SELECT = 1000 * _G_FORMS[np.clip(15 - np.arange(19)[None, :] - 3 * np.arange(5)[:, None],
+                                    0, 4)].reshape(5, 38)
+_G_SIGN = _words([f"\0{s}{'0.' if k > 14 else ''}" for s in ("", "-") for k in range(19)])
+_G_ZEROS = _words(["0" * max(k - 15, 0) for k in range(19)])
+_CSV_SEPS = _words("\0" + "," * 9)
+_LF = _words("\n")[0]
+
+
+def _records(shape: tuple):
+    """A bytearray and a uint32 array of `shape` over it, for records that
+    translate then reads in place."""
+    raw = bytearray(4 * math.prod(shape))
+    return raw, np.frombuffer(raw, np.uint32).reshape(shape)
+
+
+def _product_error(a: np.ndarray, b, p: np.ndarray) -> np.ndarray:
+    """e with a * b == p + e exactly, where p is the rounded product a * b
+    (Dekker's TwoProduct, 1971, for products that neither overflow nor
+    underflow)."""
+    def split(x):
+        c = x * 134217729.0   # 2**27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+    ah, al = split(a)
+    bh, bl = split(b)
+    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _nearest(a: np.ndarray, scale) -> np.ndarray:
+    """The integers nearest the exact products a * scale, ties to even, as
+    float64, for a >= 0, scale (an array like a, or a number) an exact power
+    of ten and products below 2**52.
+
+    The rounded product p is a multiple of its ulp and within half an ulp
+    of the exact one, so p's fraction decides, except at exactly 0.5, where
+    the sign of the rounding error does.
+    """
+    frac = a * scale
+    n = np.floor(frac)
+    frac -= n
+    tie = np.flatnonzero(frac == 0.5)
+    n += frac > 0.5
+    if tie.size:
+        down = n.take(tie)
+        p = down + 0.5   # the rounded product
+        err = _product_error(a.take(tie), np.broadcast_to(scale, a.shape).take(tie), p)
+        np.put(n, tie, down + ((err > 0) | ((err == 0) & (down % 2 == 1))))
+    return n
+
+
+def _g15_digits(v: np.ndarray):
+    """(d, k, rest) of '%.15g' of each value of v: its 15 digits d as an
+    int64 and k, its decimal exponent being 14 - k; rest holds the flat
+    indices of the values left to `%`: those written in exponent notation,
+    nan and inf."""
+    a = np.abs(v)
+    zero = a == 0.0
+    fixed = (a >= 1e-5) & (a < 1e15)
+    a = np.where(fixed, a, 1.0)
+    k = np.maximum(14.0 - np.floor(np.log10(a)), 0.0).astype(np.intp)
+    n = _nearest(a, _POW10.take(k))
+    fixed &= (n >= 1e14) & (n <= 1e15)   # else log10 put the exponent one off
+    carry = n == 1e15   # rounded up to the next power of ten
+    n[carry] = 1e14
+    k -= carry
+    n[zero] = 0.0
+    k[zero] = 14
+    return n.astype(np.int64), k, np.flatnonzero((fixed | zero) <= (k.view(np.uintp) > 18))
+
+
+def _csv_lines(rows: np.ndarray):
+    """The CSV lines of `rows`, each ending in LF."""
+    seg = rows[:, 9]
+    if not np.all((np.abs(seg) < 1e15) & (seg == np.floor(seg))):
+        return _format_rows(_CSV_ROW, rows).encode()
+    raw, buf = _records((len(rows), 71))   # a record of 7 words per value, then LF
+    recs = buf[:, :70].reshape(len(rows), 10, 7)
+    buf[:, 70] = _LF
+    q, k, rest = _g15_digits(rows)
+    neg = np.signbit(rows).view(np.uint8)
+    neg[:, 9] = seg < 0   # '%d' % -0.0 is '0'; otherwise '%d' spells seg as '%.15g' does
+    recs[..., 0] = _G_SIGN.take(k + 19 * neg, mode="clip") + _CSV_SEPS
+    recs[..., 1] = _G_ZEROS.take(k, mode="clip")
+    k += k
+    z = True
+    for i in range(4, -1, -1):
+        top = q // 1000 if i else 0
+        g = q - 1000 * top
+        form = _G_SELECT[i].take(k + z, mode="clip")
+        recs[..., 2 + i] = _WORDS.take(form + g, mode="clip")
+        z = z & (g == 0)
+        q = top
+    if rest.size:
+        r, c = np.divmod(rest, 10)
+        recs.view("S28")[r, c, 0] = [(b"," if j else b"") + b"%.15g" % x
+                                     for j, x in zip(c.tolist(), rows[r, c].tolist())]
+    return raw.translate(None, b"\0")
+
+
+_F2_SIGN = _words(["", "\0-"])
+_F2_SEPS = _words(" ,")
+
+
+def _points(v: np.ndarray) -> str:
+    """'%.2f,%.2f' of each (x, y) row of v, rows joined by a space."""
+    a = np.abs(v)
+    if not a.max() < 1e12:   # also nan
+        return _format_rows("%.2f,%.2f", v, " ")
+    q = _nearest(a, 100.0).astype(np.int64)
+    groups = (len(str(q.max())) + 2) // 3   # the last holds the point
+    raw, recs = _records(v.shape + (groups + 1,))
+    recs[..., 0] = _F2_SIGN.take(np.signbit(v)) + _F2_SEPS
+    recs.view(np.uint8)[0, 0, 0] = 0   # no separator before the first point
+    form = 1000 * _P1
+    for i in range(groups, 0, -1):
+        top = q // 1000
+        recs[..., i] = _WORDS.take(form + (q - 1000 * top), mode="clip")
+        form = 1000 * _LEAD * (top < 1000)   # no digit before the next group; _FULL is 0
+        q = top
+    return raw.translate(None, b"\0").decode()
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> str:
     """One row per sample, 15 significant digits, LF line endings."""
     if len(traj) == 0:
         raise ValidationError("refusing to write an empty trajectory")
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
+        with open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
             for lo in range(0, len(traj), CHUNK):
-                fh.write(_format_rows(_CSV_ROW, traj.rows[lo:lo + CHUNK]))
+                fh.write(_csv_lines(traj.rows[lo:lo + CHUNK]))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
     return path
@@ -206,7 +391,7 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
                             px, py = to_px(x[lo:lo + CHUNK], y[lo:lo + CHUNK])
                         if lo:
                             fh.write(" ")
-                        fh.write(_format_rows("%.2f,%.2f", np.column_stack((px, py)), " "))
+                        fh.write(_points(np.column_stack((px, py))))
                     fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
                 label = s_def.get("label", "")
                 if label:

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from purcell import report
+from purcell.cli import main
 from purcell.config import basis_specs, default_config
 from purcell.errors import ValidationError
-from purcell.gaits import ControlSchedule, ControlSegment
+from purcell.gaits import ControlSchedule, ControlSegment, parse_schedule
 from purcell.model import Configuration, ShapePoint, default_params
-from purcell.planner import calibrate, compile_maneuvers, plan_line
+from purcell.planner import STRAIGHT, calibrate, compile_maneuvers, plan_line
 from purcell.report import (_COLORS, _HEIGHT, _MARGIN, _WIDTH, CHUNK, CSV_HEADER, _ticks,
                             check_out_dir, read_trajectory_csv, write_plot_svg,
                             write_trajectory_csv)
@@ -288,9 +290,9 @@ class TestSvg:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# Each side of the first chunk boundary, and of the second and fourth.
-LENGTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
-           4 * CHUNK + 1)
+# Each side of the first, second, fourth and eighth chunk boundary, and one
+# past the sixteenth.
+LENGTHS = (1, *(m * CHUNK + d for m in (1, 2, 4, 8) for d in (-1, 0, 1)), 16 * CHUNK + 1)
 
 
 class TestChunkedWritersMatchReference:
@@ -385,6 +387,166 @@ class TestChunkedWritersMatchReference:
                            xlabel="t (s)", ylabel="angle (rad)")
 
 
+# ------------------------------------------------------- the decimal kernel
+# The writers format a block of values with numpy (report._csv_lines and
+# report._points); these tests hold that against `%`, value by value.
+
+def csv_fields(values, segments):
+    """(field, '%.15g' % value) for every value and (field, '%d' % segment)
+    for every segment, as the CSV writer's kernel lays them out."""
+    values = np.resize(np.asarray(values, dtype=float), (len(segments), 9))
+    rows = np.column_stack((values, np.asarray(segments, dtype=float)))
+    pairs = []
+    for lo in range(0, len(rows), CHUNK):
+        block = rows[lo:lo + CHUNK]
+        lines = report._csv_lines(block).decode().split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(block)
+        for line, row in zip(lines, block.tolist()):
+            fields = line.split(",")
+            assert len(fields) == 10
+            pairs += [(f, "%.15g" % v) for f, v in zip(fields, row[:9])]
+            pairs.append((fields[9], "%d" % row[9]))
+    return pairs
+
+
+def point_fields(values):
+    """(field, '%.2f' % value) for every value, as the SVG writer's kernel
+    lays out (x, y) points."""
+    v = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 2), 2))
+    pairs = []
+    for lo in range(0, len(v), CHUNK):
+        block = v[lo:lo + CHUNK]
+        points = report._points(block).split(" ")
+        assert len(points) == len(block)
+        for point, xy in zip(points, block.tolist()):
+            pairs += [(f, "%.2f" % c) for f, c in zip(point.split(","), xy)]
+    return pairs
+
+
+def assert_fields(pairs):
+    bad = [(got, want) for got, want in pairs if got != want]
+    assert not bad, f"{len(bad)} of {len(pairs)} differ, e.g. {bad[:5]}"
+
+
+def bit_patterns(rng, n, top):
+    """n float64 values: half of uniformly random bits (every exponent, nan
+    payloads, subnormals), half of random sign and mantissa bits with binary
+    exponents from -30 to `top`."""
+    bits = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+    exponent = rng.integers(1023 - 30, 1023 + top + 1, size=n - n // 2).astype(np.uint64)
+    bits[n // 2:] = (bits[n // 2:] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponent << np.uint64(52))
+    return bits.view(np.float64)
+
+
+EXTREMES = (5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,   # subnormal edges
+            1.7976931348623157e308)
+POWERS_OF_TEN = [x for k in range(-6, 17) for p in (float(f"1e{k}"),)
+                 for x in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))]
+# Exact binary values halfway between two 15-digit decimals: ties go to even.
+DYADIC_TIES = {1.000030517578125: "1.00003051757812", 1.000091552734375: "1.00009155273438"}
+
+
+class TestDecimalKernel:
+    def test_g15_bit_patterns(self):
+        rng = np.random.default_rng(15)
+        values = bit_patterns(rng, 400_000, top=60)
+        values = np.concatenate((values, [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0],
+                                 EXTREMES, np.negative(EXTREMES),
+                                 rng.integers(1, 2 ** 52, size=1000).view(np.float64)))
+        assert np.isnan(values).any() and (values == 0).any()
+        assert ((np.abs(values) > 0) & (np.abs(values) < 2.2250738585072014e-308)).sum() > 1000
+        segments = rng.integers(-10 ** 15 + 1, 10 ** 15, size=-(-len(values) // 9))
+        assert_fields(csv_fields(values, segments))
+
+    def test_g15_ties_and_edges(self):
+        for value, text in DYADIC_TIES.items():
+            assert "%.15g" % value == text
+        edges = [*DYADIC_TIES, 2.675, 0.125, *POWERS_OF_TEN,
+                 9.999999999999995e-5, 999999999999999.5, 1e15]
+        values = edges + [-v for v in edges]
+        rng = np.random.default_rng(16)   # dyadic values, many of them ties
+        dyadic = rng.integers(0, 2 ** 40, size=20_000) / 2.0 ** rng.integers(0, 30, size=20_000)
+        segments = [-1.0, -0.0, 999999999999999.0, -999999999999999.0, 0.0, 1.0]
+        assert_fields(csv_fields(values + dyadic.tolist(), segments * 4000))
+
+    def test_segments_the_kernel_cannot_spell(self):
+        # a block with any of these goes through `%` whole, and reads the same
+        for odd in (1e15, -1e15, 0.5, 2.0 ** 60):
+            assert_fields(csv_fields([0.1], [3.0, odd, -0.0]))
+        for odd in (math.nan, math.inf):
+            with pytest.raises((ValueError, OverflowError)):
+                report._csv_lines(np.array([[0.0] * 9 + [odd]]))
+
+    def test_f2_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        values = bit_patterns(rng, 400_000, top=39)
+        values = values[np.abs(values) < 1e12]   # a block with a larger value goes to `%`
+        values = np.concatenate((values, [0.0, -0.0, 5e-324, -5e-324, 999999999999.995,
+                                          np.nextafter(1e12, 0.0), -0.001, 0.005, 2.675]))
+        assert len(values) > 200_000
+        assert_fields(point_fields(values))
+        rng = np.random.default_rng(18)   # dyadic values, many of them ties
+        dyadic = rng.integers(-2 ** 40, 2 ** 40, size=20_000) / 2.0 ** rng.integers(0, 30,
+                                                                                    size=20_000)
+        assert_fields(point_fields(dyadic))
+        assert_fields(point_fields([1.0, math.nan, 1e12, -math.inf, 2.5, 1e300]))
+
+    def test_table_words_spell_their_strings(self):
+        def text(word):
+            return np.asarray(word, np.uint32).tobytes().replace(b"\0", b"").decode()
+
+        words = report._WORDS.reshape(8, 1000)
+        for g in range(1000):
+            s = f"{g:03d}"
+            p1, p2 = f"{s[0]}.{s[1:]}", f"{s[:2]}.{s[2]}"
+            spelled = {report._FULL: s, report._TRIM: s.rstrip("0"), report._LEAD: s.lstrip("0"),
+                       report._P1: p1, report._P1_TRIM: p1.rstrip("0").rstrip("."),
+                       report._P2: p2, report._P2_TRIM: p2.rstrip("0").rstrip("."),
+                       report._P3: s + "."}
+            assert len(spelled) == 8
+            for form, want in spelled.items():
+                assert text(words[form, g]) == want
+        for k in range(19):
+            for negative in (0, 1):
+                assert text(report._G_SIGN[19 * negative + k]) == (
+                    "-" * negative + ("0." if k > 14 else ""))
+            assert text(report._G_ZEROS[k]) == "0" * max(k - 15, 0)
+        assert [text(w) for w in report._F2_SIGN] == ["", "-"]
+        assert [text(w) for w in report._F2_SEPS] == [" ", ","]
+        assert text(report._LF) == "\n"
+
+
+@pytest.mark.parametrize("line, samples", [("1 0.5 1e-9", 17), ("1 0.5 0", 1)])
+def test_simulate_artifacts_match_reference(tmp_path, capsys, line, samples):
+    """`simulate` writes the bytes of the per-value writers; a 1e-9 s segment
+    leaves rows with values in exponent notation, a 0 s one a single sample."""
+    sched = tmp_path / "edge.txt"
+    sched.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--schedule", str(sched), "--out", str(out), "--quiet"]) == 0
+    cfg = default_config()
+    traj = simulate(parse_schedule(line + "\n"), STRAIGHT, cfg.params, cfg.integrator)
+    assert len(traj) == samples
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    reference_csv(traj, str(ref / "sim_edge.csv"))
+    reference_svg(str(ref / "sim_edge_path.svg"),
+                  [{"x": traj.x, "y": traj.y, "label": "base link path"}], kind="path",
+                  title="sim_edge: base-link path", xlabel="x (m)", ylabel="y (m)")
+    reference_svg(str(ref / "sim_edge_shape.svg"),
+                  [{"x": traj.t, "y": traj.alpha1, "label": "alpha1"},
+                   {"x": traj.t, "y": traj.alpha2, "label": "alpha2"}], kind="time-series",
+                  title="sim_edge: joint angles", xlabel="t (s)", ylabel="angle (rad)")
+    for name in ("sim_edge.csv", "sim_edge_path.svg", "sim_edge_shape.svg"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    csv = (out / "sim_edge.csv").read_text()
+    if samples > 1:
+        assert "e-" in csv   # rows hold exponent-notation values
+    else:
+        assert "<circle" in (out / "sim_edge_shape.svg").read_text()
+
+
 def test_ticks_end_on_a_span_of_one_ulp():
     """Ticks of a span below half an ulp per step once looped forever; the
     check runs in a child capped at 1 GB so that a regression fails fast."""
@@ -418,6 +580,23 @@ class TestWriteMemory:
         path = str(tmp_path / "t.csv")
         peaks = [_peak_write_bytes(lambda: write_trajectory_csv(t, path)) for t in (short, long_)]
         assert peaks[1] < 1.25 * peaks[0]
+
+    # 1.1 times the tracemalloc peaks of the writers as they were before the
+    # decimal kernel (`%` on chunks of 2,048 rows), on these inputs
+    CSV_CEILING = int(1.1 * 1_223_511)
+    SVG_CEILING = int(1.1 * 259_711)
+
+    def test_csv_peak_ceiling(self, tmp_path):
+        traj = columns_trajectory(8 * CHUNK, np.random.default_rng(3))
+        path = str(tmp_path / "t.csv")
+        assert _peak_write_bytes(lambda: write_trajectory_csv(traj, path)) < self.CSV_CEILING
+
+    def test_svg_peak_ceiling(self, tmp_path):
+        rng = np.random.default_rng(4)
+        series = [{"x": rng.normal(size=8 * CHUNK), "y": rng.normal(size=8 * CHUNK),
+                   "label": "s"}]
+        path = str(tmp_path / "t.svg")
+        assert _peak_write_bytes(lambda: write_plot_svg(path, series)) < self.SVG_CEILING
 
     def test_svg_peak_independent_of_length(self, tmp_path):
         rng = np.random.default_rng(4)
