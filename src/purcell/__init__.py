@@ -2,28 +2,22 @@
 
 __version__ = "0.1.0"
 
-from .se2 import BodyVelocity, GroupPose, compose, exp_twist, inverse, world_rate
+from .se2 import BodyVelocity, GroupPose, compose, inverse
 from .model import (
     Configuration,
-    ConnectionForm,
-    DragMatrices,
     ShapePoint,
     ShapeVelocity,
     SwimmerParams,
     body_velocity,
-    connection,
     control_field,
     default_params,
     derive_drag_coefficients,
-    drag_matrices,
-    link_frames,
     swimmer_fields,
 )
 
 __all__ = [
-    "BodyVelocity", "GroupPose", "compose", "exp_twist", "inverse", "world_rate",
-    "Configuration", "ConnectionForm", "DragMatrices", "ShapePoint",
-    "ShapeVelocity", "SwimmerParams", "body_velocity", "connection",
-    "control_field", "default_params", "derive_drag_coefficients",
-    "drag_matrices", "link_frames", "swimmer_fields",
+    "BodyVelocity", "GroupPose", "compose", "inverse",
+    "Configuration", "ShapePoint", "ShapeVelocity", "SwimmerParams",
+    "body_velocity", "control_field", "default_params",
+    "derive_drag_coefficients", "swimmer_fields",
 ]

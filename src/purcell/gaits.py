@@ -55,9 +55,6 @@ class ControlSchedule:
     def __len__(self):
         return len(self.segments)
 
-    def __iter__(self):
-        return iter(self.segments)
-
     @property
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)

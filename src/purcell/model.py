@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .se2 import BodyVelocity, GroupPose, wrap_angle
+from .se2 import BodyVelocity, GroupPose
 
 # Bound on the condition of the length-scaled drag matrix; beyond it the
 # model is treated as pathological.
@@ -62,15 +62,6 @@ class ShapeVelocity(NamedTuple):
 class Configuration(NamedTuple):
     shape: ShapePoint
     pose: GroupPose
-
-
-class DragMatrices(NamedTuple):
-    omega1: np.ndarray  # 3x3, wrench per unit body velocity
-    omega2: np.ndarray  # 3x2, wrench per unit joint rate
-
-
-class ConnectionForm(NamedTuple):
-    A: np.ndarray  # 3x2; columns are the body-velocity response to each joint
 
 
 def validate_params(params: SwimmerParams, need_k: bool = True) -> None:
@@ -124,19 +115,6 @@ def cfd_drag_coefficients(params: SwimmerParams, flow_speed: float) -> SwimmerPa
 
 def default_params() -> SwimmerParams:
     return derive_drag_coefficients(SwimmerParams())
-
-
-def link_frames(shape: ShapePoint, params: SwimmerParams) -> tuple[GroupPose, GroupPose, GroupPose]:
-    """Frames (left, base, right) of the three links in base-link coordinates.
-
-    Each frame sits at its link's midpoint with x along the link.
-    """
-    a1, a2 = shape
-    L = params.L
-    left = GroupPose(-L - L * math.cos(a1), -L * math.sin(a1), wrap_angle(a1))
-    base = GroupPose(0.0, 0.0, 0.0)
-    right = GroupPose(L + L * math.cos(a2), -L * math.sin(a2), wrap_angle(-a2))
-    return left, base, right
 
 
 def _assemble(a1: float, a2: float, params: SwimmerParams):
@@ -199,29 +177,6 @@ def body_velocity_components(a1, a2, u1, u2, params) -> tuple[float, float, floa
     return ((j00 * r0 + j01 * r1 + j02 * r2) * scale,
             (j01 * r0 + j11 * r1 + j12 * r2) * scale,
             (j02 * r0 + j12 * r1 + j22 * r2) / det)
-
-
-def drag_matrices(shape: ShapePoint, params: SwimmerParams) -> DragMatrices:
-    """omega1 (3x3) and omega2 (3x2) in physical units, from the same assembly."""
-    validate_params(params)
-    n00, n01, n02, n11, n12, n22, c1, s1, c2, s2 = _assemble(shape[0], shape[1], params)
-    L = params.L
-    lift = np.array([1.0, 1.0, L])
-    n = np.array([[n00, n01, n02], [n01, n11, n12], [n02, n12, n22]])
-    j = np.array([[-s1, s2], [c1, c2], [-_FOUR_THIRDS - c1, _FOUR_THIRDS + c2]])
-    omega1 = (-2.0 * params.k_lat * L) * (lift[:, None] * n * lift)
-    omega2 = (2.0 * params.k_lat * L * L) * (lift[:, None] * j)
-    return DragMatrices(omega1, omega2)
-
-
-def connection(shape: ShapePoint, params: SwimmerParams) -> ConnectionForm:
-    """Local connection A = omega1^-1 omega2: column j is minus the body
-    velocity for a unit rate of joint j."""
-    validate_params(params)
-    a1, a2 = shape
-    cols = (body_velocity_components(a1, a2, 1.0, 0.0, params),
-            body_velocity_components(a1, a2, 0.0, 1.0, params))
-    return ConnectionForm(-np.array(cols).T)
 
 
 def body_velocity(shape: ShapePoint, sdot: ShapeVelocity, params: SwimmerParams) -> BodyVelocity:

@@ -94,7 +94,6 @@ class PolygonPlan:
 
 @dataclass(frozen=True)
 class TrackingReport:
-    waypoint_errors: tuple
     mean_error: float
     max_error: float
     closure_error: float
@@ -280,8 +279,8 @@ def fit_circle(points) -> tuple:
 
 def tracking_report(path: WaypointPath, traj: Trajectory,
                     plan: CompiledPlan) -> TrackingReport:
-    """Per-waypoint position errors of a tracked path: each waypoint after the
-    first is matched to the last sample of its translate maneuver in `plan`.
+    """Position errors of a tracked path at its waypoints: each waypoint after
+    the first is matched to the last sample of its translate maneuver in `plan`.
     """
     targets = path.points[1:]
     ends = [span.last_segment for span in plan.spans if span.maneuver.kind == "translate"]
@@ -298,7 +297,6 @@ def tracking_report(path: WaypointPath, traj: Trajectory,
     closure = math.hypot(float(traj.x[-1]) - path.points[-1][0],
                          float(traj.y[-1]) - path.points[-1][1])
     return TrackingReport(
-        waypoint_errors=tuple(errors),
         mean_error=float(np.mean(errors)),
         max_error=float(np.max(errors)),
         closure_error=closure,

@@ -10,10 +10,6 @@ from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
-# Below this |theta*t| the closed-form arc is replaced by a 2nd-order series
-# to avoid cancellation in sin(wt)/w and (1-cos(wt))/w.
-SERIES_THRESHOLD = 1e-6
-
 
 class GroupPose(NamedTuple):
     x: float
@@ -57,30 +53,6 @@ def inverse(g: GroupPose) -> GroupPose:
         -(-s * g.x + c * g.y),
         wrap_angle(-g.theta),
     )
-
-
-def exp_twist(xi: BodyVelocity, t: float) -> GroupPose:
-    """Pose reached from the identity by holding body velocity xi for time t.
-
-    Pure translation when xi_theta == 0, otherwise the circular-arc formula
-    with a series fallback near xi_theta*t == 0.
-    """
-    vx, vy, w = xi
-    ang = w * t
-    if abs(ang) < SERIES_THRESHOLD:
-        # sin(ang)/w ~ t(1 - ang^2/6), (1-cos(ang))/w ~ (t*ang/2)(1 - ang^2/12)
-        a = t * (1.0 - ang * ang / 6.0)
-        b = 0.5 * t * ang * (1.0 - ang * ang / 12.0)
-    else:
-        a = math.sin(ang) / w
-        b = (1.0 - math.cos(ang)) / w
-    return GroupPose(a * vx - b * vy, b * vx + a * vy, wrap_angle(ang))
-
-
-def world_rate(g: GroupPose, xi: BodyVelocity) -> tuple[float, float, float]:
-    """Coordinate rates (xdot, ydot, thetadot) of a pose moving with body velocity xi."""
-    c, s = math.cos(g.theta), math.sin(g.theta)
-    return (c * xi.xi_x - s * xi.xi_y, s * xi.xi_x + c * xi.xi_y, xi.xi_theta)
 
 
 def se2_commutator(a, b) -> tuple[float, float, float]:

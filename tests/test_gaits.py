@@ -23,17 +23,17 @@ def schedules(amplitudes):
 class TestCommutatorSchedule:
     def test_basic_square(self):
         s = commutator_schedule(1, 2, tau=1.0)
-        assert [(seg.channel, seg.amplitude, seg.duration) for seg in s] == [
+        assert [(seg.channel, seg.amplitude, seg.duration) for seg in s.segments] == [
             (1, 1.0, 1.0), (2, 1.0, 1.0), (1, -1.0, 1.0), (2, -1.0, 1.0)]
 
     def test_tau_sets_leg_duration(self):
         s = commutator_schedule(1, 2, tau=4.0)
-        assert all(seg.duration == 2.0 for seg in s)
+        assert all(seg.duration == 2.0 for seg in s.segments)
         assert len(s) == 4
 
     def test_variant_rotation(self):
         s = commutator_schedule(1, 2, tau=1.0, variant=2)
-        assert [(seg.channel, seg.amplitude) for seg in s] == [
+        assert [(seg.channel, seg.amplitude) for seg in s.segments] == [
             (1, -1.0), (2, -1.0), (1, 1.0), (2, 1.0)]
 
     def test_signed_channels_and_scale(self):
@@ -75,14 +75,14 @@ class TestSynthesize:
     def test_nesting_durations(self):
         t, n = 0.81, 3
         derived = synthesize(GaitSpec(0.0, 1.0, 0.0, t=t, n=n, nesting="derived"))
-        mids = [seg for seg in derived if abs(seg.amplitude) == 1.0 and seg.channel == 1]
+        mids = [seg for seg in derived.segments if abs(seg.amplitude) == 1.0 and seg.channel == 1]
         assert mids[0].duration == pytest.approx(math.sqrt(t / n))
-        inner = [seg for seg in derived if seg.duration != mids[0].duration]
+        inner = [seg for seg in derived.segments if seg.duration != mids[0].duration]
         assert inner[0].duration == pytest.approx(math.sqrt(math.sqrt(t / n) / n))
         literal = synthesize(GaitSpec(0.0, 1.0, 0.0, t=t, n=n, nesting="literal"))
-        mids_l = [seg for seg in literal if abs(seg.amplitude) == 1.0 and seg.channel == 1]
+        mids_l = [seg for seg in literal.segments if abs(seg.amplitude) == 1.0 and seg.channel == 1]
         assert mids_l[0].duration == pytest.approx(math.sqrt(t) / n)
-        inner_l = [seg for seg in literal if seg.duration != mids_l[0].duration]
+        inner_l = [seg for seg in literal.segments if seg.duration != mids_l[0].duration]
         assert inner_l[0].duration == pytest.approx(t ** 0.25 / n)
 
     def test_channel_integrals_close(self):
@@ -131,7 +131,7 @@ class TestCombinators:
     def test_reverse_schedule(self):
         s = ControlSchedule((ControlSegment(1, 0.5, 1.0), ControlSegment(2, -1.0, 2.0)))
         r = reverse_schedule(s)
-        assert [(seg.channel, seg.amplitude, seg.duration) for seg in r] == [
+        assert [(seg.channel, seg.amplitude, seg.duration) for seg in r.segments] == [
             (2, 1.0, 2.0), (1, -0.5, 1.0)]
 
     @given(schedules(FINITE))
@@ -148,7 +148,7 @@ class TestShapeExcursion:
 
     def test_linear_in_amplitude(self):
         s = commutator_schedule(1, 2, 1.0)
-        halved = ControlSchedule(tuple(ControlSegment(c, a / 2, d) for c, a, d in s))
+        halved = ControlSchedule(tuple(ControlSegment(c, a / 2, d) for c, a, d in s.segments))
         assert shape_excursion(halved) == pytest.approx(0.5)
 
     def test_tracks_running_extreme(self):

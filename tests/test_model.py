@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import parse_schedule
 from purcell.model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
-                           body_velocity, body_velocity_components, cfd_drag_coefficients,
-                           connection, control_field, default_params,
-                           derive_drag_coefficients, drag_matrices, link_frames,
-                           swimmer_fields)
+                           _assemble, body_velocity, body_velocity_components,
+                           cfd_drag_coefficients, control_field, default_params,
+                           derive_drag_coefficients, swimmer_fields, validate_params)
 from purcell.oracle import reference_body_velocity
 from purcell.se2 import GroupPose
 from purcell.selftest import _random_params
@@ -84,6 +84,32 @@ def reference_connection(a1, a2, params):
     return np.column_stack([reference_solve3(w1, w2[:, j]) for j in range(2)])
 
 
+# --- The kernel's route, in matrix form.  body_velocity_components is the
+# one place the connection is solved; these helpers rebuild omega1, omega2
+# and A from it so the tests can check them as matrices.
+
+def drag_matrices(shape, params):
+    """omega1 (3x3) and omega2 (3x2) in physical units, from the kernel's assembly."""
+    validate_params(params)
+    n00, n01, n02, n11, n12, n22, c1, s1, c2, s2 = _assemble(shape[0], shape[1], params)
+    L = params.L
+    lift = np.array([1.0, 1.0, L])
+    n = np.array([[n00, n01, n02], [n01, n11, n12], [n02, n12, n22]])
+    j = np.array([[-s1, s2], [c1, c2], [-4.0 / 3.0 - c1, 4.0 / 3.0 + c2]])
+    return SimpleNamespace(omega1=(-2.0 * params.k_lat * L) * (lift[:, None] * n * lift),
+                           omega2=(2.0 * params.k_lat * L * L) * (lift[:, None] * j))
+
+
+def connection(shape, params):
+    """Local connection A = omega1^-1 omega2: column j is minus the body
+    velocity for a unit rate of joint j."""
+    validate_params(params)
+    a1, a2 = shape
+    cols = (body_velocity_components(a1, a2, 1.0, 0.0, params),
+            body_velocity_components(a1, a2, 0.0, 1.0, params))
+    return SimpleNamespace(A=-np.array(cols).T)
+
+
 def assert_rel_close(mine, ref, scale, tol=1e-12):
     """max |mine - ref| <= tol * max |ref|, after dividing both by `scale`
     (which makes entries of different length dimensions comparable)."""
@@ -123,33 +149,6 @@ class TestDragCoefficients:
         assert p.k_lat > p.k_long > 0
         with pytest.raises(ValidationError):
             cfd_drag_coefficients(SwimmerParams(), flow_speed=0.0)
-
-
-class TestLinkFrames:
-    def test_straight_collinear(self):
-        left, base, right = link_frames(ShapePoint(0.0, 0.0), PARAMS)
-        L = PARAMS.L
-        assert left == pytest.approx((-2 * L, 0.0, 0.0))
-        assert base == pytest.approx((0.0, 0.0, 0.0))
-        assert right == pytest.approx((2 * L, 0.0, 0.0))
-
-    def test_left_quarter_turn(self):
-        left, _, _ = link_frames(ShapePoint(math.pi / 2, 0.0), PARAMS)
-        L = PARAMS.L
-        assert left.x == pytest.approx(-L)
-        assert left.y == pytest.approx(-L)
-        assert left.theta == pytest.approx(math.pi / 2)
-
-    def test_mirror_reflection(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.uniform(-2.5, 2.5)
-            fwd = link_frames(ShapePoint(a, a), PARAMS)
-            rev = link_frames(ShapePoint(-a, -a), PARAMS)
-            for f, r in zip(fwd, rev):
-                assert r.x == pytest.approx(f.x, abs=1e-14)
-                assert r.y == pytest.approx(-f.y, abs=1e-14)
-                assert r.theta == pytest.approx(-f.theta, abs=1e-14)
 
 
 class TestDragMatrices:
@@ -349,15 +348,21 @@ class TestConditioningGuard:
     def test_every_route_raises(self):
         with pytest.raises(NumericalError, match="ill-conditioned"):
             body_velocity_components(0.0, 0.0, 1.0, 0.0, ILL_PARAMS)
-        with pytest.raises(NumericalError, match="ill-conditioned"):
-            connection(ShapePoint(0.0, 0.0), ILL_PARAMS)
         q0 = Configuration(ShapePoint(0.0, 0.0), ORIGIN_POSE)
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            body_velocity(q0.shape, ShapeVelocity(1.0, 0.0), ILL_PARAMS)
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            control_field(1, q0, ILL_PARAMS)
         with pytest.raises(NumericalError, match="ill-conditioned"):
             simulate(parse_schedule("1 0.5 0.1\n"), q0, ILL_PARAMS)
 
     def test_routes_agree_on_the_verdict(self):
         rng = np.random.default_rng(9)
         verdicts = set()
+        routes = (
+            lambda shape, params: body_velocity(shape, ShapeVelocity(1.0, 0.0), params),
+            lambda shape, params: control_field(1, Configuration(shape, ORIGIN_POSE), params),
+        )
         for k_long in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-6):
             params = PARAMS._replace(k_long=k_long, k_lat=1.0)
             for shape in [ShapePoint(0.0, 0.0)] + [random_shape(rng) for _ in range(5)]:
@@ -366,12 +371,13 @@ class TestConditioningGuard:
                     fast = True
                 except NumericalError:
                     fast = False
-                try:
-                    connection(shape, params)
-                    full = True
-                except NumericalError:
-                    full = False
-                assert fast == full
+                for route in routes:
+                    try:
+                        route(shape, params)
+                        full = True
+                    except NumericalError:
+                        full = False
+                    assert fast == full
                 verdicts.add(fast)
         assert verdicts == {True, False}
 
