@@ -82,7 +82,7 @@ class RunConfig:
     gaits: dict                 # direction -> GaitSpec
 
     # Not settable: the benchmark's analyze op reads these two.  They go when
-    # ROADMAP item 5 replaces the finite-difference brackets.
+    # closed-form brackets replace the finite-difference ones.
     bracket_inner_h = lie.INNER_STEP
     bracket_outer_h = lie.OUTER_STEP
     x_composite = _value("gait.x.composite")      # planner uses the 4-variant composite for x

@@ -48,8 +48,9 @@ class GaitSpec:
 @dataclass(frozen=True)
 class ControlSchedule:
     segments: tuple = ()
-    # a simulate.SegmentTable whose body-frame rows simulate may copy in place
-    # of integrating; it changes no output, so equality and hashing ignore it
+    # a simulate.SegmentTable, from which simulate copies body-frame rows and
+    # to which it adds what it integrates; it changes no output, so equality
+    # and hashing ignore it
     rows: object = field(default=None, compare=False, repr=False)
 
     def __len__(self):

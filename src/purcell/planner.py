@@ -17,7 +17,7 @@ from .gaits import (ControlSchedule, commutator_schedule, concatenate, repeat,
                     reverse_schedule, synthesize)
 from .model import Configuration, ShapePoint, SwimmerParams
 from .se2 import GroupPose, wrap_angle
-from .simulate import IntegratorConfig, SegmentTable, Trajectory, net_displacement
+from .simulate import IntegratorConfig, SegmentTable, Trajectory, net_displacement, simulate
 
 MIN_DOMINANCE = 2.0
 MAX_SIDES = 1000        # polygon sides; the 10-gon of the acceptance check uses 10
@@ -50,7 +50,7 @@ class CalibrationEntry:
 @dataclass(frozen=True)
 class CalibrationTable:
     entries: dict
-    # rows of the calibrated gaits, and of their reversals once a plan needs them
+    # rows of the calibrated gaits, and of what the plans compiled from it ran
     rows: SegmentTable = field(compare=False, repr=False)
 
     def __getitem__(self, direction: str) -> CalibrationEntry:
@@ -119,7 +119,7 @@ def calibrate(params: SwimmerParams, specs: dict,
     Rejects gaits whose principal displacement fails to dominate the
     cross-leakage by MIN_DOMINANCE; such a gait cannot be compiled into
     maneuvers.  Angles and lengths are compared through the 6L span of the
-    swimmer.  The table keeps the body-frame rows of every gait for the
+    swimmer.  Running each gait fills the table's body-frame rows for the
     plans compiled from it.
     """
     char_length = 6.0 * params.L
@@ -129,7 +129,8 @@ def calibrate(params: SwimmerParams, specs: dict,
         if direction not in ("x", "y", "theta"):
             raise ValidationError(f"unknown gait direction {direction!r}")
         schedule = spec if isinstance(spec, ControlSchedule) else synthesize(spec)
-        nd = net_displacement(rows.add(schedule, STRAIGHT))
+        nd = net_displacement(simulate(ControlSchedule(schedule.segments, rows=rows),
+                                       STRAIGHT, params, cfg))
         if nd.shape_closure > 1e-8:
             raise ValidationError(
                 f"{direction} gait does not close its shape loop "
@@ -214,9 +215,9 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     Each maneuver becomes round(magnitude / per-cycle) repetitions; negative
     counts use the time-reversed gait (the exact inverse flow).  Residuals
     stay in the spans.  A plan of more than MAX_CYCLES cycles in all is
-    refused before any of it is expanded.  The schedule carries the
-    calibration's rows, to which a reversed gait is added from the straight
-    shape the first time a plan uses it.
+    refused before any of it is expanded.  Nothing is integrated: the
+    schedule carries the calibration's rows, and the first simulate that runs
+    a reversed gait adds its rows there.
     """
     for direction in PLAN_GAITS:
         if direction not in calib.entries:
@@ -227,7 +228,6 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     segs = []
     spans = []
     warnings = []
-    reversals = []
     total = 0
     for m in maneuvers:
         entry = calib["theta"] if m.kind == "rotate" else calib["x"]
@@ -249,12 +249,7 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
         else:
             block = entry.schedule if cycles > 0 else reverse_schedule(entry.schedule)
             segs.extend(repeat(block, abs(cycles)).segments)
-            if cycles < 0:
-                reversals.append(block)
         spans.append(ManeuverSpan(m, cycles, len(segs) - 1, residual))
-    for block in reversals:
-        if block.segments not in calib.rows.blocks:
-            calib.rows.add(block, STRAIGHT)
     return CompiledPlan(schedule=ControlSchedule(tuple(segs), rows=calib.rows),
                         spans=tuple(spans), warnings=tuple(warnings))
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import default_config, plan_specs
 from .errors import ValidationError
-from .gaits import GaitSpec, commutator_schedule, synthesize
+from .gaits import ControlSchedule, ControlSegment, GaitSpec, commutator_schedule, synthesize
 from .lie import controllability_report, lie_bracket, solve_bracket_coefficients
 from .model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
                     body_velocity, body_velocity_components, default_params,
@@ -211,7 +211,6 @@ def check_leakage_decay():
 
 
 def _random_schedule(rng):
-    from .gaits import ControlSchedule, ControlSegment
     segs = []
     for _ in range(rng.integers(4, 7)):
         segs.append(ControlSegment(int(rng.integers(1, 3)),
@@ -368,7 +367,6 @@ def check_oracle_equivalence():
 def check_boundedness():
     """1e6 integration steps under constant controls: finite pose, shape on torus."""
     params = default_params()
-    from .gaits import ControlSchedule, ControlSegment
     h = 1e-3
     sched = ControlSchedule((ControlSegment(1, 0.9, 500.0),
                              ControlSegment(2, -0.7, 500.0)))

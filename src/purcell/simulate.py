@@ -18,15 +18,16 @@ costs its distinct segments plus that copy and composition: criterion 08's
 step-by-step loop bit for bit; x, y and theta differ from it by rounding,
 within 1e-9 (tests/test_simulate.py keeps that loop as the reference).
 
-`simulate` keeps nothing from one call to the next.  Rows that outlive a
-call belong to a `SegmentTable`, which the planner's calibration creates for
-its swimmer parameters and integrator config and hands on with the plans it
-compiles (`ControlSchedule.rows`).  The table holds the body-frame rows,
-start velocity and end state of every distinct segment of the gait blocks it
-was given: calibration adds each basis gait, and compilation adds a gait's
-time reversal the first time a plan runs it backwards.  It lives as long as
-the calibration does.  `simulate` only reads it, and only when the call's
-parameters and config equal the table's: a copied row is then the row that
+Rows that outlive a call belong to a `SegmentTable`, which the planner's
+calibration creates for its swimmer parameters and integrator config and
+hands on with the plans it compiles (`ControlSchedule.rows`).  `simulate` is
+its one writer: when a schedule carries a table of the call's parameters and
+config, pass 1 looks each segment up there, and integrates a missing one and
+keeps a copy of its body-frame rows, start velocity and end state.  So the
+calibration's runs fill it with the basis gaits, the first run of a plan
+that goes backwards adds a gait's reversal, and a schedule run from another
+start shape adds its own distinct segments.  A table of other parameters or
+another config is neither read nor written.  A copied row is the row that
 integrating would write, bit for bit, so no output depends on the table.
 """
 
@@ -101,20 +102,13 @@ class Trajectory:
 
 
 class SegmentTable:
-    """Body-frame rows of the distinct segments of whole gait blocks,
-    integrated once under one swimmer and integrator config."""
+    """Body-frame rows of distinct segments, integrated once under one
+    swimmer and integrator config.  Only simulate_velocity_model writes it."""
 
     def __init__(self, params: SwimmerParams, cfg: IntegratorConfig):
         self.params = params
         self.cfg = cfg
         self.segments = {}    # key -> ((n, 9) body-frame rows, start velocity, end state)
-        self.blocks = set()   # the segment tuple of every schedule added
-
-    def add(self, schedule: ControlSchedule, q0: Configuration) -> Trajectory:
-        """simulate(schedule, q0), keeping a copy of the body-frame rows of
-        each segment it integrates."""
-        self.blocks.add(schedule.segments)
-        return simulate_velocity_model(schedule, q0, self.params, self.cfg, keep=self)
 
 
 def simulate(schedule: ControlSchedule, q0: Configuration, params: SwimmerParams,
@@ -125,25 +119,23 @@ def simulate(schedule: ControlSchedule, q0: Configuration, params: SwimmerParams
 
 def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
                             params: SwimmerParams,
-                            cfg: IntegratorConfig = IntegratorConfig(),
-                            keep: SegmentTable = None) -> Trajectory:
+                            cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate a schedule under the swimmer's connection.
 
     Pass 1 writes each segment's rows in its own body frame from the
     identity pose: it integrates a segment the first time it runs, and
-    copies the rows of a segment seen before, earlier in this call or in
-    `schedule.rows` when that table holds it under these parameters and this
-    config.  Pass 2 then moves every row, in place and in order, by its
-    segment's start pose and start time.  `keep`, a table of these
-    parameters and this config, is read in place of `schedule.rows` and gets
-    a copy of the rows of every segment this call integrates.
+    copies the rows of a segment seen before.  With `schedule.rows`, a table
+    of these parameters and this config, "seen before" means held in the
+    table, and each segment integrated gets a copy kept there; otherwise it
+    means earlier in this call.  Pass 2 then moves every row, in place and in
+    order, by its segment's start pose and start time.
     """
     validate_params(params)
     if not (cfg.h > 0 and cfg.min_substeps >= 1):
         raise ValidationError("integrator needs h > 0 and min_substeps >= 1")
-    table = keep if keep is not None else schedule.rows
+    table = schedule.rows
     if table is not None and (table.params, table.cfg) != (params, cfg):
-        table = keep = None   # rows of another swimmer or integrator config
+        table = None   # rows of another swimmer or integrator config
 
     segments = [(i, s) for i, s in enumerate(schedule.segments) if s.duration > 0.0]
     counts, taken = [], 0
@@ -169,7 +161,7 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     # rate, so it may not share rows with 0.0.  An int shape keys as its float,
     # whose rows it integrates to bit for bit.  The step count follows from
     # the duration and the config, so the key leaves it out.
-    known = {}    # key -> (body-frame rows in `rows`, start velocity, end state)
+    known = {} if table is None else table.segments   # key -> (body-frame rows, xi0, end)
     firsts, ids, starts = [], [], []   # per segment
     try:   # math.cos and math.sin refuse an infinite angle
         for (seg_idx, seg), n_steps in zip(segments, counts):
@@ -177,14 +169,12 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
             u2 = seg.amplitude if seg.channel == 2 else 0.0
             key = struct.pack("<5d", a1, a2, u1, u2, seg.duration)
             entry = known.get(key)
-            if entry is None and table is not None:
-                entry = table.segments.get(key)
             if entry is None:
                 xi0, end = _integrate_segment(params, a1, a2, u1, u2, seg.duration,
                                               n_steps, columns, row)
-                entry = known[key] = (rows[row:row + n_steps, :9], xi0, end)
-                if keep is not None:   # a copy: pass 2 moves these rows
-                    keep.segments[key] = (entry[0].copy(), xi0, end)
+                body = rows[row:row + n_steps, :9]
+                # the table outlives this call, so it keeps a copy: pass 2 moves these rows
+                entry = known[key] = (body if table is None else body.copy(), xi0, end)
             else:
                 rows[row:row + n_steps, :9] = entry[0]
             _, xi0, (a1, a2, bx, by, bth, tau1) = entry

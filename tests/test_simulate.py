@@ -440,7 +440,7 @@ def test_simulate_module_holds_no_state_between_calls():
 
 
 # The calibration's segment table.  Each test makes its own table, so the
-# order tests run in cannot change what is read or counted.
+# order tests run in cannot change what is read, written or counted.
 
 def assert_same_bits(traj, ref):
     assert traj.rows.dtype == ref.rows.dtype and traj.rows.shape == ref.rows.shape
@@ -450,6 +450,30 @@ def assert_same_bits(traj, ref):
 def _plain(schedule):
     """The same segments without a table."""
     return ControlSchedule(schedule.segments)
+
+
+def assert_same_entries(table, ref):
+    """Same keys, and under each the same body-frame rows, start velocity and
+    end state, bit for bit."""
+    assert table.segments.keys() == ref.segments.keys()
+    for key, (rows, xi0, end) in table.segments.items():
+        ref_rows, ref_xi0, ref_end = ref.segments[key]
+        assert rows.tobytes() == ref_rows.tobytes() and rows.shape == ref_rows.shape
+        assert (xi0, end) == (ref_xi0, ref_end)
+
+
+def _fresh_table(blocks, q0, cfg):
+    """A new table filled by running each block from q0."""
+    table = SegmentTable(PARAMS, cfg)
+    for block in blocks:
+        simulate(ControlSchedule(block.segments, rows=table), q0, PARAMS, cfg)
+    return table
+
+
+def _plan_blocks(calib):
+    """The gait blocks a plan runs: both plan gaits and their reversals."""
+    gaits = [calib[d].schedule for d in ("x", "theta")]
+    return gaits + [reverse_schedule(g) for g in gaits]
 
 
 PLAN_CFG = IntegratorConfig(h=2.5e-3, min_substeps=16)
@@ -470,15 +494,17 @@ def _line_plans(calib, count, seed=5):
         target = (start.x + abs(distance) * math.cos(bearing),
                   start.y + abs(distance) * math.sin(bearing))
         compiled = compile_maneuvers(plan_line(start, target), calib)
-        plans.append((compiled.schedule, Configuration(ShapePoint(0.0, 0.0), start)))
+        plans.append((compiled, Configuration(ShapePoint(0.0, 0.0), start)))
     return plans
 
 
 def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
+    # warm runs integrate only the reversals their table lacks
     specs = basis_specs(default_config())
     calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, PLAN_CFG)
     warm_calls = cold_calls = 0
-    for sched, q0 in _line_plans(calib, 8):
+    for compiled, q0 in _line_plans(calib, 8):
+        sched = compiled.schedule
         assert sched.rows is calib.rows
         runs = []
         warm_calls += _model_calls(monkeypatch, lambda: runs.append(
@@ -486,7 +512,28 @@ def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
         cold_calls += _model_calls(monkeypatch, lambda: runs.append(
             simulate(_plain(sched), q0, PARAMS, PLAN_CFG)))
         assert_same_bits(*runs)
-    assert warm_calls == 0 < cold_calls
+    assert warm_calls < cold_calls
+
+
+def test_line_plans_grow_the_table_by_their_gaits_reversals_only(monkeypatch):
+    # the plan benchmark's traffic: once every gait and reversal has run, a
+    # further pass over the same plans integrates and adds nothing
+    specs = basis_specs(default_config())
+    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, PLAN_CFG)
+
+    def run_plans():
+        for compiled, q0 in _line_plans(calib, 8):
+            simulate(compiled.schedule, q0, PARAMS, PLAN_CFG)
+
+    plans = _line_plans(calib, 8)
+    assert {(span.maneuver.kind, span.cycles < 0) for compiled, _ in plans
+            for span in compiled.spans} == {(kind, sign) for kind in ("rotate", "translate")
+                                            for sign in (False, True)}
+    assert _model_calls(monkeypatch, run_plans) > 0
+    grown = len(calib.rows.segments)
+    assert _model_calls(monkeypatch, run_plans) == 0
+    assert len(calib.rows.segments) == grown
+    assert_same_entries(calib.rows, _fresh_table(_plan_blocks(calib), STRAIGHT, PLAN_CFG))
 
 
 def _rows_digest(traj):
@@ -500,42 +547,44 @@ def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
     plan = plan_polygon((0.0, 0.0), 0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
-    cold = _rows_digest(simulate(_plain(compiled.schedule), q0, PARAMS, cfg))
+    cold = []
+    cold_calls = _model_calls(monkeypatch, lambda: cold.append(
+        _rows_digest(simulate(_plain(compiled.schedule), q0, PARAMS, cfg))))
+    # the first warm run adds the reversed gaits the polygon runs; the second copies all
     warm = []
-    assert _model_calls(monkeypatch, lambda: warm.append(
-        _rows_digest(simulate(compiled.schedule, q0, PARAMS, cfg)))) == 0
-    assert warm == [cold]
+    calls = [_model_calls(monkeypatch, lambda: warm.append(
+        _rows_digest(simulate(compiled.schedule, q0, PARAMS, cfg)))) for _ in range(2)]
+    assert calls[0] < cold_calls and calls[1] == 0
+    assert warm == cold * 2
 
 
-def test_a_warm_repeat_of_a_line_plan_integrates_nothing(monkeypatch):
-    # compiling the first plan that runs a gait backwards integrates the
-    # reversed gait into the table; no later compile or simulate integrates
+def test_compiling_integrates_nothing_and_the_first_simulate_adds_reversals(monkeypatch):
     cfg = IntegratorConfig(h=5e-3, min_substeps=16)
     specs = basis_specs(default_config())
     calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
-    maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), (-0.01, 0.004))
+    maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), (0.01, -0.004))
     plans = []
     assert _model_calls(monkeypatch, lambda: plans.append(
-        compile_maneuvers(maneuvers, calib))) > 0
-    assert any(span.cycles < 0 for span in plans[0].spans)
-    assert _model_calls(monkeypatch, lambda: plans.append(
         compile_maneuvers(maneuvers, calib))) == 0
+    assert [span.cycles < 0 for span in plans[0].spans] == [True, True]
     cold = simulate(_plain(plans[0].schedule), ORIGIN, PARAMS, cfg)
-    for compiled in plans:
+    for integrates in (True, False):
         warm = []
-        assert _model_calls(monkeypatch, lambda: warm.append(
-            simulate(compiled.schedule, ORIGIN, PARAMS, cfg))) == 0
+        calls = _model_calls(monkeypatch, lambda: warm.append(
+            simulate(plans[0].schedule, ORIGIN, PARAMS, cfg)))
+        assert (calls > 0) == integrates
         assert_same_bits(warm[0], cold)
 
 
 def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
-    # a table is read only under its own parameters and integrator config,
-    # even where another config gives the same step counts
+    # a table is read and written only under its own parameters and
+    # integrator config, even where another config gives the same step counts
     sched = repeat(commutator_schedule(1, 2, 0.01), 2)
     table = SegmentTable(PARAMS, IntegratorConfig(h=1.0, min_substeps=16))
-    table.add(sched, ORIGIN)
-    held = dict(table.segments)
     carried = ControlSchedule(sched.segments, rows=table)
+    simulate(carried, ORIGIN, PARAMS, table.cfg)
+    held = dict(table.segments)
+    assert held
     for params, cfg in ((PARAMS, IntegratorConfig(h=1.0, min_substeps=17)),
                         (PARAMS, IntegratorConfig(h=2.0, min_substeps=16)),
                         (derive_drag_coefficients(SwimmerParams(L=0.06)), table.cfg)):
@@ -551,18 +600,21 @@ def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
     assert all(table.segments[key] is entry for key, entry in held.items())
 
 
-def test_a_schedule_that_never_repeats_a_segment_keeps_nothing():
-    # simulate reads a table and never adds to it
-    table = SegmentTable(PARAMS, CFG)
-    table.add(commutator_schedule(1, 2, 0.01), ORIGIN)
-    held, blocks = dict(table.segments), set(table.blocks)
+def test_a_schedule_that_never_repeats_a_segment_adds_each_one_once():
+    # a schedule from any start shape adds its own distinct segments; the
+    # output is that of a run without the table
+    table = _fresh_table([commutator_schedule(1, 2, 0.01)], ORIGIN, CFG)
     rng = np.random.default_rng(3)
+    schedules = []
     for _ in range(5):
         segs = tuple(ControlSegment(int(rng.integers(1, 3)), float(rng.uniform(-2.0, 2.0)),
                                     float(rng.uniform(0.01, 0.05))) for _ in range(20))
+        schedules.append(ControlSchedule(segs))
         traj = simulate(ControlSchedule(segs, rows=table), ORIGIN, PARAMS, CFG)
         assert_same_bits(traj, simulate(ControlSchedule(segs), ORIGIN, PARAMS, CFG))
-    assert table.segments.keys() == held.keys() and table.blocks == blocks
+    assert len(table.segments) == 4 + 5 * 20
+    assert_same_entries(table, _fresh_table(
+        [commutator_schedule(1, 2, 0.01)] + schedules, ORIGIN, CFG))
 
 
 def test_signed_zero_starts_never_share_table_rows(monkeypatch):
@@ -572,32 +624,32 @@ def test_signed_zero_starts_never_share_table_rows(monkeypatch):
     block = ControlSchedule((ControlSegment(1, -0.0, 0.01), ControlSegment(2, 0.5, 0.01),
                              ControlSegment(2, -0.5, 0.01)))
     pose = GroupPose(0.3, -0.2, 1.0)
-    table = SegmentTable(PARAMS, CFG)
-    table.add(block, Configuration(ShapePoint(0.0, 0.0), pose))
+    table = _fresh_table([block], Configuration(ShapePoint(0.0, 0.0), pose), CFG)
     assert len(table.segments) == 3
     sched = ControlSchedule(repeat(block, 3).segments, rows=table)
     # segments of 16 steps, 33 calls each, are integrated until a start is 0.0
-    # (-0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0); the later cycles are copied
-    for shape, integrated in ((ShapePoint(-0.0, 0.0), 2), (ShapePoint(0.0, -0.0), 1),
-                              (ShapePoint(0, 0), 0)):
+    # (-0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0) and each adds its own entry;
+    # the later cycles are copied, and a second run integrates nothing
+    starts = ((ShapePoint(-0.0, 0.0), 2), (ShapePoint(0.0, -0.0), 1), (ShapePoint(0, 0), 0))
+    for shape, integrated in starts + tuple((shape, 0) for shape, _ in starts):
         q0 = Configuration(shape, pose)
         runs = []
         assert _model_calls(monkeypatch, lambda: runs.append(
             simulate(sched, q0, PARAMS, CFG))) == 33 * integrated
         assert_same_bits(runs[0], simulate(_plain(sched), q0, PARAMS, CFG))
-    assert len(table.segments) == 3
+    assert len(table.segments) == 3 + 2 + 1
 
 
-def test_calibration_keeps_the_rows_of_its_gaits_and_their_reversals():
+def test_calibration_keeps_the_rows_of_its_gaits_and_their_reversals(monkeypatch):
     cfg = IntegratorConfig(h=5e-3, min_substeps=16)
     specs = basis_specs(default_config())
     calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
     rows = calib.rows
     assert (rows.params, rows.cfg) == (PARAMS, cfg)
-    assert rows.blocks == {calib["x"].schedule.segments, calib["theta"].schedule.segments}
-    compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), (-0.01, 0.004)), calib)
-    assert reverse_schedule(calib["theta"].schedule).segments in rows.blocks
-    # the table's rows of a gait are those that integrating it writes
-    for block in rows.blocks:
-        traj = simulate(ControlSchedule(block), STRAIGHT, PARAMS, cfg)
-        assert_same_bits(traj, simulate(ControlSchedule(block, rows=rows), STRAIGHT, PARAMS, cfg))
+    # the table's rows are those that integrating each gait writes
+    gaits = [calib[d].schedule for d in ("x", "theta")]
+    assert_same_entries(rows, _fresh_table(gaits, STRAIGHT, cfg))
+    compiled = compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), (0.01, -0.004)), calib)
+    assert_same_entries(rows, _fresh_table(gaits, STRAIGHT, cfg))
+    simulate(compiled.schedule, STRAIGHT, PARAMS, cfg)
+    assert_same_entries(rows, _fresh_table(_plan_blocks(calib), STRAIGHT, cfg))
