@@ -234,7 +234,7 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
 
 def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     check_out_dir(cfg.out_dir, _run_files("plan_circle") + ["plan_circle_schedule.txt"])
-    plan = plan_polygon((0.0, 0.0), cfg.circle_radius, cfg.circle_sides)  # before calibrating
+    plan = plan_polygon(cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
     # compiled, run and fitted before any result line: each may refuse
     compiled = compile_maneuvers(plan.maneuvers, calib)
@@ -331,29 +331,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def dispatch(argv=None):
-    """Parse and run one command; returns (exit code, RunReport or None)."""
-    parser = build_parser()
+def main(argv=None) -> int:
+    """Parse and run one command; returns its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0), None
-    rep = None
+        return int(exc.code or 0)
     try:
         cfg = _load_config(args)
-        rep = RunReport(args.command, cfg, args.quiet)
-        return args.func(args, cfg, rep), rep
+        return args.func(args, cfg, RunReport(args.command, cfg, args.quiet))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1, rep
+        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2, rep
-
-
-def main(argv=None) -> int:
-    code, _ = dispatch(argv)
-    return code
+        return 2
 
 
 if __name__ == "__main__":

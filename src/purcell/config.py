@@ -1,10 +1,11 @@
 """Flat `key = value` run configuration.
 
-Dotted keys select nested settings, `#` starts a comment, unknown keys are
-hard errors.  Values may carry a `cm` or `deg` suffix and are converted to
-SI at parse time.  Every key has a documented default; an empty file is a
-valid configuration.  Command-line flags that name a key are overrides of
-it: parsed and checked the same way, applied after the file.
+Dotted keys select nested settings, `#` starts a comment, unknown keys and
+keys set twice are hard errors.  Values may carry a `cm` or `deg` suffix
+and are converted to SI at parse time.  Every key has a documented
+default; an empty file is a valid configuration.  Command-line flags that
+name a key are overrides of it: parsed and checked the same way, applied
+after the file.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import lie
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .gaits import MAX_N, GaitSpec
 from .model import (SwimmerParams, cfd_drag_coefficients, derive_drag_coefficients,
                     validate_params)
@@ -96,12 +97,17 @@ class RunConfig:
 _UNIT_FACTORS = {"cm": 1e-2, "deg": math.pi / 180.0}
 
 
+def _line_error(message: str, lineno: int) -> ValidationError:
+    """`message`, prefixed with `line N: ` when it comes from line N of the file."""
+    return ValidationError(message if lineno is None else f"line {lineno}: {message}")
+
+
 def _parse_value(key: str, token: str, lineno: int):
     token = token.strip()
     kind = KEYS[key].kind
     if kind is str:
         if "\0" in token:   # no path or name holds one: os.makedirs would raise ValueError
-            raise ConfigError(f"key {key!r} must not hold a NUL byte", lineno)
+            raise _line_error(f"key {key!r} must not hold a NUL byte", lineno)
         return token
     if kind is bool:
         low = token.lower()
@@ -109,38 +115,41 @@ def _parse_value(key: str, token: str, lineno: int):
             return True
         if low in ("false", "no", "0", "off"):
             return False
-        raise ConfigError(f"key {key!r} expects a boolean, got {token!r}", lineno)
+        raise _line_error(f"key {key!r} expects a boolean, got {token!r}", lineno)
     parts = token.split()
     factor = 1.0
     if len(parts) == 2 and parts[1] in _UNIT_FACTORS:
         factor = _UNIT_FACTORS[parts[1]]
         token = parts[0]
     elif len(parts) != 1:
-        raise ConfigError(f"cannot parse value {token!r} for key {key!r}", lineno)
+        raise _line_error(f"cannot parse value {token!r} for key {key!r}", lineno)
     try:
         value = float(token) * factor
     except ValueError:
-        raise ConfigError(f"key {key!r} expects a number, got {token!r}", lineno)
+        raise _line_error(f"key {key!r} expects a number, got {token!r}", lineno)
     if kind is int:
         if not math.isfinite(value) or value != int(value):
-            raise ConfigError(f"key {key!r} expects an integer, got {token!r}", lineno)
+            raise _line_error(f"key {key!r} expects an integer, got {token!r}", lineno)
         return int(value)
     return value
 
 
 def parse_config(text: str, overrides: dict = None) -> RunConfig:
     """The config in `text`, then `overrides` (key -> value text) on top."""
-    given = {}
+    given, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected `key = value`, got {raw!r}", lineno)
+            raise _line_error(f"expected `key = value`, got {raw!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in KEYS:
-            raise ConfigError(f"unknown key {key!r}", lineno)
+            raise _line_error(f"unknown key {key!r}", lineno)
+        if key in set_on:
+            raise _line_error(f"key {key!r} is already set on line {set_on[key]}", lineno)
+        set_on[key] = lineno
         given[key] = _parse_value(key, value, lineno)
     for key, value in (overrides or {}).items():
         given[key] = _parse_value(key, value, None)

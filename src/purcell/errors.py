@@ -8,15 +8,5 @@ class ValidationError(ValueError):
     """Bad user input: config values, malformed files, violated preconditions."""
 
 
-class ConfigError(ValidationError):
-    """Config file problem, carries a line number when one is known."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class NumericalError(RuntimeError):
     """Numerical failure: singular drag matrix, degenerate solve, non-finite result."""

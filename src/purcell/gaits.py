@@ -89,25 +89,18 @@ _MIRROR_SQUARE = (1, -1.0, 2, -1.0)    # sign-mirror of the above (cyclic varian
 _INVERSE_SQUARE = (2, 1.0, 1, 1.0)     # exact inverse of the plus square
 
 
-def commutator_schedule(channel_a: int, channel_b: int, tau: float,
-                        scale_a: float = 1.0, variant: int = 0) -> ControlSchedule:
-    """One square gait approximating the bracket of two signed channels.
+def commutator_schedule(tau: float, scale_a: float = 1.0, variant: int = 0) -> ControlSchedule:
+    """One square gait g1, g2, -g1, -g2 approximating tau * [g1, g2].
 
-    Channels are signed (+-1, +-2); each leg lasts sqrt(tau); `variant`
+    Each leg lasts sqrt(tau); `scale_a` multiplies the g1 rates; `variant`
     cyclically rotates the four legs (the four equivalent gait phasings).
     """
     if not tau > 0:
         raise ValidationError("tau must be positive")
-    if abs(channel_a) not in (1, 2) or abs(channel_b) not in (1, 2):
-        raise ValidationError("channels must be +-1 or +-2")
     if variant not in (0, 1, 2, 3):
         raise ValidationError("variant must be 0..3")
-    legs = math.sqrt(tau)
-    segs = _square(abs(channel_a), math.copysign(1.0, channel_a),
-                   abs(channel_b), math.copysign(1.0, channel_b),
-                   legs, scale_a)
-    segs = segs[variant:] + segs[:variant]
-    return ControlSchedule(tuple(segs))
+    segs = _square(*_PLUS_SQUARE, math.sqrt(tau), scale_a)
+    return ControlSchedule(tuple(segs[variant:] + segs[:variant]))
 
 
 def _conjugation_block(mid_channel: int, coeff: float, mid_duration: float,

@@ -115,10 +115,6 @@ def controllability_report(p: Configuration, params: SwimmerParams,
     if not 0 < tol < 1:
         raise ValidationError(f"rank tolerance must be between 0 and 1, got {tol}")
     basis = bracket_basis(p, params, h_inner, h_outer)
-    return rank_report(basis, tol)
-
-
-def rank_report(basis: np.ndarray, tol: float) -> ControllabilityReport:
     sigma = np.linalg.svd(basis, compute_uv=False)
     rank = int(np.sum(sigma > tol * sigma[0])) if sigma[0] > 0 else 0
     return ControllabilityReport(basis=basis, singular_values=sigma, rank=rank)

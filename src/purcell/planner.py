@@ -107,7 +107,7 @@ def composite_square_gait(tau: float, scale: float = 1.0) -> ControlSchedule:
     third-order leakage largely cancels, which makes this the translation
     gait of choice.
     """
-    return concatenate([commutator_schedule(1, 2, tau, scale_a=scale, variant=v)
+    return concatenate([commutator_schedule(tau, scale_a=scale, variant=v)
                         for v in range(4)])
 
 
@@ -180,9 +180,9 @@ def plan_line(start: GroupPose, target: tuple) -> list:
     return [Maneuver("rotate", rotation), Maneuver("translate", distance)]
 
 
-def plan_polygon(center: tuple, radius: float, sides: int) -> PolygonPlan:
-    """Regular polygon tracking plan: per vertex, rotate by the exterior
-    angle and translate one side length.
+def plan_polygon(radius: float, sides: int) -> PolygonPlan:
+    """Regular polygon around the origin, tracking plan: per vertex, rotate
+    by the exterior angle and translate one side length.
     """
     if not 3 <= sides <= MAX_SIDES:
         raise ValidationError(f"polygon needs 3 to {MAX_SIDES} sides, got {sides}")
@@ -190,11 +190,8 @@ def plan_polygon(center: tuple, radius: float, sides: int) -> PolygonPlan:
         raise ValidationError(f"radius must be positive and finite, got {radius}")
     turn = 2.0 * math.pi / sides
     side = 2.0 * radius * math.sin(math.pi / sides)
-    vertices = []
-    for k in range(sides + 1):
-        phi = turn * k
-        vertices.append((center[0] + radius * math.cos(phi),
-                         center[1] + radius * math.sin(phi)))
+    vertices = [(radius * math.cos(turn * k), radius * math.sin(turn * k))
+                for k in range(sides + 1)]
     # heading along side k is the bearing v_k -> v_{k+1}; the first rotate
     # must bring the start heading onto side 0
     first_bearing = math.atan2(vertices[1][1] - vertices[0][1],

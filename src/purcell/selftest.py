@@ -106,15 +106,6 @@ def check_controllability_rank():
                                  f"min sigma5/sigma1 {sweep.min_ratio:.2e}")
 
 
-def _pattern_residuals(params: SwimmerParams) -> dict:
-    cx, cy, ct = (solve_bracket_coefficients(d, STRAIGHT, params) for d in ("x", "y", "theta"))
-    return {
-        "x": max(abs(cx.beta), abs(cx.gamma)) / abs(cx.alpha),
-        "y": max(abs(cy.alpha), abs(cy.beta + cy.gamma)) / abs(cy.beta),
-        "theta": max(abs(ct.alpha), abs(ct.beta - ct.gamma)) / abs(ct.beta),
-    }
-
-
 @_check("coefficient_zero_pattern")
 def check_coefficient_pattern():
     """Zero/sign pattern of the bracket coefficients at the straight shape.
@@ -127,7 +118,10 @@ def check_coefficient_pattern():
     worst = 0.0
     params_list = [default_params()] + [_random_params(rng) for _ in range(20)]
     for params in params_list:
-        worst = max(worst, *_pattern_residuals(params).values())
+        cx, cy, ct = (solve_bracket_coefficients(d, STRAIGHT, params) for d in ("x", "y", "theta"))
+        worst = max(worst, max(abs(cx.beta), abs(cx.gamma)) / abs(cx.alpha),
+                    max(abs(cy.alpha), abs(cy.beta + cy.gamma)) / abs(cy.beta),
+                    max(abs(ct.alpha), abs(ct.beta - ct.gamma)) / abs(ct.beta))
     return worst < 1e-6, (f"worst pattern residual {worst:.2e} over "
                           f"{len(params_list)} parameter sets (tol 1e-6)")
 
@@ -156,7 +150,7 @@ def commutator_probe(params: SwimmerParams, integrator: IntegratorConfig) -> tup
     g1, g2 = swimmer_fields(params)
     reference = lie_bracket(g1, g2, STRAIGHT)[2:]
     errors = [float(np.linalg.norm(
-        np.array(_net_motion(commutator_schedule(1, 2, eps * eps), params, integrator))
+        np.array(_net_motion(commutator_schedule(eps * eps), params, integrator))
         - eps * eps * reference)) for eps in LADDER]
     monotone = all(a >= b for a, b in zip(errors, errors[1:]))
     return errors, fit_loglog_slope(LADDER, errors), monotone
@@ -165,7 +159,7 @@ def commutator_probe(params: SwimmerParams, integrator: IntegratorConfig) -> tup
 def variant_slopes(params: SwimmerParams, integrator: IntegratorConfig) -> list:
     """((i, j), slope) of the log-log ladder of |net(i) - net(j)| for each
     pair of the four square-gait phasings."""
-    nets = [[np.array(_net_motion(commutator_schedule(1, 2, eps * eps, variant=v),
+    nets = [[np.array(_net_motion(commutator_schedule(eps * eps, variant=v),
                                   params, integrator)) for eps in LADDER]
             for v in range(4)]
     return [((i, j), fit_loglog_slope(LADDER, [float(np.linalg.norm(a - b))
@@ -320,7 +314,7 @@ def check_polygon_tracking():
     params = default_params()
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
     calib = calibrate(params, plan_specs(default_config()), cfg)
-    plan = plan_polygon((0.0, 0.0), 0.2, 10)
+    plan = plan_polygon(0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
     traj = simulate(compiled.schedule, q0, params, cfg)

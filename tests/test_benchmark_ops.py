@@ -8,10 +8,14 @@ in a benchmark run.  Nothing is written under perfbench/.
 
 import importlib
 import itertools
+import math
 import os
 import sys
 
 import pytest
+
+from purcell.cli import main
+from purcell.se2 import GroupPose
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -53,6 +57,30 @@ def test_one_block_of_benchmark_ops_passes_its_gates(tmp_path, name):
         for op, result in sampled:
             assert workload.deep_check(op, result) is None
         assert workload.finish("tests") == []
+    finally:
+        workload.close()
+    assert _files(PERFBENCH) == before
+
+
+def test_plan_op_writes_the_files_of_plan_line(tmp_path):
+    # the plan op re-implements `purcell plan-line`; on the command's own
+    # start and target it must write the command's bytes
+    config = tmp_path / "plan.cfg"
+    config.write_text(workloads.PLAN_CONFIG)
+    assert main(["plan-line", "--config", str(config), "--out", str(tmp_path / "cli"),
+                 "--quiet"]) == 0
+    before = _files(PERFBENCH)
+    workload = workloads.Plan()
+    workload.setup(1, str(tmp_path / "bench"))
+    try:
+        cfg = workload.cfg
+        target = (cfg.line_distance * math.cos(cfg.line_bearing),
+                  cfg.line_distance * math.sin(cfg.line_bearing))
+        result = workload.run(workloads.PlanOp(0, GroupPose(0.0, 0.0, 0.0), target))
+        for path in result.files:
+            with open(path, "rb") as got, open(tmp_path / "cli" / os.path.basename(path),
+                                               "rb") as want:
+                assert got.read() == want.read(), os.path.basename(path)
     finally:
         workload.close()
     assert _files(PERFBENCH) == before

@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from purcell import selftest
-from purcell.cli import dispatch, main
+from purcell.cli import main
 from purcell.config import KEYS, basis_specs, default_config
 from purcell.gaits import format_schedule, parse_schedule, synthesize
 from purcell.model import default_params
@@ -264,6 +264,8 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["plan-circle", "--sides", "3", "--radius", "5"],
     # an infinite length with explicit drag coefficients: refused, not an SVD traceback
     ["coefficients", "--config", "inf_L.cfg"],
+    # a key set twice in one file
+    ["coefficients", "--config", "twice.cfg"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -286,6 +288,7 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
         "inf_L.cfg": "swimmer.L = inf\nswimmer.k_long = 1\nswimmer.k_lat = 2\n",
         "cfd_speed_alone.cfg": "swimmer.cfd_speed = 0.01\n",
         "slender_cfd_speed.cfg": "swimmer.coefficients = slender\nswimmer.cfd_speed = 0.01\n",
+        "twice.cfg": "integrator.h = 0.001\nintegrator.h = 0.002\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -459,8 +462,7 @@ def _fuzz_config(tmp, values, cfd):
 
 def _exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code, _ = dispatch(argv + ["--quiet"])
-    return code
+        return main(argv + ["--quiet"])
 
 
 @example(INF_L, False)

@@ -6,7 +6,7 @@ import pytest
 
 from purcell import lie
 from purcell.config import KEYS, config_echo, default_config, parse_config
-from purcell.errors import ConfigError, ValidationError
+from purcell.errors import ValidationError
 
 
 def test_empty_text_gives_defaults():
@@ -24,7 +24,7 @@ def test_bracket_steps_are_the_lie_constants():
     cfg = default_config()
     assert (cfg.bracket_inner_h, cfg.bracket_outer_h) == (lie.INNER_STEP, lie.OUTER_STEP)
     for key in ("bracket.h", "bracket.inner_h", "bracket.outer_h"):
-        with pytest.raises(ConfigError, match=f"^line 1: unknown key '{re.escape(key)}'$"):
+        with pytest.raises(ValidationError, match=f"^line 1: unknown key '{re.escape(key)}'$"):
             parse_config(f"{key} = 1e-3\n")
 
 
@@ -41,14 +41,23 @@ def test_comments_and_blank_lines():
 
 
 def test_unknown_key_reports_line():
-    with pytest.raises(ConfigError, match="line 3"):
+    with pytest.raises(ValidationError, match="line 3"):
         parse_config("# one\nswimmer.L = 0.05\nswimmer.radius = 0.01\n")
 
 
+def test_key_set_twice_is_refused():
+    with pytest.raises(ValidationError,
+                       match="^line 3: key 'integrator.h' is already set on line 1$"):
+        parse_config("integrator.h = 0.001\n# again\nintegrator.h = 0.002\n")
+    # a flag still overrides the file's one setting
+    cfg = parse_config("integrator.h = 0.001\n", {"integrator.h": "0.002"})
+    assert cfg.integrator.h == 0.002
+
+
 def test_malformed_line_reports_line():
-    with pytest.raises(ConfigError, match="line 1"):
+    with pytest.raises(ValidationError, match="line 1"):
         parse_config("swimmer.L 0.05\n")
-    with pytest.raises(ConfigError, match="number"):
+    with pytest.raises(ValidationError, match="number"):
         parse_config("swimmer.L = fat\n")
 
 
@@ -94,7 +103,7 @@ def test_nesting_applied_to_all_gaits():
 
 
 def test_integer_keys_validated():
-    with pytest.raises(ConfigError, match="integer"):
+    with pytest.raises(ValidationError, match="integer"):
         parse_config("plan.circle.sides = 10.5\n")
     with pytest.raises(ValidationError):
         parse_config("plan.circle.sides = 2\n")
@@ -111,7 +120,7 @@ def test_circle_radius_must_be_positive_and_finite(radius):
 def test_bool_key():
     cfg = parse_config("gait.x.composite = false\n")
     assert cfg.x_composite is False
-    with pytest.raises(ConfigError, match="boolean"):
+    with pytest.raises(ValidationError, match="boolean"):
         parse_config("gait.x.composite = maybe\n")
 
 

@@ -22,32 +22,30 @@ def schedules(amplitudes):
 
 class TestCommutatorSchedule:
     def test_basic_square(self):
-        s = commutator_schedule(1, 2, tau=1.0)
+        s = commutator_schedule(tau=1.0)
         assert [(seg.channel, seg.amplitude, seg.duration) for seg in s.segments] == [
             (1, 1.0, 1.0), (2, 1.0, 1.0), (1, -1.0, 1.0), (2, -1.0, 1.0)]
 
     def test_tau_sets_leg_duration(self):
-        s = commutator_schedule(1, 2, tau=4.0)
+        s = commutator_schedule(tau=4.0)
         assert all(seg.duration == 2.0 for seg in s.segments)
         assert len(s) == 4
 
     def test_variant_rotation(self):
-        s = commutator_schedule(1, 2, tau=1.0, variant=2)
+        s = commutator_schedule(tau=1.0, variant=2)
         assert [(seg.channel, seg.amplitude) for seg in s.segments] == [
             (1, -1.0), (2, -1.0), (1, 1.0), (2, 1.0)]
 
-    def test_signed_channels_and_scale(self):
-        s = commutator_schedule(-1, 2, tau=1.0, scale_a=0.5)
-        assert (s.segments[0].channel, s.segments[0].amplitude) == (1, -0.5)
-        assert (s.segments[2].channel, s.segments[2].amplitude) == (1, 0.5)
+    def test_scale_multiplies_the_g1_rates(self):
+        s = commutator_schedule(tau=1.0, scale_a=-0.5)
+        assert [(seg.channel, seg.amplitude) for seg in s.segments] == [
+            (1, -0.5), (2, 1.0), (1, 0.5), (2, -1.0)]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValidationError):
-            commutator_schedule(1, 2, tau=0.0)
+            commutator_schedule(tau=0.0)
         with pytest.raises(ValidationError):
-            commutator_schedule(3, 2, tau=1.0)
-        with pytest.raises(ValidationError):
-            commutator_schedule(1, 2, tau=1.0, variant=4)
+            commutator_schedule(tau=1.0, variant=4)
 
 
 class TestSynthesize:
@@ -108,11 +106,11 @@ class TestCombinators:
         assert len(concatenate([])) == 0
 
     def test_concatenate_single_is_same(self):
-        s = commutator_schedule(1, 2, 1.0)
+        s = commutator_schedule(1.0)
         assert concatenate([s]).segments == s.segments
 
     def test_concatenate_four_variants(self):
-        composite = concatenate([commutator_schedule(1, 2, 1.0, variant=v)
+        composite = concatenate([commutator_schedule(1.0, variant=v)
                                  for v in range(4)])
         assert len(composite) == 16
         # each channel still closes
@@ -120,7 +118,7 @@ class TestCombinators:
         assert abs(composite.channel_integral(2)) == 0.0
 
     def test_repeat(self):
-        s = commutator_schedule(1, 2, 1.0)
+        s = commutator_schedule(1.0)
         r = repeat(s, 3)
         assert len(r) == 12
         assert r.total_duration == pytest.approx(3 * s.total_duration)
@@ -144,10 +142,10 @@ class TestShapeExcursion:
         assert shape_excursion(ControlSchedule()) == 0.0
 
     def test_unit_square(self):
-        assert shape_excursion(commutator_schedule(1, 2, 1.0)) == pytest.approx(1.0)
+        assert shape_excursion(commutator_schedule(1.0)) == pytest.approx(1.0)
 
     def test_linear_in_amplitude(self):
-        s = commutator_schedule(1, 2, 1.0)
+        s = commutator_schedule(1.0)
         halved = ControlSchedule(tuple(ControlSegment(c, a / 2, d) for c, a, d in s.segments))
         assert shape_excursion(halved) == pytest.approx(0.5)
 

@@ -104,7 +104,7 @@ class TestPlanLine:
 
 class TestPlanPolygon:
     def test_ten_gon_geometry(self):
-        plan = plan_polygon((0.0, 0.0), 0.20, 10)
+        plan = plan_polygon(0.20, 10)
         assert math.degrees(plan.turn) == pytest.approx(36.0)
         assert plan.side_length == pytest.approx(2 * 0.2 * math.sin(math.pi / 10))
         assert plan.side_length == pytest.approx(0.1236, abs=1e-4)
@@ -113,32 +113,32 @@ class TestPlanPolygon:
         assert plan.path.points[0] == pytest.approx(plan.path.points[-1])
 
     def test_square_side(self):
-        plan = plan_polygon((0.0, 0.0), 1.0, 4)
+        plan = plan_polygon(1.0, 4)
         assert plan.side_length == pytest.approx(math.sqrt(2.0))
 
     def test_exterior_turns_sum_to_full_circle(self):
         for sides in (3, 5, 10, 17):
-            plan = plan_polygon((0.0, 0.0), 1.0, sides)
+            plan = plan_polygon(1.0, sides)
             total = sum(m.magnitude for m in plan.maneuvers if m.kind == "rotate")
             assert total == pytest.approx(2 * math.pi)
 
     def test_vertices_on_circle(self):
-        plan = plan_polygon((0.3, -0.2), 0.5, 7)
+        plan = plan_polygon(0.5, 7)
         for px, py in plan.path.points:
-            assert math.hypot(px - 0.3, py + 0.2) == pytest.approx(0.5)
+            assert math.hypot(px, py) == pytest.approx(0.5)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValidationError):
-            plan_polygon((0, 0), 1.0, 2)
+            plan_polygon(1.0, 2)
         with pytest.raises(ValidationError):
-            plan_polygon((0, 0), 0.0, 5)
+            plan_polygon(0.0, 5)
 
     def test_rejects_unbounded_sizes(self):
         with pytest.raises(ValidationError, match=f"3 to {MAX_SIDES} sides"):
-            plan_polygon((0, 0), 1.0, MAX_SIDES + 1)
+            plan_polygon(1.0, MAX_SIDES + 1)
         for radius in (math.inf, math.nan):
             with pytest.raises(ValidationError, match="positive and finite"):
-                plan_polygon((0, 0), radius, 5)
+                plan_polygon(radius, 5)
 
 
 class TestCompile:
@@ -242,7 +242,7 @@ def _scanned_ends(traj, plan):
 def test_tracking_finds_the_ends_the_scan_finds():
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
     calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
-    plan = plan_polygon((0.0, 0.0), 0.2, 10)    # criterion 08's 10-gon
+    plan = plan_polygon(0.2, 10)    # criterion 08's 10-gon
     compiled = compile_maneuvers(plan.maneuvers, calib)
     traj = simulate(compiled.schedule, Configuration(ShapePoint(0.0, 0.0), plan.start_pose),
                     PARAMS, cfg)

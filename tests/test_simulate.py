@@ -143,7 +143,7 @@ def test_single_segment_shape_is_exact():
 
 
 def test_sample_times_strictly_increase():
-    sched = commutator_schedule(1, 2, 0.09)
+    sched = commutator_schedule(0.09)
     traj = simulate(sched, ORIGIN, PARAMS, CFG)
     assert np.all(np.diff(traj.t) > 0)
     assert np.all(np.diff(traj.segment) >= 0)
@@ -151,7 +151,7 @@ def test_sample_times_strictly_increase():
 
 def test_square_gait_matches_bracket_and_euler_oracle():
     eps = 0.1
-    sched = commutator_schedule(1, 2, eps * eps)
+    sched = commutator_schedule(eps * eps)
     traj = simulate(sched, ORIGIN, PARAMS, CFG)
     delta = net_displacement(traj).delta
     got = np.array([delta.x, delta.y, delta.theta])
@@ -183,7 +183,7 @@ def test_square_gait_leakage_ratio_shrinks_with_eps():
     # eps; at these parameters the 0.15 bound is met from eps = 0.02 down
     ratios = []
     for eps in (0.05, 0.02):
-        sched = commutator_schedule(1, 2, eps * eps)
+        sched = commutator_schedule(eps * eps)
         d = net_displacement(simulate(sched, ORIGIN, PARAMS, CFG)).delta
         assert abs(d.y) < 0.15 * abs(d.x)
         ratios.append(abs(d.theta) / abs(d.x))
@@ -192,7 +192,7 @@ def test_square_gait_leakage_ratio_shrinks_with_eps():
 
 
 def test_group_equivariance():
-    sched = commutator_schedule(1, 2, 0.25)
+    sched = commutator_schedule(0.25)
     base = simulate(sched, ORIGIN, PARAMS, CFG)
     g0 = GroupPose(0.4, -0.7, 1.1)
     moved = simulate(sched, Configuration(ShapePoint(0.0, 0.0), g0), PARAMS, CFG)
@@ -249,7 +249,7 @@ def test_commuting_pair_square_cancels(monkeypatch):
                         lambda a1, a2, u1, u2, params: (0.3 * u1, 0.2 * u2, 0.0))
     errors = []
     for eps in (0.2, 0.1, 0.05):
-        sched = commutator_schedule(1, 2, eps * eps)
+        sched = commutator_schedule(eps * eps)
         traj = simulate(sched, ORIGIN, PARAMS, CFG)
         d = net_displacement(traj).delta
         errors.append(math.hypot(d.x, d.y) + abs(d.theta))
@@ -354,7 +354,7 @@ def test_body_frame_reuse_matches_the_world_frame_loop(parts, shape, pose):
 
 
 def test_integer_start_shape_matches_float_start():
-    sched = repeat(commutator_schedule(1, 2, 0.01), 3)
+    sched = repeat(commutator_schedule(0.01), 3)
     ints = Configuration(ShapePoint(0, 0), GroupPose(0, 0, 0))
     traj = simulate(sched, ints, PARAMS, CFG)
     assert_matches_reference(traj, reference_simulate(sched, ints, MODEL, CFG))
@@ -363,7 +363,7 @@ def test_integer_start_shape_matches_float_start():
 
 def test_moved_start_moves_every_reference_sample():
     # left invariance, checked against the loop that integrates in the world frame
-    sched = repeat(commutator_schedule(1, 2, 0.25), 3)
+    sched = repeat(commutator_schedule(0.25), 3)
     base = reference_simulate(sched, ORIGIN, MODEL, CFG)
     for g0 in (GroupPose(0.4, -0.7, 1.1), GroupPose(-2.0, 3.0, _PI), GroupPose(0.0, 0.0, -3.1)):
         moved = simulate(sched, Configuration(ShapePoint(0.0, 0.0), g0), PARAMS, CFG)
@@ -409,7 +409,7 @@ def test_compiled_polygon_integrates_its_repeated_segments_once(monkeypatch):
     # distinct segments are integrated (10,428 calls against 9.2 M)
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
     calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
-    plan = plan_polygon((0.0, 0.0), 0.2, 10)
+    plan = plan_polygon(0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
     plain = ControlSchedule(compiled.schedule.segments)   # without the calibration's rows
@@ -418,7 +418,7 @@ def test_compiled_polygon_integrates_its_repeated_segments_once(monkeypatch):
 
 def test_copies_read_body_frame_rows_across_chunks():
     # 40,000 rows: later cycles copy rows that lie chunks behind them
-    sched = repeat(commutator_schedule(1, 2, 0.01), 100)
+    sched = repeat(commutator_schedule(0.01), 100)
     q0 = Configuration(ShapePoint(0.2, -0.1), GroupPose(0.5, 0.5, 3.0))
     traj = simulate(sched, q0, PARAMS, CFG)
     assert len(traj) > 2 * sim._CHUNK
@@ -544,7 +544,7 @@ def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
     # criterion 08's plan at a coarser step: 1.15 M rows a run, compared by digest
     cfg = IntegratorConfig(h=1e-2, min_substeps=16)
     calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
-    plan = plan_polygon((0.0, 0.0), 0.2, 10)
+    plan = plan_polygon(0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
     cold = []
@@ -579,7 +579,7 @@ def test_compiling_integrates_nothing_and_the_first_simulate_adds_reversals(monk
 def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
     # a table is read and written only under its own parameters and
     # integrator config, even where another config gives the same step counts
-    sched = repeat(commutator_schedule(1, 2, 0.01), 2)
+    sched = repeat(commutator_schedule(0.01), 2)
     table = SegmentTable(PARAMS, IntegratorConfig(h=1.0, min_substeps=16))
     carried = ControlSchedule(sched.segments, rows=table)
     simulate(carried, ORIGIN, PARAMS, table.cfg)
@@ -603,7 +603,7 @@ def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
 def test_a_schedule_that_never_repeats_a_segment_adds_each_one_once():
     # a schedule from any start shape adds its own distinct segments; the
     # output is that of a run without the table
-    table = _fresh_table([commutator_schedule(1, 2, 0.01)], ORIGIN, CFG)
+    table = _fresh_table([commutator_schedule(0.01)], ORIGIN, CFG)
     rng = np.random.default_rng(3)
     schedules = []
     for _ in range(5):
@@ -614,7 +614,7 @@ def test_a_schedule_that_never_repeats_a_segment_adds_each_one_once():
         assert_same_bits(traj, simulate(ControlSchedule(segs), ORIGIN, PARAMS, CFG))
     assert len(table.segments) == 4 + 5 * 20
     assert_same_entries(table, _fresh_table(
-        [commutator_schedule(1, 2, 0.01)] + schedules, ORIGIN, CFG))
+        [commutator_schedule(0.01)] + schedules, ORIGIN, CFG))
 
 
 def test_signed_zero_starts_never_share_table_rows(monkeypatch):

@@ -69,3 +69,16 @@ def test_star_import_binds_exactly_all():
     public = {name for name, value in vars(purcell).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(purcell.__all__)
+
+
+def test_main_catches_every_error_class():
+    # each error class reaches its exit code through an `except` clause of
+    # cli.main that names it, not only as a subclass of a class named there
+    errors = ast.parse((ROOT / "src" / "purcell" / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    cli = ast.parse((ROOT / "src" / "purcell" / "cli.py").read_text())
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {name for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)
+              and handler.type is not None for name in _reads(handler.type)}
+    assert defined and not defined - caught, f"not caught by name: {defined - caught}"
