@@ -24,7 +24,22 @@ from .selftest import (LADDER, commutator_probe, leakage_ratios, rank_sweep,
 from .simulate import net_displacement, simulate
 
 
+class _Once(argparse.Action):
+    """Store an option's value; a second occurrence is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _Once)   # every option that takes a value
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -284,7 +299,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="purcell",
                      description="3-link low-Reynolds swimmer: simulation, "
                                  "gait synthesis, and open-loop planning")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
     _key_flag(common, "--out", "run.out", "output directory")
     common.add_argument("--quiet", action="store_true",

@@ -202,8 +202,9 @@ def basis_specs(cfg: RunConfig) -> dict:
     specs = dict(cfg.gaits)
     if cfg.x_composite:
         x = cfg.gaits["x"]
-        if x.beta != 0.0 or x.gamma != 0.0:
-            raise ValidationError("gait.x.composite needs gait.x.beta = gait.x.gamma = 0")
+        if x.beta != 0.0 or x.gamma != 0.0 or x.n != 1:
+            raise ValidationError("gait.x.composite needs gait.x.beta = gait.x.gamma = 0 "
+                                  "and gait.x.n = 1")
         specs["x"] = composite_square_gait(x.t, scale=x.alpha)
     return specs
 

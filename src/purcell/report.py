@@ -3,8 +3,9 @@
 Both writers are deterministic: identical inputs give byte-identical files.
 The bytes are those of `%` applied to each value on its own ('%.15g' and
 '%d' in the CSV, '%.2f' for polyline points), but a block of CHUNK rows or
-points is laid out at once by the numpy decimal kernel below; values in
-exponent notation, nan and inf go through `%` one at a time.
+points is laid out at once by the numpy decimal kernel below.  Each writer
+refuses at entry what the kernel cannot spell; CSV values in exponent
+notation, nan and inf go through `%` one at a time.
 """
 
 import math
@@ -20,18 +21,6 @@ CSV_HEADER = ",".join(COLUMNS)
 # Rows (CSV) or points (SVG) formatted and written at once: at most about
 # 0.5 MB of temporaries, whatever the length of the trajectory.
 CHUNK = 512
-
-_CSV_ROW = ",".join(["%.15g"] * 9 + ["%d"]) + "\n"
-
-
-def _format_rows(template: str, rows: np.ndarray, sep: str = "") -> str:
-    """`template` filled from each row of the 2-D array `rows`, rows joined
-    by `sep`.
-
-    `%` uses the same float formatting as `format`, so a row reads exactly
-    as if each value were formatted on its own.
-    """
-    return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 # ------------------------------------------------------------ decimal kernel
@@ -164,16 +153,13 @@ def _g15_digits(v: np.ndarray):
 
 
 def _csv_lines(rows: np.ndarray):
-    """The CSV lines of `rows`, each ending in LF."""
-    seg = rows[:, 9]
-    if not np.all((np.abs(seg) < 1e15) & (seg == np.floor(seg))):
-        return _format_rows(_CSV_ROW, rows).encode()
+    """The CSV lines of `rows`, each ending in LF; segments are integers below 1e15."""
     raw, buf = _records((len(rows), 71))   # a record of 7 words per value, then LF
     recs = buf[:, :70].reshape(len(rows), 10, 7)
     buf[:, 70] = _LF
     q, k, rest = _g15_digits(rows)
     neg = np.signbit(rows).view(np.uint8)
-    neg[:, 9] = seg < 0   # '%d' % -0.0 is '0'; otherwise '%d' spells seg as '%.15g' does
+    neg[:, 9] = rows[:, 9] < 0   # '%d' % -0.0 is '0'; else '%d' spells it as '%.15g' does
     recs[..., 0] = _G_SIGN.take(k + 19 * neg, mode="clip") + _CSV_SEPS
     recs[..., 1] = _G_ZEROS.take(k, mode="clip")
     k += k
@@ -192,26 +178,17 @@ def _csv_lines(rows: np.ndarray):
     return raw.translate(None, b"\0")
 
 
-_F2_SIGN = _words(["", "\0-"])
 _F2_SEPS = _words(" ,")
 
 
 def _points(v: np.ndarray) -> str:
-    """'%.2f,%.2f' of each (x, y) row of v, rows joined by a space."""
-    a = np.abs(v)
-    if not a.max() < 1e12:   # also nan
-        return _format_rows("%.2f,%.2f", v, " ")
-    q = _nearest(a, 100.0).astype(np.int64)
-    groups = (len(str(q.max())) + 2) // 3   # the last holds the point
-    raw, recs = _records(v.shape + (groups + 1,))
-    recs[..., 0] = _F2_SIGN.take(np.signbit(v)) + _F2_SEPS
+    """'%.2f,%.2f' of each (x, y) row of v, rows joined by a space; 0 <= v < 1000."""
+    q = _nearest(v, 100.0).astype(np.int64)
+    raw, recs = _records(v.shape + (3,))
+    recs[..., 0] = _F2_SEPS
     recs.view(np.uint8)[0, 0, 0] = 0   # no separator before the first point
-    form = 1000 * _P1
-    for i in range(groups, 0, -1):
-        top = q // 1000
-        recs[..., i] = _WORDS.take(form + (q - 1000 * top), mode="clip")
-        form = 1000 * _LEAD * (top < 1000)   # no digit before the next group; _FULL is 0
-        q = top
+    recs[..., 1] = _WORDS.take(1000 * _LEAD + q // 1000)
+    recs[..., 2] = _WORDS.take(1000 * _P1 + q % 1000)
     return raw.translate(None, b"\0").decode()
 
 
@@ -219,6 +196,9 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> str:
     """One row per sample, 15 significant digits, LF line endings."""
     if len(traj) == 0:
         raise ValidationError("refusing to write an empty trajectory")
+    seg = traj.segment
+    if not np.all((np.abs(seg) < 1e15) & (seg == np.floor(seg))):   # also nan
+        raise ValidationError(f"cannot write {path}: segments must be integers below 1e15")
     try:
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
@@ -253,11 +233,7 @@ _WIDTH, _HEIGHT, _MARGIN = 640, 480, 64
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
-    if not 0.0 < span / count < math.inf:   # nan or inf bounds, or a span that underflows
-        raise ValidationError(f"cannot place axis ticks on [{lo!r}, {hi!r}]")
     step = 10.0 ** math.floor(math.log10(span / count))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= count:
@@ -334,6 +310,18 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
     def to_px(x, y):
         return (_MARGIN + (x - x_lo) * sx, _HEIGHT - _MARGIN - (y - y_lo) * sy)
 
+    # Refuse a box of no or infinite size in pixels (a scale or recentred bound
+    # that overflows), or one that rounding a span of a few ulps moved off the
+    # data.  to_px is monotone, so every point then lands in the plot area, the
+    # domain of _points, and _ticks gets a span it can divide.
+    ax_x0, ax_y0 = to_px(x_lo, y_lo)
+    ax_x1, ax_y1 = to_px(x_hi, y_hi)
+    ends = [to_px(float(x), float(y)) for x, y in zip(xs, ys)]
+    if not (ax_x0 < ax_x1 < math.inf and -math.inf < ax_y1 < ax_y0 and all(
+            _MARGIN - 1 <= px <= _WIDTH - _MARGIN + 1
+            and _MARGIN - 1 <= py <= _HEIGHT - _MARGIN + 1 for px, py in ends)):
+        raise ValidationError("cannot plot values whose span is too small or too large to scale")
+
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
@@ -341,8 +329,6 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
         out.append(f'<text x="{_WIDTH/2:.1f}" y="24" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="15">{_text(title)}</text>')
 
-    ax_x0, ax_y0 = to_px(x_lo, y_lo)
-    ax_x1, ax_y1 = to_px(x_hi, y_hi)
     out.append(f'<line x1="{ax_x0:.1f}" y1="{ax_y0:.1f}" x2="{ax_x1:.1f}" '
                f'y2="{ax_y0:.1f}" stroke="black" stroke-width="1"/>')
     out.append(f'<line x1="{ax_x0:.1f}" y1="{ax_y0:.1f}" x2="{ax_x0:.1f}" '
@@ -385,10 +371,7 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
                 else:
                     fh.write('<polyline points="')
                     for lo in range(0, len(x), CHUNK):
-                        # numpy rounds each operation of to_px as Python floats do,
-                        # but warns where they were silent (overflow to inf, nan)
-                        with np.errstate(all="ignore"):
-                            px, py = to_px(x[lo:lo + CHUNK], y[lo:lo + CHUNK])
+                        px, py = to_px(x[lo:lo + CHUNK], y[lo:lo + CHUNK])
                         if lo:
                             fh.write(" ")
                         fh.write(_points(np.column_stack((px, py))))

@@ -130,6 +130,21 @@ def test_simulate_svgs_escape_the_schedule_name(tmp_path, capsys):
         assert title in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
+@pytest.mark.parametrize("rate", ["3e-323", "1e-307"])
+def test_simulate_of_a_tiny_rate_exits_one(tmp_path, rate):
+    # joint angles spanning so little that the shape plot's scale overflows;
+    # the CSV and the path plot, written before it, stay
+    (tmp_path / "tiny.txt").write_text(f"1 {rate} 1.0\n")
+    out = tmp_path / "o"
+    code, _, err = run_process(["simulate", "--schedule", "tiny.txt", "--out", str(out),
+                                "--quiet"], tmp_path)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for svg in out.glob("*.svg"):
+        assert "inf" not in svg.read_text() and "nan" not in svg.read_text()
+
+
 def test_simulate_empty_schedule_exits_one(tmp_path, capsys):
     sched = tmp_path / "empty.txt"
     sched.write_text("# nothing here\n")
@@ -266,6 +281,8 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["coefficients", "--config", "inf_L.cfg"],
     # a key set twice in one file
     ["coefficients", "--config", "twice.cfg"],
+    # the composite x gait has no repeat count to honour
+    ["synthesize", "--direction", "x", "--config", "composite_x_n.cfg"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -278,6 +295,7 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
         "inf_x_t.cfg": "gait.x.t = inf\n",
         # the composite x gait has no beta or gamma term to honour
         "composite_x_beta.cfg": "gait.x.beta = 0.5\n",
+        "composite_x_n.cfg": "gait.x.n = 3\n",
         "inf_duration.txt": "1 0.5 inf\n",
         "huge_duration.txt": "1 0.5 1e300\n",
         "huge_x_t.cfg": "gait.x.t = 1e300\n",
@@ -299,6 +317,21 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""   # a refused run prints no result
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--direction", "theta", "--out", "a", "--out", "b"],   # a key flag
+    ["synthesize", "--direction", "x", "--direction", "theta"],   # a choice
+    ["analyze", "--grid", "1", "--grid", "2"],                    # a typed value
+    ["coefficients", "--config", "a.cfg", "--config", "b.cfg"],   # a path
+    ["selftest", "--only", "nope", "--only", "none"],             # a list
+])
+def test_option_given_twice_exits_one(tmp_path, argv):
+    code, out, err = run_process(argv, tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: purcell ")
+    assert err.endswith(f"\nerror: argument {argv[-2]}: given twice\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_takes_no_rank_tolerance(capsys):
@@ -508,6 +541,21 @@ def test_simulate_config_fuzz_exits_cleanly(values, cfd):
             fh.write("1 0.5 0.1\n2 -0.5 0.1\n")
         argv = ["simulate", "--schedule", schedule, "--out", os.path.join(tmp, "o"),
                 "--config", config]
+        assert _exit_code(argv) in (0, 1, 2)
+
+
+SCHEDULE_VALUES = ["5e-324", "3e-323", "1e-307", "1e-300", "0.5", "1e300", "inf", "nan"]
+
+
+@example([(1, "3e-323", "0.5")])   # a shape plot whose scale overflows
+@given(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from(SCHEDULE_VALUES),
+                          st.sampled_from(SCHEDULE_VALUES)), min_size=1, max_size=3))
+def test_schedule_fuzz_exits_cleanly(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        schedule = os.path.join(tmp, "fuzz.txt")
+        with open(schedule, "w") as fh:
+            fh.write("".join(f"{c} {amplitude} {duration}\n" for c, amplitude, duration in lines))
+        argv = ["simulate", "--schedule", schedule, "--out", os.path.join(tmp, "o")]
         assert _exit_code(argv) in (0, 1, 2)
 
 

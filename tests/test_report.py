@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -161,12 +162,30 @@ def assert_csv_matches(traj, tmp_path):
     assert new == ref
 
 
+def polyline_pixels(svg: bytes) -> np.ndarray:
+    """The (x, y) pixels of every polyline point of `svg`."""
+    points = b" ".join(re.findall(rb'<polyline points="([^"]*)"', svg))
+    return np.array(points.replace(b",", b" ").split(), dtype=float).reshape(-1, 2)
+
+
+def in_plot_area(pixels: np.ndarray) -> bool:
+    """Whether every pixel lies in the plot area, give or take a pixel (nan
+    and inf do not)."""
+    x, y = pixels.T
+    return bool(np.all((x >= _MARGIN - 1) & (x <= _WIDTH - _MARGIN + 1)
+                       & (y >= _MARGIN - 1) & (y <= _HEIGHT - _MARGIN + 1)))
+
+
 def assert_svg_matches(tmp_path, series, **kw):
     """Same bytes as the reference; where the reference fails (on nan, inf,
-    or a span that rounds to 0 or overflows) the writer refuses the data."""
+    or a span that rounds to 0 or overflows) or puts a point off the plot
+    area, the writer refuses the data."""
     new = _outcome(lambda p: write_plot_svg(p, series, **kw), tmp_path / "new.svg")
     ref = _outcome(lambda p: reference_svg(p, series, **kw), tmp_path / "ref.svg")
-    assert new is ValidationError if isinstance(ref, type) else new == ref
+    if isinstance(ref, type) or not in_plot_area(polyline_pixels(ref)):
+        assert new is ValidationError
+    else:
+        assert new == ref
 
 
 def columns_trajectory(n, rng, values=None):
@@ -295,6 +314,20 @@ class TestSvg:
 LENGTHS = (1, *(m * CHUNK + d for m in (1, 2, 4, 8) for d in (-1, 0, 1)), 16 * CHUNK + 1)
 
 
+# Finite values with magnitudes from 5e-324 to 1.7e308 (and 0): drawn freely,
+# a few ulps apart, or as -m, 0 and m, where rounding moves a box that small.
+FINITE = st.floats(-1.7e308, 1.7e308)
+
+
+def plot_coords(n):
+    ulps = st.tuples(FINITE, st.lists(st.integers(-3, 3), min_size=n, max_size=n)).map(
+        lambda b: [b[0] + k * np.spacing(b[0]) for k in b[1]])
+    signs = st.tuples(st.floats(5e-324, 1.7e308),
+                      st.lists(st.integers(-1, 1), min_size=n, max_size=n)).map(
+        lambda b: [k * b[0] for k in b[1]])
+    return st.lists(FINITE, min_size=n, max_size=n) | ulps | signs
+
+
 class TestChunkedWritersMatchReference:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_csv_lengths(self, tmp_path, n):
@@ -364,6 +397,16 @@ class TestChunkedWritersMatchReference:
         with tempfile.TemporaryDirectory() as tmp:
             assert_svg_matches(pathlib.Path(tmp), [{"x": xy[0], "y": xy[1], "label": "s"}],
                                kind=kind)
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(plot_coords(n), plot_coords(n))),
+           st.sampled_from(("path", "time-series")),
+           st.none() | st.tuples(FINITE, FINITE, FINITE))
+    def test_plot_box_property(self, xy, kind, circle):
+        """Finite values of any magnitude: the writer refuses them, or writes
+        the reference's bytes with every polyline point in the plot area."""
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_svg_matches(pathlib.Path(tmp), [{"x": xy[0], "y": xy[1], "label": "s"}],
+                               kind=kind, circle=circle)
 
     def test_plan_line_end_to_end(self, tmp_path):
         cfg = IntegratorConfig(h=2e-3, min_substeps=8)
@@ -470,27 +513,29 @@ class TestDecimalKernel:
         segments = [-1.0, -0.0, 999999999999999.0, -999999999999999.0, 0.0, 1.0]
         assert_fields(csv_fields(values + dyadic.tolist(), segments * 4000))
 
-    def test_segments_the_kernel_cannot_spell(self):
-        # a block with any of these goes through `%` whole, and reads the same
-        for odd in (1e15, -1e15, 0.5, 2.0 ** 60):
-            assert_fields(csv_fields([0.1], [3.0, odd, -0.0]))
-        for odd in (math.nan, math.inf):
-            with pytest.raises((ValueError, OverflowError)):
-                report._csv_lines(np.array([[0.0] * 9 + [odd]]))
+    def test_segments_the_kernel_cannot_spell(self, tmp_path):
+        # write_trajectory_csv refuses them before it opens the file
+        path = tmp_path / "odd.csv"
+        for odd in (2.5, -0.5, 1e15, -1e15, 2.0 ** 60, math.nan, math.inf):
+            traj = trajectory_from_columns(*[np.full(3, 0.1)] * 9,
+                                           segment=np.array([3.0, odd, -0.0]))
+            with pytest.raises(ValidationError, match="segments must be integers below 1e15"):
+                write_trajectory_csv(traj, str(path))
+            assert not path.exists()
 
     def test_f2_bit_patterns(self):
+        # the domain of _points: write_plot_svg refuses data it would map elsewhere
         rng = np.random.default_rng(17)
-        values = bit_patterns(rng, 400_000, top=39)
-        values = values[np.abs(values) < 1e12]   # a block with a larger value goes to `%`
-        values = np.concatenate((values, [0.0, -0.0, 5e-324, -5e-324, 999999999999.995,
-                                          np.nextafter(1e12, 0.0), -0.001, 0.005, 2.675]))
+        values = np.abs(bit_patterns(rng, 400_000, top=9))
+        values = values[values < 1000.0]
+        values = np.concatenate((values, [0.0, 5e-324, 999.995, np.nextafter(1000.0, 0.0),
+                                          0.001, 0.005, 2.675, 64.0, 576.0]))
         assert len(values) > 200_000
         assert_fields(point_fields(values))
         rng = np.random.default_rng(18)   # dyadic values, many of them ties
-        dyadic = rng.integers(-2 ** 40, 2 ** 40, size=20_000) / 2.0 ** rng.integers(0, 30,
-                                                                                    size=20_000)
+        bits = rng.integers(0, 30, size=20_000)
+        dyadic = rng.integers(0, 1000 * 2 ** bits) / 2.0 ** bits
         assert_fields(point_fields(dyadic))
-        assert_fields(point_fields([1.0, math.nan, 1e12, -math.inf, 2.5, 1e300]))
 
     def test_table_words_spell_their_strings(self):
         def text(word):
@@ -512,7 +557,6 @@ class TestDecimalKernel:
                 assert text(report._G_SIGN[19 * negative + k]) == (
                     "-" * negative + ("0." if k > 14 else ""))
             assert text(report._G_ZEROS[k]) == "0" * max(k - 15, 0)
-        assert [text(w) for w in report._F2_SIGN] == ["", "-"]
         assert [text(w) for w in report._F2_SEPS] == [" ", ","]
         assert text(report._LF) == "\n"
 
