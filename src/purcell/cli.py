@@ -17,7 +17,7 @@ from .lie import solve_bracket_coefficients
 from .model import Configuration, ShapePoint
 from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
-from .report import check_out_dir, ensure_out_dir, write_plot_svg, write_trajectory_csv
+from .report import check_out_dir, ensure_out_dir, plot_svg, write_trajectory_csv
 from .se2 import GroupPose
 from .selftest import (LADDER, commutator_probe, leakage_ratios, rank_sweep,
                        run_acceptance, variant_slopes)
@@ -142,29 +142,32 @@ def _write_schedule(schedule, out_dir, name, comment, rep):
 
 
 def _run_files(stem):
-    """The CSV and the two SVGs _write_run_outputs writes for `stem`."""
+    """The CSV and the two SVGs _run_outputs writes for `stem`."""
     return [f"{stem}.csv", f"{stem}_path.svg", f"{stem}_shape.svg"]
 
 
-def _write_run_outputs(traj, out_dir, stem, rep, max_rows, circle=None, overlay=None):
-    """CSV and two SVGs of every (len(traj) // max_rows)-th sample of `traj`."""
+def _run_outputs(traj, stem, max_rows, circle=None, overlay=None):
+    """Check the two plots of every (len(traj) // max_rows)-th sample of
+    `traj`, and return write(out_dir, rep), which writes them and the CSV:
+    commands call this before their first result line."""
     traj = traj.decimate(max(1, len(traj) // max_rows))
-    out = ensure_out_dir(out_dir)
-    csv_path, svg_path, ts_path = (os.path.join(out, name) for name in _run_files(stem))
-    write_trajectory_csv(traj, csv_path)
-    rep.artifact(csv_path)
     series = [{"x": traj.x, "y": traj.y, "label": "base link path"}]
     if overlay is not None:
         series.append(overlay)
-    write_plot_svg(svg_path, series, kind="path", title=f"{stem}: base-link path",
-                   xlabel="x (m)", ylabel="y (m)", circle=circle)
-    rep.artifact(svg_path)
-    write_plot_svg(ts_path,
-                   [{"x": traj.t, "y": traj.alpha1, "label": "alpha1"},
-                    {"x": traj.t, "y": traj.alpha2, "label": "alpha2"}],
-                   kind="time-series", title=f"{stem}: joint angles",
-                   xlabel="t (s)", ylabel="angle (rad)")
-    rep.artifact(ts_path)
+    plots = [plot_svg(series, kind="path", title=f"{stem}: base-link path",
+                      xlabel="x (m)", ylabel="y (m)", circle=circle),
+             plot_svg([{"x": traj.t, "y": traj.alpha1, "label": "alpha1"},
+                       {"x": traj.t, "y": traj.alpha2, "label": "alpha2"}],
+                      kind="time-series", title=f"{stem}: joint angles",
+                      xlabel="t (s)", ylabel="angle (rad)")]
+
+    def write(out_dir, rep):
+        out = ensure_out_dir(out_dir)
+        csv_path, *svg_paths = (os.path.join(out, name) for name in _run_files(stem))
+        rep.artifact(write_trajectory_csv(traj, csv_path))
+        for plot, path in zip(plots, svg_paths):
+            rep.artifact(plot(path))
+    return write
 
 
 def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
@@ -179,12 +182,13 @@ def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
         raise ValidationError(f"schedule {args.schedule} contains no segments")
     traj = simulate(schedule, STRAIGHT, cfg.params, cfg.integrator)
     nd = net_displacement(traj)
+    write_outputs = _run_outputs(traj, stem, 20000)   # before any result line: a plot may refuse
     rep.scalar("samples", len(traj))
     rep.scalar("net_dx_m", f"{nd.delta.x:.9g}")
     rep.scalar("net_dy_m", f"{nd.delta.y:.9g}")
     rep.scalar("net_dtheta_rad", f"{nd.delta.theta:.9g}")
     rep.scalar("shape_closure", f"{nd.shape_closure:.3e}")
-    _write_run_outputs(traj, cfg.out_dir, stem, rep, 20000)
+    write_outputs(cfg.out_dir, rep)
     return 0
 
 
@@ -226,9 +230,11 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
     maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
     calib = _calibration(cfg, rep)
-    # compiled and run before any result line: either may refuse
+    # compiled, run and plotted before any result line: each may refuse
     compiled = compile_maneuvers(maneuvers, calib)
     traj = simulate(compiled.schedule, STRAIGHT, cfg.params, cfg.integrator)
+    overlay = {"x": [0.0, target[0]], "y": [0.0, target[1]], "label": "planned line"}
+    write_outputs = _run_outputs(traj, "plan_line", 20000, overlay=overlay)
     rep.scalar("rotate_deg", f"{math.degrees(maneuvers[0].magnitude):.6g}")
     rep.scalar("translate_m", f"{maneuvers[1].magnitude:.6g}")
     for span in compiled.spans:
@@ -240,8 +246,7 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     err = math.hypot(final.x - target[0], final.y - target[1])
     rep.scalar("final_pose", f"({final.x:.6g}, {final.y:.6g}, {final.theta:.6g})")
     rep.scalar("target_error_m", f"{err:.6g}")
-    overlay = {"x": [0.0, target[0]], "y": [0.0, target[1]], "label": "planned line"}
-    _write_run_outputs(traj, cfg.out_dir, "plan_line", rep, 20000, overlay=overlay)
+    write_outputs(cfg.out_dir, rep)
     _write_schedule(compiled.schedule, cfg.out_dir, "plan_line_schedule.txt",
                     "compiled line plan", rep)
     return 0
@@ -251,12 +256,15 @@ def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     check_out_dir(cfg.out_dir, _run_files("plan_circle") + ["plan_circle_schedule.txt"])
     plan = plan_polygon(cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
-    # compiled, run and fitted before any result line: each may refuse
+    # compiled, run, fitted and plotted before any result line: each may refuse
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
     traj = simulate(compiled.schedule, q0, cfg.params, cfg.integrator)
     track = tracking_report(plan.path, traj, compiled)
     circle = fit_circle(track.achieved)
+    overlay = {"x": [p[0] for p in plan.path.points], "y": [p[1] for p in plan.path.points],
+               "label": "planned polygon"}
+    write_outputs = _run_outputs(traj, "plan_circle", 50000, circle=circle, overlay=overlay)
     rep.scalar("side_length_m", f"{plan.side_length:.6g}")
     rep.scalar("turn_deg", f"{math.degrees(plan.turn):.6g}")
     rep.scalar("segments", len(compiled.schedule))
@@ -268,11 +276,7 @@ def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     rep.scalar("closure_error_m", f"{track.closure_error:.6g}")
     rep.scalar("fit_radius_m", f"{circle[2]:.6g}")
     rep.scalar("fit_center", f"({circle[0]:.6g}, {circle[1]:.6g})")
-    px = [p[0] for p in plan.path.points]
-    py = [p[1] for p in plan.path.points]
-    overlay = {"x": px, "y": py, "label": "planned polygon"}
-    _write_run_outputs(traj, cfg.out_dir, "plan_circle", rep, 50000,
-                       circle=circle, overlay=overlay)
+    write_outputs(cfg.out_dir, rep)
     _write_schedule(compiled.schedule, cfg.out_dir, "plan_circle_schedule.txt",
                     "compiled polygon plan", rep)
     return 0

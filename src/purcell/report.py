@@ -2,10 +2,10 @@
 
 Both writers are deterministic: identical inputs give byte-identical files.
 The bytes are those of `%` applied to each value on its own ('%.15g' and
-'%d' in the CSV, '%.2f' for polyline points), but a block of CHUNK rows or
-points is laid out at once by the numpy decimal kernel below.  Each writer
-refuses at entry what the kernel cannot spell; CSV values in exponent
-notation, nan and inf go through `%` one at a time.
+'%d' in the CSV, '%.2f' for polyline points), but a block of 512 CSV rows or
+2,048 polyline points is laid out at once by the numpy decimal kernel below.
+Each writer refuses at entry what the kernel cannot spell; CSV values in
+exponent notation, nan and inf go through `%` one at a time.
 """
 
 import math
@@ -18,9 +18,10 @@ from .simulate import COLUMNS, Trajectory
 
 CSV_HEADER = ",".join(COLUMNS)
 
-# Rows (CSV) or points (SVG) formatted and written at once: at most about
-# 0.5 MB of temporaries, whatever the length of the trajectory.
+# CSV rows, and polyline points of two words a coordinate, formatted and written
+# at once: at most about 0.5 MB of temporaries, whatever the trajectory's length.
 CHUNK = 512
+SVG_CHUNK = 4 * CHUNK
 
 
 # ------------------------------------------------------------ decimal kernel
@@ -40,8 +41,8 @@ def _words(texts) -> np.ndarray:
 # Forms of a group of three digits: as is, with trailing or leading zeros
 # dropped, and with a point after its first, second or third digit; the
 # _TRIM forms drop trailing zeros after the point, and the point when no
-# digit follows it.
-_FULL, _TRIM, _LEAD, _P1, _P1_TRIM, _P2, _P2_TRIM, _P3 = range(8)
+# digit follows it; _SPACE_LEAD and _COMMA_LEAD are _LEAD after a separator.
+_FULL, _TRIM, _LEAD, _P1, _P1_TRIM, _P2, _P2_TRIM, _P3, _SPACE_LEAD, _COMMA_LEAD = range(10)
 
 
 def _digit_words() -> np.ndarray:
@@ -49,7 +50,7 @@ def _digit_words() -> np.ndarray:
     g = np.arange(1000)
     d = (np.stack((g // 100, g // 10 % 10, g % 10), axis=1) + ord("0")).astype(np.uint8)
     dot = ord(".")
-    t = np.zeros((8, 1000, 4), np.uint8)
+    t = np.zeros((10, 1000, 4), np.uint8)
     t[[_FULL, _TRIM, _LEAD, _P3], :, :3] = d
     t[_P3, :, 3] = dot
     t[[_P1, _P1_TRIM], :, 0] = d[:, 0]
@@ -68,6 +69,8 @@ def _digit_words() -> np.ndarray:
     t[_LEAD, g < 100, 0] = 0
     t[_LEAD, g < 10, 1] = 0
     t[_LEAD, z3, 2] = 0
+    t[[_SPACE_LEAD, _COMMA_LEAD], :, 0] = np.frombuffer(b" ,", np.uint8)[:, None]
+    t[[_SPACE_LEAD, _COMMA_LEAD], :, 1:] = t[_LEAD, :, :3]
     return t.view(np.uint32).reshape(-1)
 
 
@@ -178,17 +181,16 @@ def _csv_lines(rows: np.ndarray):
     return raw.translate(None, b"\0")
 
 
-_F2_SEPS = _words(" ,")
+_F2_SEP = np.tile(np.int32([1000 * _SPACE_LEAD, 1000 * _COMMA_LEAD]), SVG_CHUNK)   # " x,y"
+_F2_SEP[0] = 1000 * _LEAD   # nothing before a block's first point
 
 
 def _points(v: np.ndarray) -> str:
     """'%.2f,%.2f' of each (x, y) row of v, rows joined by a space; 0 <= v < 1000."""
-    q = _nearest(v, 100.0).astype(np.int64)
-    raw, recs = _records(v.shape + (3,))
-    recs[..., 0] = _F2_SEPS
-    recs.view(np.uint8)[0, 0, 0] = 0   # no separator before the first point
-    recs[..., 1] = _WORDS.take(1000 * _LEAD + q // 1000)
-    recs[..., 2] = _WORDS.take(1000 * _P1 + q % 1000)
+    top, g = np.divmod(_nearest(v, 100.0).astype(np.int32), 1000)
+    raw, recs = _records(v.shape + (2,))
+    recs[..., 0] = _WORDS.take(top + _F2_SEP[:top.size].reshape(top.shape))
+    recs[..., 1] = _WORDS.take(g + 1000 * _P1)
     return raw.translate(None, b"\0").decode()
 
 
@@ -256,15 +258,17 @@ def _text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def write_plot_svg(path: str, series: list, kind: str = "path",
-                   title: str = "", circle: tuple = None,
-                   xlabel: str = "", ylabel: str = "") -> str:
-    """Render one or more polylines as a standalone SVG.
+def plot_svg(series: list, kind: str = "path", title: str = "", circle: tuple = None,
+             xlabel: str = "", ylabel: str = ""):
+    """Check one or more polylines for a standalone SVG, and return
+    write(path), which renders them there.
 
     `series` is a list of dicts with keys x, y (sequences) and label.  The
     title, axis labels and series labels are text: &, < and > are escaped.
     kind "path" keeps the aspect ratio square; "time-series" scales the axes
     independently.  `circle` draws an overlay (cx, cy, r) in data units.
+    Every refusal but a failed write comes before write, so a caller can
+    check all its plots before it writes any file.
     """
     if not series or any(len(s["x"]) == 0 for s in series):
         raise ValidationError("cannot plot empty series")
@@ -359,35 +363,43 @@ def write_plot_svg(path: str, series: list, kind: str = "path",
                    f'fill="none" stroke="#888888" stroke-width="1.5" '
                    f'stroke-dasharray="6 4"/>')
 
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(out) + "\n")
-            for i, (s_def, (x, y)) in enumerate(zip(series, points)):
-                color = _COLORS[i % len(_COLORS)]
-                if len(x) == 1:
-                    px, py = to_px(float(x[0]), float(y[0]))
-                    fh.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" '
-                             f'fill="{color}"/>\n')
-                else:
-                    fh.write('<polyline points="')
-                    for lo in range(0, len(x), CHUNK):
-                        px, py = to_px(x[lo:lo + CHUNK], y[lo:lo + CHUNK])
-                        if lo:
-                            fh.write(" ")
-                        fh.write(_points(np.column_stack((px, py))))
-                    fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
-                label = s_def.get("label", "")
-                if label:
-                    lx = _MARGIN + 10
-                    ly = _MARGIN + 16 * (i + 1)
-                    fh.write(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-                             f'stroke="{color}" stroke-width="2"/>\n'
-                             f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-                             f'font-size="11">{_text(label)}</text>\n')
-            fh.write("</svg>\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}")
-    return path
+    def write(path: str) -> str:
+        try:
+            with open(path, "w", newline="\n") as fh:
+                fh.write("\n".join(out) + "\n")
+                for i, (s_def, (x, y)) in enumerate(zip(series, points)):
+                    color = _COLORS[i % len(_COLORS)]
+                    if len(x) == 1:
+                        px, py = to_px(float(x[0]), float(y[0]))
+                        fh.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" '
+                                 f'fill="{color}"/>\n')
+                    else:
+                        fh.write('<polyline points="')
+                        for lo in range(0, len(x), SVG_CHUNK):
+                            px, py = to_px(x[lo:lo + SVG_CHUNK], y[lo:lo + SVG_CHUNK])
+                            if lo:
+                                fh.write(" ")
+                            fh.write(_points(np.column_stack((px, py))))
+                        fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+                    label = s_def.get("label", "")
+                    if label:
+                        lx = _MARGIN + 10
+                        ly = _MARGIN + 16 * (i + 1)
+                        fh.write(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                                 f'stroke="{color}" stroke-width="2"/>\n'
+                                 f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
+                                 f'font-size="11">{_text(label)}</text>\n')
+                fh.write("</svg>\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}")
+        return path
+    return write
+
+
+def write_plot_svg(path: str, series: list, kind: str = "path", title: str = "",
+                   circle: tuple = None, xlabel: str = "", ylabel: str = "") -> str:
+    """plot_svg's check and rendering of `series` at `path` in one call."""
+    return plot_svg(series, kind, title, circle, xlabel, ylabel)(path)
 
 
 def ensure_out_dir(out_dir: str) -> str:

@@ -132,17 +132,17 @@ def test_simulate_svgs_escape_the_schedule_name(tmp_path, capsys):
 
 @pytest.mark.parametrize("rate", ["3e-323", "1e-307"])
 def test_simulate_of_a_tiny_rate_exits_one(tmp_path, rate):
-    # joint angles spanning so little that the shape plot's scale overflows;
-    # the CSV and the path plot, written before it, stay
+    # joint angles spanning so little that the shape plot's scale overflows:
+    # refused, like every other input, before any result line or file
     (tmp_path / "tiny.txt").write_text(f"1 {rate} 1.0\n")
     out = tmp_path / "o"
-    code, _, err = run_process(["simulate", "--schedule", "tiny.txt", "--out", str(out),
-                                "--quiet"], tmp_path)
+    code, stdout, err = run_process(["simulate", "--schedule", "tiny.txt", "--out", str(out),
+                                     "--quiet"], tmp_path)
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
-    for svg in out.glob("*.svg"):
-        assert "inf" not in svg.read_text() and "nan" not in svg.read_text()
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_simulate_empty_schedule_exits_one(tmp_path, capsys):

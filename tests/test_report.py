@@ -22,8 +22,8 @@ from purcell.errors import ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, parse_schedule
 from purcell.model import Configuration, ShapePoint, default_params
 from purcell.planner import STRAIGHT, calibrate, compile_maneuvers, plan_line
-from purcell.report import (_COLORS, _HEIGHT, _MARGIN, _WIDTH, CHUNK, CSV_HEADER, _ticks,
-                            check_out_dir, read_trajectory_csv, write_plot_svg,
+from purcell.report import (_COLORS, _HEIGHT, _MARGIN, _WIDTH, CHUNK, CSV_HEADER, SVG_CHUNK,
+                            _ticks, check_out_dir, read_trajectory_csv, write_plot_svg,
                             write_trajectory_csv)
 from purcell.se2 import GroupPose
 from purcell.simulate import COLUMNS, IntegratorConfig, simulate
@@ -309,8 +309,9 @@ class TestSvg:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# Each side of the first, second, fourth and eighth chunk boundary, and one
-# past the sixteenth.
+# Each side of the first, second, fourth and eighth CSV block boundary, and
+# one past the sixteenth: for the polyline blocks of 4 * CHUNK points, each
+# side of the first and second boundary, and one past the fourth.
 LENGTHS = (1, *(m * CHUNK + d for m in (1, 2, 4, 8) for d in (-1, 0, 1)), 16 * CHUNK + 1)
 
 
@@ -332,6 +333,10 @@ class TestChunkedWritersMatchReference:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_csv_lengths(self, tmp_path, n):
         assert_csv_matches(columns_trajectory(n, np.random.default_rng(n)), tmp_path)
+
+    def test_lengths_straddle_the_svg_blocks(self):
+        assert {m * SVG_CHUNK + d for m in (1, 2) for d in (-1, 0, 1)} <= set(LENGTHS)
+        assert 4 * SVG_CHUNK + 1 in LENGTHS
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_svg_lengths(self, tmp_path, n):
@@ -417,7 +422,7 @@ class TestChunkedWritersMatchReference:
         assert [s.cycles < 0 for s in compiled.spans] == [False, True]
         traj = simulate(compiled.schedule, ORIGIN, PARAMS, cfg)
         traj = traj.decimate(max(1, len(traj) // 20000))   # as plan-line writes it
-        assert len(traj) > CHUNK
+        assert len(traj) > SVG_CHUNK
         assert_csv_matches(traj, tmp_path)
         assert_svg_matches(tmp_path, [{"x": traj.x, "y": traj.y, "label": "base link path"},
                                       {"x": [0.0, target[0]], "y": [0.0, target[1]],
@@ -455,11 +460,11 @@ def csv_fields(values, segments):
 
 def point_fields(values):
     """(field, '%.2f' % value) for every value, as the SVG writer's kernel
-    lays out (x, y) points."""
+    lays out (x, y) points, in its blocks of SVG_CHUNK."""
     v = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 2), 2))
     pairs = []
-    for lo in range(0, len(v), CHUNK):
-        block = v[lo:lo + CHUNK]
+    for lo in range(0, len(v), SVG_CHUNK):
+        block = v[lo:lo + SVG_CHUNK]
         points = report._points(block).split(" ")
         assert len(points) == len(block)
         for point, xy in zip(points, block.tolist()):
@@ -541,15 +546,16 @@ class TestDecimalKernel:
         def text(word):
             return np.asarray(word, np.uint32).tobytes().replace(b"\0", b"").decode()
 
-        words = report._WORDS.reshape(8, 1000)
+        words = report._WORDS.reshape(10, 1000)
         for g in range(1000):
             s = f"{g:03d}"
             p1, p2 = f"{s[0]}.{s[1:]}", f"{s[:2]}.{s[2]}"
             spelled = {report._FULL: s, report._TRIM: s.rstrip("0"), report._LEAD: s.lstrip("0"),
                        report._P1: p1, report._P1_TRIM: p1.rstrip("0").rstrip("."),
                        report._P2: p2, report._P2_TRIM: p2.rstrip("0").rstrip("."),
-                       report._P3: s + "."}
-            assert len(spelled) == 8
+                       report._P3: s + ".", report._SPACE_LEAD: " " + s.lstrip("0"),
+                       report._COMMA_LEAD: "," + s.lstrip("0")}
+            assert len(spelled) == 10
             for form, want in spelled.items():
                 assert text(words[form, g]) == want
         for k in range(19):
@@ -557,7 +563,6 @@ class TestDecimalKernel:
                 assert text(report._G_SIGN[19 * negative + k]) == (
                     "-" * negative + ("0." if k > 14 else ""))
             assert text(report._G_ZEROS[k]) == "0" * max(k - 15, 0)
-        assert [text(w) for w in report._F2_SEPS] == [" ", ","]
         assert text(report._LF) == "\n"
 
 
@@ -646,7 +651,7 @@ class TestWriteMemory:
         rng = np.random.default_rng(4)
         path = str(tmp_path / "t.svg")
         peaks = []
-        for n in (2 * CHUNK, 8 * CHUNK):
+        for n in (2 * SVG_CHUNK, 8 * SVG_CHUNK):
             series = [{"x": rng.normal(size=n), "y": rng.normal(size=n), "label": "s"}]
             peaks.append(_peak_write_bytes(lambda: write_plot_svg(path, series)))
         assert peaks[1] < 1.25 * peaks[0]
