@@ -9,7 +9,6 @@ from .model import (
     ShapeVelocity,
     SwimmerParams,
     body_velocity,
-    control_field,
     default_params,
     derive_drag_coefficients,
     swimmer_fields,
@@ -18,6 +17,6 @@ from .model import (
 __all__ = [
     "BodyVelocity", "GroupPose", "compose", "inverse",
     "Configuration", "ShapePoint", "ShapeVelocity", "SwimmerParams",
-    "body_velocity", "control_field", "default_params",
+    "body_velocity", "default_params",
     "derive_drag_coefficients", "swimmer_fields",
 ]

@@ -220,7 +220,7 @@ def _calibration(cfg: RunConfig, rep: RunReport):
     for d, entry in calib.entries.items():
         rep.info(f"calibration {d}: per-cycle delta = "
                  f"({entry.delta[0]:.6g}, {entry.delta[1]:.6g}, {entry.delta[2]:.6g}), "
-                 f"duration {entry.duration:.3g}s, dominance {entry.dominance:.1f}")
+                 f"duration {entry.schedule.total_duration:.3g}s, dominance {entry.dominance:.1f}")
     return calib
 
 

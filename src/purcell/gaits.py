@@ -161,19 +161,6 @@ def synthesize(spec: GaitSpec) -> ControlSchedule:
     return ControlSchedule(tuple(segs))
 
 
-def concatenate(schedules: list) -> ControlSchedule:
-    segs = []
-    for s in schedules:
-        segs.extend(s.segments)
-    return ControlSchedule(tuple(segs))
-
-
-def repeat(schedule: ControlSchedule, k: int) -> ControlSchedule:
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError(f"repeat count must be a positive integer, got {k}")
-    return ControlSchedule(schedule.segments * k)
-
-
 def reverse_schedule(schedule: ControlSchedule) -> ControlSchedule:
     """Time reversal: reversed order with negated amplitudes (exact inverse flow)."""
     segs = tuple(ControlSegment(s.channel, -s.amplitude, s.duration)

@@ -86,10 +86,8 @@ def derive_drag_coefficients(params: SwimmerParams) -> SwimmerParams:
     k_lat / k_long == 2 exactly.
     """
     validate_params(params, need_k=False)
-    log_slenderness = math.log(2.0 * params.L / params.b)
-    if log_slenderness <= 0.0:
-        raise ValidationError("2L/b must exceed 1 for the slender-body drag law")
-    k_long = 2.0 * math.pi * params.mu / log_slenderness
+    # validate_params holds 0 < b < L, so the log is at least log 2
+    k_long = 2.0 * math.pi * params.mu / math.log(2.0 * params.L / params.b)
     return params._replace(k_long=k_long, k_lat=2.0 * k_long)
 
 
@@ -186,28 +184,20 @@ def body_velocity(shape: ShapePoint, sdot: ShapeVelocity, params: SwimmerParams)
     return BodyVelocity(*xi)
 
 
-def control_field(channel: int, q: Configuration, params: SwimmerParams) -> np.ndarray:
-    """Control vector field of one joint as a 5-vector.
-
-    The first two entries are the joint-rate basis vector for `channel`, the
-    last three the body velocity -A_channel(shape).  Depends on shape only.
-    """
-    if channel not in (1, 2):
-        raise ValidationError(f"channel must be 1 or 2, got {channel}")
-    a1, a2 = q.shape
-    u1, u2 = (1.0, 0.0) if channel == 1 else (0.0, 1.0)
-    xi = body_velocity_components(a1, a2, u1, u2, params)
-    return np.array([u1, u2, xi[0], xi[1], xi[2]])
-
-
 def swimmer_fields(params: SwimmerParams):
-    """The two control vector fields as plain callables on Configuration."""
+    """The two control vector fields as plain callables on Configuration.
+
+    Each returns a 5-vector: the unit rate of its joint, then the body
+    velocity that rate drives.  Both depend on shape only.
+    """
     validate_params(params)
 
     def g1(q: Configuration) -> np.ndarray:
-        return control_field(1, q, params)
+        xi = body_velocity_components(q.shape[0], q.shape[1], 1.0, 0.0, params)
+        return np.array([1.0, 0.0, xi[0], xi[1], xi[2]])
 
     def g2(q: Configuration) -> np.ndarray:
-        return control_field(2, q, params)
+        xi = body_velocity_components(q.shape[0], q.shape[1], 0.0, 1.0, params)
+        return np.array([0.0, 1.0, xi[0], xi[1], xi[2]])
 
     return g1, g2

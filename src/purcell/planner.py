@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gaits import (ControlSchedule, commutator_schedule, concatenate, repeat,
-                    reverse_schedule, synthesize)
+from .gaits import ControlSchedule, commutator_schedule, reverse_schedule, synthesize
 from .model import Configuration, ShapePoint, SwimmerParams
 from .se2 import GroupPose, wrap_angle
 from .simulate import IntegratorConfig, SegmentTable, Trajectory, net_displacement, simulate
@@ -39,7 +38,6 @@ class CalibrationEntry:
     direction: str
     schedule: ControlSchedule
     delta: tuple            # per-cycle (dx, dy, dtheta) in the starting body frame
-    duration: float         # seconds per cycle
     dominance: float
 
     @property
@@ -107,8 +105,8 @@ def composite_square_gait(tau: float, scale: float = 1.0) -> ControlSchedule:
     third-order leakage largely cancels, which makes this the translation
     gait of choice.
     """
-    return concatenate([commutator_schedule(tau, scale_a=scale, variant=v)
-                        for v in range(4)])
+    variants = [commutator_schedule(tau, scale_a=scale, variant=v) for v in range(4)]
+    return ControlSchedule(tuple(seg for s in variants for seg in s.segments))
 
 
 def calibrate(params: SwimmerParams, specs: dict,
@@ -151,7 +149,6 @@ def calibrate(params: SwimmerParams, specs: dict,
             direction=direction,
             schedule=schedule,
             delta=d,
-            duration=schedule.total_duration,
             dominance=dominance,
         )
     return CalibrationTable(entries=entries, rows=rows)
@@ -219,8 +216,6 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     for direction in PLAN_GAITS:
         if direction not in calib.entries:
             raise ValidationError(f"calibration table lacks the {direction} gait")
-        if calib[direction].dominance < MIN_DOMINANCE:
-            raise ValidationError(f"{direction} gait dominance below {MIN_DOMINANCE}")
 
     segs = []
     spans = []
@@ -245,7 +240,7 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
                     f"({quantum:+.4g}); emitted no segments")
         else:
             block = entry.schedule if cycles > 0 else reverse_schedule(entry.schedule)
-            segs.extend(repeat(block, abs(cycles)).segments)
+            segs.extend(block.segments * abs(cycles))
         spans.append(ManeuverSpan(m, cycles, len(segs) - 1, residual))
     return CompiledPlan(schedule=ControlSchedule(tuple(segs), rows=calib.rows),
                         spans=tuple(spans), warnings=tuple(warnings))

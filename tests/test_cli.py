@@ -283,6 +283,8 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["coefficients", "--config", "twice.cfg"],
     # the composite x gait has no repeat count to honour
     ["synthesize", "--direction", "x", "--config", "composite_x_n.cfg"],
+    # a theta gait of no terms produces no net motion
+    ["plan-line", "--config", "still_theta.cfg"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -307,6 +309,7 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
         "cfd_speed_alone.cfg": "swimmer.cfd_speed = 0.01\n",
         "slender_cfd_speed.cfg": "swimmer.coefficients = slender\nswimmer.cfd_speed = 0.01\n",
         "twice.cfg": "integrator.h = 0.001\nintegrator.h = 0.002\n",
+        "still_theta.cfg": "gait.theta.beta = 0\ngait.theta.gamma = 0\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from purcell.errors import ValidationError
 from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
-                           commutator_schedule, concatenate, format_schedule,
-                           parse_schedule, repeat, reverse_schedule,
-                           shape_excursion, synthesize)
+                           commutator_schedule, format_schedule, parse_schedule,
+                           reverse_schedule, shape_excursion, synthesize)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -102,30 +101,6 @@ class TestSynthesize:
 
 
 class TestCombinators:
-    def test_concatenate_empty(self):
-        assert len(concatenate([])) == 0
-
-    def test_concatenate_single_is_same(self):
-        s = commutator_schedule(1.0)
-        assert concatenate([s]).segments == s.segments
-
-    def test_concatenate_four_variants(self):
-        composite = concatenate([commutator_schedule(1.0, variant=v)
-                                 for v in range(4)])
-        assert len(composite) == 16
-        # each channel still closes
-        assert abs(composite.channel_integral(1)) == 0.0
-        assert abs(composite.channel_integral(2)) == 0.0
-
-    def test_repeat(self):
-        s = commutator_schedule(1.0)
-        r = repeat(s, 3)
-        assert len(r) == 12
-        assert r.total_duration == pytest.approx(3 * s.total_duration)
-        assert repeat(s, 1).segments == s.segments
-        with pytest.raises(ValidationError):
-            repeat(s, 0)
-
     def test_reverse_schedule(self):
         s = ControlSchedule((ControlSegment(1, 0.5, 1.0), ControlSegment(2, -1.0, 2.0)))
         r = reverse_schedule(s)

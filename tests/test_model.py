@@ -8,7 +8,7 @@ from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import parse_schedule
 from purcell.model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
                            _assemble, body_velocity, body_velocity_components,
-                           cfd_drag_coefficients, control_field, default_params,
+                           cfd_drag_coefficients, default_params,
                            derive_drag_coefficients, swimmer_fields, validate_params)
 from purcell.oracle import reference_body_velocity
 from purcell.se2 import GroupPose
@@ -269,29 +269,23 @@ class TestBodyVelocity:
 class TestControlField:
     def test_shape_components(self):
         q = Configuration(ShapePoint(0.2, -0.4), ORIGIN_POSE)
-        g1 = control_field(1, q, PARAMS)
-        g2 = control_field(2, q, PARAMS)
-        assert g1[:2] == pytest.approx((1.0, 0.0))
-        assert g2[:2] == pytest.approx((0.0, 1.0))
+        g1, g2 = swimmer_fields(PARAMS)
+        assert g1(q)[:2] == pytest.approx((1.0, 0.0))
+        assert g2(q)[:2] == pytest.approx((0.0, 1.0))
 
     def test_pose_independent(self):
         shape = ShapePoint(0.9, 0.1)
         qa = Configuration(shape, ORIGIN_POSE)
         qb = Configuration(shape, GroupPose(2.0, -1.0, 2.2))
-        assert np.array_equal(control_field(1, qa, PARAMS),
-                              control_field(1, qb, PARAMS))
+        for field in swimmer_fields(PARAMS):
+            assert np.array_equal(field(qa), field(qb))
 
     def test_group_part_is_minus_connection_column(self):
-        shape = ShapePoint(0.0, 0.0)
+        shape = ShapePoint(0.2, -0.4)
         q = Configuration(shape, ORIGIN_POSE)
         A = connection(shape, PARAMS).A
-        g1 = control_field(1, q, PARAMS)
-        assert np.allclose(g1[2:], -A[:, 0], atol=1e-12)
-
-    def test_rejects_bad_channel(self):
-        q = Configuration(ShapePoint(0.0, 0.0), ORIGIN_POSE)
-        with pytest.raises(ValidationError):
-            control_field(3, q, PARAMS)
+        for column, field in enumerate(swimmer_fields(PARAMS)):
+            assert np.allclose(field(q)[2:], -A[:, column], atol=1e-12)
 
     def test_finite_and_bounded_away_from_zero_on_grid(self):
         g1, g2 = swimmer_fields(PARAMS)
@@ -352,7 +346,7 @@ class TestConditioningGuard:
         with pytest.raises(NumericalError, match="ill-conditioned"):
             body_velocity(q0.shape, ShapeVelocity(1.0, 0.0), ILL_PARAMS)
         with pytest.raises(NumericalError, match="ill-conditioned"):
-            control_field(1, q0, ILL_PARAMS)
+            swimmer_fields(ILL_PARAMS)[0](q0)
         with pytest.raises(NumericalError, match="ill-conditioned"):
             simulate(parse_schedule("1 0.5 0.1\n"), q0, ILL_PARAMS)
 
@@ -361,7 +355,7 @@ class TestConditioningGuard:
         verdicts = set()
         routes = (
             lambda shape, params: body_velocity(shape, ShapeVelocity(1.0, 0.0), params),
-            lambda shape, params: control_field(1, Configuration(shape, ORIGIN_POSE), params),
+            lambda shape, params: swimmer_fields(params)[0](Configuration(shape, ORIGIN_POSE)),
         )
         for k_long in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-6):
             params = PARAMS._replace(k_long=k_long, k_lat=1.0)

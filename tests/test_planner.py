@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from purcell import planner
 from purcell.config import basis_specs, default_config
 from purcell.errors import NumericalError, ValidationError
-from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec
+from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec, commutator_schedule
 from purcell.model import Configuration, ShapePoint, default_params
 from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, CalibrationTable,
                              CompiledPlan, Maneuver, ManeuverSpan, WaypointPath, calibrate, compile_maneuvers,
@@ -25,8 +26,8 @@ def synthetic_table(dx=0.01, dtheta=0.05):
     x_sched = ControlSchedule((ControlSegment(1, 1.0, 1.0), ControlSegment(1, -1.0, 1.0)))
     th_sched = ControlSchedule((ControlSegment(2, 1.0, 1.0), ControlSegment(2, -1.0, 1.0)))
     entries = {
-        "x": CalibrationEntry("x", x_sched, (dx, 0.0, 0.0), 2.0, 100.0),
-        "theta": CalibrationEntry("theta", th_sched, (0.0, 0.0, dtheta), 2.0, 100.0),
+        "x": CalibrationEntry("x", x_sched, (dx, 0.0, 0.0), 100.0),
+        "theta": CalibrationEntry("theta", th_sched, (0.0, 0.0, dtheta), 100.0),
     }
     return CalibrationTable(entries=entries, rows=SegmentTable(PARAMS, FAST_CFG))
 
@@ -37,7 +38,7 @@ class TestCalibrate:
         assert set(calib.entries) == {"x", "y", "theta"}
         for entry in calib.entries.values():
             assert entry.dominance >= 2.0
-            assert entry.duration > 0
+            assert entry.schedule.total_duration > 0
 
     def test_basis_specs_are_the_tuned_defaults(self):
         assert basis_specs(default_config()) == {
@@ -62,10 +63,30 @@ class TestCalibrate:
         with pytest.raises(ValidationError, match="dominance"):
             calibrate(PARAMS, {"x": GaitSpec(1.0, 0.0, 0.0, t=1.0)}, FAST_CFG)
 
+    def test_dominance_threshold_is_two(self, monkeypatch):
+        # the plain square at t = 0.125 translates 1.5 times as far as it
+        # leaks, so a threshold of 1 would take it and 2 refuses it
+        spec = {"x": GaitSpec(1.0, 0.0, 0.0, t=0.125)}
+        with monkeypatch.context() as m:
+            m.setattr(planner, "MIN_DOMINANCE", 0.0)
+            dominance = calibrate(PARAMS, spec, FAST_CFG)["x"].dominance
+        assert 1.0 <= dominance < 2.0
+        with pytest.raises(ValidationError, match=f"x gait dominance {dominance:.2f} below 2.0"):
+            calibrate(PARAMS, spec, FAST_CFG)
+
     def test_rejects_open_shape_loop(self):
         open_loop = ControlSchedule((ControlSegment(1, 1.0, 0.5),))
         with pytest.raises(ValidationError, match="close"):
             calibrate(PARAMS, {"x": open_loop}, FAST_CFG)
+
+
+def test_composite_square_gait_runs_the_four_variants_in_order():
+    composite = composite_square_gait(1.0)
+    assert composite.segments == sum((commutator_schedule(1.0, variant=v).segments
+                                      for v in range(4)), ())
+    # each channel still closes
+    assert composite.channel_integral(1) == 0.0
+    assert composite.channel_integral(2) == 0.0
 
 
 class TestPlanLine:
@@ -154,7 +175,7 @@ class TestCompile:
         span = plan.spans[0]
         assert span.cycles == 3
         assert span.residual == pytest.approx(0.004)
-        assert len(plan.schedule) == 6
+        assert plan.schedule.segments == table["x"].schedule.segments * 3
 
     def test_negative_maneuver_reverses_gait(self):
         table = synthetic_table(dx=0.01)
@@ -180,6 +201,21 @@ class TestCompile:
             n2 = sum(s.cycles for s in two_steps.spans)
             n1 = one_step.spans[0].cycles
             assert abs(n2 - n1) <= 1
+
+    @pytest.mark.parametrize("real", [False, True], ids=["synthetic", "calibrated"])
+    def test_residuals_are_at_most_half_a_cycle(self, real):
+        table = (calibrate(PARAMS, basis_specs(default_config()), FAST_CFG) if real
+                 else synthetic_table())
+        rng = np.random.default_rng(11)
+        maneuvers = [Maneuver(kind, table[gait].per_cycle * count)
+                     for kind, gait in (("translate", "x"), ("rotate", "theta"))
+                     for count in rng.uniform(-20.0, 20.0, 50)]
+        plan = compile_maneuvers(maneuvers, table)
+        for span in plan.spans:
+            gait = "theta" if span.maneuver.kind == "rotate" else "x"
+            half = 0.5 * abs(table[gait].per_cycle)
+            # the slack is rounding only; a floor would leave up to a whole cycle
+            assert abs(span.residual) <= half * (1.0 + 1e-12)
 
     def test_cycle_bound_refuses_before_expanding(self):
         table = synthetic_table(dx=0.01)

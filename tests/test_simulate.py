@@ -10,8 +10,7 @@ from purcell import simulate as sim
 from purcell.config import basis_specs, default_config
 from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
-                           commutator_schedule, concatenate, repeat, reverse_schedule,
-                           synthesize)
+                           commutator_schedule, reverse_schedule, synthesize)
 from purcell.lie import lie_bracket
 from purcell.model import (Configuration, ShapePoint, SwimmerParams, body_velocity_components,
                            default_params, derive_drag_coefficients, swimmer_fields)
@@ -292,6 +291,17 @@ def test_decimate_is_index_selection_and_shares_memory_on_the_stride():
         assert np.shares_memory(thin.rows, traj.rows) == (stride != 7)
 
 
+def test_wrap_angles_is_wrap_angle_bit_for_bit():
+    # odd multiples of pi are where (-pi, pi] decides: -pi and 3pi map to pi
+    odd = np.array([k * _PI for k in (-5, -3, -1, 1, 3, 5)])
+    angles = np.concatenate([odd, np.nextafter(odd, -np.inf), np.nextafter(odd, np.inf),
+                             np.random.default_rng(12).uniform(-20.0, 20.0, 1000)])
+    expect = np.array([wrap_angle(a) for a in angles.tolist()])
+    assert sim._wrap_angles(angles).tobytes() == expect.tobytes()
+    for a, e in zip(angles, expect):   # alone, where no other element forces the wrap
+        assert sim._wrap_angles(np.array([a])).tobytes() == np.array([e]).tobytes()
+
+
 def test_net_displacement_requires_samples():
     sched = ControlSchedule((ControlSegment(2, -1.0, 0.5),))
     traj = simulate(sched, ORIGIN, PARAMS, CFG)
@@ -333,8 +343,8 @@ _poses = st.builds(GroupPose, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _headi
 def _word_schedule(parts):
     """Concatenated powers of blocks, each block run forward or reversed."""
     blocks = [ControlSchedule(tuple(segs)) for segs, _, _ in parts]
-    return concatenate([repeat(reverse_schedule(b) if back else b, k)
-                        for b, (_, k, back) in zip(blocks, parts)])
+    return ControlSchedule(sum(((reverse_schedule(b) if back else b).segments * k
+                                for b, (_, k, back) in zip(blocks, parts)), ()))
 
 
 # a zero rate on a signed-zero angle keeps the zero's sign: the first and last
@@ -354,7 +364,7 @@ def test_body_frame_reuse_matches_the_world_frame_loop(parts, shape, pose):
 
 
 def test_integer_start_shape_matches_float_start():
-    sched = repeat(commutator_schedule(0.01), 3)
+    sched = ControlSchedule(commutator_schedule(0.01).segments * 3)
     ints = Configuration(ShapePoint(0, 0), GroupPose(0, 0, 0))
     traj = simulate(sched, ints, PARAMS, CFG)
     assert_matches_reference(traj, reference_simulate(sched, ints, MODEL, CFG))
@@ -363,7 +373,7 @@ def test_integer_start_shape_matches_float_start():
 
 def test_moved_start_moves_every_reference_sample():
     # left invariance, checked against the loop that integrates in the world frame
-    sched = repeat(commutator_schedule(0.25), 3)
+    sched = ControlSchedule(commutator_schedule(0.25).segments * 3)
     base = reference_simulate(sched, ORIGIN, MODEL, CFG)
     for g0 in (GroupPose(0.4, -0.7, 1.1), GroupPose(-2.0, 3.0, _PI), GroupPose(0.0, 0.0, -3.1)):
         moved = simulate(sched, Configuration(ShapePoint(0.0, 0.0), g0), PARAMS, CFG)
@@ -418,7 +428,7 @@ def test_compiled_polygon_integrates_its_repeated_segments_once(monkeypatch):
 
 def test_copies_read_body_frame_rows_across_chunks():
     # 40,000 rows: later cycles copy rows that lie chunks behind them
-    sched = repeat(commutator_schedule(0.01), 100)
+    sched = ControlSchedule(commutator_schedule(0.01).segments * 100)
     q0 = Configuration(ShapePoint(0.2, -0.1), GroupPose(0.5, 0.5, 3.0))
     traj = simulate(sched, q0, PARAMS, CFG)
     assert len(traj) > 2 * sim._CHUNK
@@ -579,7 +589,7 @@ def test_compiling_integrates_nothing_and_the_first_simulate_adds_reversals(monk
 def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
     # a table is read and written only under its own parameters and
     # integrator config, even where another config gives the same step counts
-    sched = repeat(commutator_schedule(0.01), 2)
+    sched = ControlSchedule(commutator_schedule(0.01).segments * 2)
     table = SegmentTable(PARAMS, IntegratorConfig(h=1.0, min_substeps=16))
     carried = ControlSchedule(sched.segments, rows=table)
     simulate(carried, ORIGIN, PARAMS, table.cfg)
@@ -626,7 +636,7 @@ def test_signed_zero_starts_never_share_table_rows(monkeypatch):
     pose = GroupPose(0.3, -0.2, 1.0)
     table = _fresh_table([block], Configuration(ShapePoint(0.0, 0.0), pose), CFG)
     assert len(table.segments) == 3
-    sched = ControlSchedule(repeat(block, 3).segments, rows=table)
+    sched = ControlSchedule(block.segments * 3, rows=table)
     # segments of 16 steps, 33 calls each, are integrated until a start is 0.0
     # (-0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0) and each adds its own entry;
     # the later cycles are copied, and a second run integrates nothing
