@@ -207,6 +207,10 @@ def parse_schedule(text: str) -> ControlSchedule:
             raise ValidationError(f"schedule line {lineno}: malformed number in {raw!r}")
         if channel not in (1, 2):
             raise ValidationError(f"schedule line {lineno}: channel must be 1 or 2")
-        if amplitude != 0.0:
-            segs.append(_segment(channel, amplitude, duration))
+        try:
+            seg = _segment(channel, amplitude, duration)
+        except ValidationError as exc:
+            raise ValidationError(f"schedule line {lineno}: {exc}")
+        if amplitude != 0.0:   # a line of no motion is checked, then dropped
+            segs.append(seg)
     return ControlSchedule(tuple(segs))

@@ -2,9 +2,10 @@
 
 Both writers are deterministic: identical inputs give byte-identical files.
 The bytes are those of `%` applied to each value on its own ('%.15g' and
-'%d' in the CSV, '%.2f' for polyline points), but a block of 512 CSV rows or
-2,048 polyline points is laid out at once by the numpy decimal kernel below.
-Each writer refuses at entry what the kernel cannot spell; CSV values in
+'%d' in the CSV, '%.2f' for polyline points), but a block of 1,024 CSV rows
+or 2,048 polyline points is laid out at once by the numpy decimal kernel
+below; a CSV write fills one record buffer again for each block.  Each
+writer refuses at entry what the kernel cannot spell; CSV values in
 exponent notation, nan and inf go through `%` one at a time.
 """
 
@@ -19,9 +20,10 @@ from .simulate import COLUMNS, Trajectory
 CSV_HEADER = ",".join(COLUMNS)
 
 # CSV rows, and polyline points of two words a coordinate, formatted and written
-# at once: at most about 0.5 MB of temporaries, whatever the trajectory's length.
-CHUNK = 512
-SVG_CHUNK = 4 * CHUNK
+# at once: a larger block costs fewer numpy calls a row, until its working set
+# outgrows the cache.
+CHUNK = 1024
+SVG_CHUNK = 2048
 
 
 # ------------------------------------------------------------ decimal kernel
@@ -75,21 +77,33 @@ def _digit_words() -> np.ndarray:
 
 
 _WORDS = _digit_words()
-_POW10 = np.array([float(10 ** k) for k in range(23)])
 
 # '%.15g' of a value with 15 digits d and decimal exponent 14 - k, fixed
 # notation for k = 0..18: 15 - k digits before the point, or "0." and k - 15
-# zeros before d for k > 14.  _G_SELECT[i, 2 * k + z] is 1000 * the form of
-# group i (digits 3i..3i+2 of d), where z is 1 when every digit after the
-# group is 0; _G_SIGN[19 * negative + k] leads the record (its first byte
-# left for the separator) and _G_ZEROS[k] follows it.
+# zeros before d for k > 14.  The kernel's k stops at 19, which log10 gives
+# to 0 and to the values below 1e-4: a 0 is spelled "0" (d = 0 spelled with
+# k = 14), a value that rounds up to 1e-4 moves to k = 18, and the others
+# go to `%`.  _G_SELECT[i, 2 * k + z] is 1000 * the form of group i (digits
+# 3i..3i+2 of d), where z is 1 when every digit after the group is 0.
+_SPELLED_K = [*range(19), 14]
+_POW10 = np.array([float(10 ** k) for k in range(20)])
+# _G_LOWER[k]: the least float64 of decimal exponent 14 - k, 0 for k = 19
+# (1e-1 to 1e-4 round up, so each is the float64 nearest its power of ten)
+_G_LOWER = np.array([float(f"1e{14 - k}") for k in range(19)] + [0.0])
 _G_FORMS = np.array([[_FULL, _TRIM], [_P1, _P1_TRIM], [_P2, _P2_TRIM], [_P3, _FULL],
                      [_FULL, _FULL]])
-_G_SELECT = 1000 * _G_FORMS[np.clip(15 - np.arange(19)[None, :] - 3 * np.arange(5)[:, None],
-                                    0, 4)].reshape(5, 38)
-_G_SIGN = _words([f"\0{s}{'0.' if k > 14 else ''}" for s in ("", "-") for k in range(19)])
-_G_ZEROS = _words(["0" * max(k - 15, 0) for k in range(19)])
-_CSV_SEPS = _words("\0" + "," * 9)
+_G_SELECT = 1000 * _G_FORMS[np.clip(15 - np.array(_SPELLED_K) - 3 * np.arange(5)[:, None],
+                                    0, 4)].reshape(5, 40)
+# The first two words of a record, as one uint64: the separator, the sign and
+# the "0." of a value below 1, then its zeros after the point.  Entry
+# 2 * k + negative + 40 * c is for column class c: the first column, one
+# after it, and the segment, whose -0.0 is spelled "0" as '%d' spells it.
+_G_HEAD = _words([w for c, sep in enumerate(("", ",", ","))
+                  for k, spelled in enumerate(_SPELLED_K)
+                  for s in ("", "" if c == 2 and k == 19 else "-")
+                  for w in (sep + s + ("0." if spelled > 14 else ""), "0" * max(spelled - 15, 0))]
+                 ).view(np.uint64)
+_G_COLUMN = np.array([0] + [40] * 8 + [80])
 _LF = _words("\n")[0]
 
 
@@ -113,72 +127,107 @@ def _product_error(a: np.ndarray, b, p: np.ndarray) -> np.ndarray:
     return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-def _nearest(a: np.ndarray, scale) -> np.ndarray:
-    """The integers nearest the exact products a * scale, ties to even, as
-    float64, for a >= 0, scale (an array like a, or a number) an exact power
-    of ten and products below 2**52.
+def _nearest(a: np.ndarray, k, out=None) -> np.ndarray:
+    """The integers nearest the exact products a * 10**k, ties to even, as
+    float64, for a >= 0, k (an array like a, or a number) in 0..19 and
+    products below 2**50; `out`, a float64 array like a, is overwritten.
 
-    The rounded product p is a multiple of its ulp and within half an ulp
-    of the exact one, so p's fraction decides, except at exactly 0.5, where
-    the sign of the rounding error does.
+    The rounded product p is within half an ulp (at most 1/8) of the exact
+    one, so rint(p) is the answer, except where p is an integer and a half:
+    there the sign of the rounding error moves it a quarter up or down, and
+    rint of that decides.
     """
-    frac = a * scale
-    n = np.floor(frac)
-    frac -= n
-    tie = np.flatnonzero(frac == 0.5)
-    n += frac > 0.5
+    p = np.multiply(a, _POW10.take(k, out=out, mode="clip"), out=out)
+    n = np.rint(p)
+    p -= n
+    np.abs(p, out=p)
+    tie = np.flatnonzero(p == 0.5)
     if tie.size:
-        down = n.take(tie)
-        p = down + 0.5   # the rounded product
-        err = _product_error(a.take(tie), np.broadcast_to(scale, a.shape).take(tie), p)
-        np.put(n, tie, down + ((err > 0) | ((err == 0) & (down % 2 == 1))))
+        at = a.take(tie)
+        st = _POW10.take(k.take(tie) if np.ndim(k) else k)
+        pt = at * st
+        np.put(n, tie, np.rint(pt + 0.25 * np.sign(_product_error(at, st, pt))))
     return n
 
 
 def _g15_digits(v: np.ndarray):
-    """(d, k, rest) of '%.15g' of each value of v: its 15 digits d as an
-    int64 and k, its decimal exponent being 14 - k; rest holds the flat
-    indices of the values left to `%`: those written in exponent notation,
-    nan and inf."""
+    """(q, k, rest) of '%.15g' of each value of v: its 15 digits as an int64
+    and k, its decimal exponent being 14 - k (k = 19: 0, d = 0); rest holds
+    the flat indices of the values left to `%`: those written in exponent
+    notation, nan and inf."""
     a = np.abs(v)
-    zero = a == 0.0
-    fixed = (a >= 1e-5) & (a < 1e15)
-    a = np.where(fixed, a, 1.0)
-    k = np.maximum(14.0 - np.floor(np.log10(a)), 0.0).astype(np.intp)
-    n = _nearest(a, _POW10.take(k))
-    fixed &= (n >= 1e14) & (n <= 1e15)   # else log10 put the exponent one off
-    carry = n == 1e15   # rounded up to the next power of ten
-    n[carry] = 1e14
-    k -= carry
-    n[zero] = 0.0
-    k[zero] = 14
-    return n.astype(np.int64), k, np.flatnonzero((fixed | zero) <= (k.view(np.uintp) > 18))
+    with np.errstate(divide="ignore", invalid="ignore"):   # log10(0); inf - inf
+        e = np.log10(a)
+        np.floor(e, out=e)
+        np.subtract(14.0, e, out=e)
+        np.fmax(e, 0.0, out=e)   # also nan
+        np.fmin(e, 19.0, out=e)
+        k = e.astype(np.intp)
+        k += a < _G_LOWER.take(k)   # where log10 rounded up to an integer
+        n = _nearest(a, k, out=e)
+    np.fmin(n, 2e15, out=n)   # nan, inf and huge values: out of range, but an int64
+    q = e.view(np.int64)
+    np.copyto(q, n, casting="unsafe")
+    n = np.subtract(q, 10 ** 14, out=n.view(np.int64)).view(np.uint64)
+    rest = np.flatnonzero((n >= 9 * 10 ** 14) | (k == 19))   # d not of 15 digits, or below 1e-4
+    if rest.size:
+        kr = k.take(rest)
+        carry = (q.take(rest) == 10 ** 15) & (kr > 0)   # rounded up to the next power of ten
+        np.put(q, rest[carry], 10 ** 14)
+        np.put(k, rest[carry], kr[carry] - 1)
+        rest = rest[~carry & (a.take(rest) != 0.0)]
+    return q, k, rest
+
+
+def _csv_words(v: np.ndarray, recs: np.ndarray, heads: np.ndarray, column: np.ndarray):
+    """Write the words of each value of v to its record in recs, its first two
+    as one uint64 of heads, and return the flat indices of the values left
+    to `%`; column is _G_COLUMN in the shape of v.  Its temporaries are
+    freed on return, before the block's `%` values and translate run."""
+    q, sel, rest = _g15_digits(v)
+    sel += sel
+    g = np.right_shift(v.view(np.int64), 63)   # -1 where the sign bit is set
+    np.subtract(column, g, out=g)
+    g += sel
+    heads[...] = _G_HEAD.take(g, mode="clip")
+    # sel = 2k + z: z is 1 until the first group that is not 0 (sel -= min(z, g))
+    sel += 1
+    form = np.empty_like(sel)
+    for i in range(4, -1, -1):
+        if i:
+            np.floor_divide(q, 1000, out=g)
+            np.multiply(g, 1000, out=form)
+            q, g = g, np.subtract(q, form, out=q)
+        else:
+            g = q
+        np.take(_G_SELECT[i], sel, out=form, mode="clip")
+        form += g
+        recs[..., 2 + i] = _WORDS.take(form, mode="clip")
+        if i:
+            np.bitwise_and(sel, 1, out=form)
+            np.minimum(form, g, out=form)
+            sel -= form
+    return rest
 
 
 def _csv_lines(rows: np.ndarray):
-    """The CSV lines of `rows`, each ending in LF; segments are integers below 1e15."""
-    raw, buf = _records((len(rows), 71))   # a record of 7 words per value, then LF
-    recs = buf[:, :70].reshape(len(rows), 10, 7)
-    buf[:, 70] = _LF
-    q, k, rest = _g15_digits(rows)
-    neg = np.signbit(rows).view(np.uint8)
-    neg[:, 9] = rows[:, 9] < 0   # '%d' % -0.0 is '0'; else '%d' spells it as '%.15g' does
-    recs[..., 0] = _G_SIGN.take(k + 19 * neg, mode="clip") + _CSV_SEPS
-    recs[..., 1] = _G_ZEROS.take(k, mode="clip")
-    k += k
-    z = True
-    for i in range(4, -1, -1):
-        top = q // 1000 if i else 0
-        g = q - 1000 * top
-        form = _G_SELECT[i].take(k + z, mode="clip")
-        recs[..., 2 + i] = _WORDS.take(form + g, mode="clip")
-        z = z & (g == 0)
-        q = top
-    if rest.size:
-        r, c = np.divmod(rest, 10)
-        recs.view("S28")[r, c, 0] = [(b"," if j else b"") + b"%.15g" % x
-                                     for j, x in zip(c.tolist(), rows[r, c].tolist())]
-    return raw.translate(None, b"\0")
+    """Yield the CSV lines of `rows`, each ending in LF, CHUNK rows at a
+    time; segments are integers below 1e15."""
+    size = min(CHUNK, len(rows))
+    raw, buf = _records((size, 71))   # a record of 7 words per value, then LF
+    buf[:, 70] = _LF   # every other word is rewritten for each block
+    heads = np.ndarray((size, 10), np.uint64, raw, strides=(284, 28))
+    column = np.tile(_G_COLUMN, (size, 1))
+    for lo in range(0, len(rows), size):
+        v = rows[lo:lo + size]
+        m = len(v)
+        recs = buf[:m, :70].reshape(m, 10, 7)
+        rest = _csv_words(v, recs, heads[:m], column[:m])
+        if rest.size:
+            r, c = np.divmod(rest, 10)
+            recs.view("S28")[r, c, 0] = [(b"," if j else b"") + b"%.15g" % x
+                                         for j, x in zip(c.tolist(), v[r, c].tolist())]
+        yield (raw if m == size else raw[:284 * m]).translate(None, b"\0")
 
 
 _F2_SEP = np.tile(np.int32([1000 * _SPACE_LEAD, 1000 * _COMMA_LEAD]), SVG_CHUNK)   # " x,y"
@@ -187,7 +236,7 @@ _F2_SEP[0] = 1000 * _LEAD   # nothing before a block's first point
 
 def _points(v: np.ndarray) -> str:
     """'%.2f,%.2f' of each (x, y) row of v, rows joined by a space; 0 <= v < 1000."""
-    top, g = np.divmod(_nearest(v, 100.0).astype(np.int32), 1000)
+    top, g = np.divmod(_nearest(v, 2).astype(np.int32), 1000)
     raw, recs = _records(v.shape + (2,))
     recs[..., 0] = _WORDS.take(top + _F2_SEP[:top.size].reshape(top.shape))
     recs[..., 1] = _WORDS.take(g + 1000 * _P1)
@@ -204,8 +253,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> str:
     try:
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
-            for lo in range(0, len(traj), CHUNK):
-                fh.write(_csv_lines(traj.rows[lo:lo + CHUNK]))
+            fh.writelines(_csv_lines(traj.rows))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
     return path

@@ -285,6 +285,8 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     ["synthesize", "--direction", "x", "--config", "composite_x_n.cfg"],
     # a theta gait of no terms produces no net motion
     ["plan-line", "--config", "still_theta.cfg"],
+    # a line of no motion still needs a nonnegative, finite duration
+    ["simulate", "--schedule", "still_nan_duration.txt"],
 ])
 def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
     files = {
@@ -310,6 +312,7 @@ def test_bad_sizes_and_targets_exit_one(tmp_path, argv):
         "slender_cfd_speed.cfg": "swimmer.coefficients = slender\nswimmer.cfd_speed = 0.01\n",
         "twice.cfg": "integrator.h = 0.001\nintegrator.h = 0.002\n",
         "still_theta.cfg": "gait.theta.beta = 0\ngait.theta.gamma = 0\n",
+        "still_nan_duration.txt": "1 0.5 1\n1 0 nan\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

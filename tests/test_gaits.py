@@ -145,6 +145,18 @@ class TestSerialization:
         s = parse_schedule("1 0 5.0\n2 1 1.0\n")
         assert len(s) == 1
 
+    @pytest.mark.parametrize("text, line, bad", [
+        ("1 0.5 1\n1 0 nan\n", 2, "duration"),
+        ("2 0 -3\n", 1, "duration"),
+        ("1 -0.0 inf\n", 1, "duration"),
+        ("# nothing\n\n2 nan 1\n", 3, "amplitude"),
+        ("1 0.5 -1\n", 1, "duration"),
+    ])
+    def test_every_line_is_checked(self, text, line, bad):
+        """A zero-amplitude line is dropped only after its duration passes."""
+        with pytest.raises(ValidationError, match=f"^schedule line {line}: segment {bad} must be"):
+            parse_schedule(text)
+
     def test_malformed_lines(self):
         with pytest.raises(ValidationError):
             parse_schedule("1 0.5\n")

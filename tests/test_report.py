@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -26,7 +27,7 @@ from purcell.report import (_COLORS, _HEIGHT, _MARGIN, _WIDTH, CHUNK, CSV_HEADER
                             _ticks, check_out_dir, read_trajectory_csv, write_plot_svg,
                             write_trajectory_csv)
 from purcell.se2 import GroupPose
-from purcell.simulate import COLUMNS, IntegratorConfig, simulate
+from purcell.simulate import COLUMNS, IntegratorConfig, Trajectory, simulate
 
 from conftest import trajectory_from_columns
 
@@ -309,10 +310,10 @@ class TestSvg:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# Each side of the first, second, fourth and eighth CSV block boundary, and
-# one past the sixteenth: for the polyline blocks of 4 * CHUNK points, each
-# side of the first and second boundary, and one past the fourth.
-LENGTHS = (1, *(m * CHUNK + d for m in (1, 2, 4, 8) for d in (-1, 0, 1)), 16 * CHUNK + 1)
+# Each side of half a CSV block and of the first, second and fourth CSV block
+# boundary, and one past the eighth: for the polyline blocks of SVG_CHUNK
+# points, each side of the first and second boundary, and one past the fourth.
+LENGTHS = (1, *(m * CHUNK // 2 + d for m in (1, 2, 4, 8) for d in (-1, 0, 1)), 8 * CHUNK + 1)
 
 
 # Finite values with magnitudes from 5e-324 to 1.7e308 (and 0): drawn freely,
@@ -337,6 +338,8 @@ class TestChunkedWritersMatchReference:
     def test_lengths_straddle_the_svg_blocks(self):
         assert {m * SVG_CHUNK + d for m in (1, 2) for d in (-1, 0, 1)} <= set(LENGTHS)
         assert 4 * SVG_CHUNK + 1 in LENGTHS
+        assert {m * CHUNK + d for m in (1, 2, 4) for d in (-1, 0, 1)} <= set(LENGTHS)
+        assert 8 * CHUNK + 1 in LENGTHS
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_svg_lengths(self, tmp_path, n):
@@ -435,6 +438,49 @@ class TestChunkedWritersMatchReference:
                            xlabel="t (s)", ylabel="angle (rad)")
 
 
+@pytest.fixture(scope="module")
+def seeded_plan():
+    """A plan-line run from a seeded start pose and bearing, decimated to at
+    most 2,500 rows; it has values in exponent notation of its own."""
+    rng = np.random.default_rng(11)
+    cfg = IntegratorConfig(h=2e-3, min_substeps=8)
+    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    start = GroupPose(*rng.uniform(-0.05, 0.05, size=2), rng.uniform(-math.pi, math.pi))
+    bearing = rng.uniform(-math.pi, math.pi)
+    target = (start.x + 0.02 * math.cos(bearing), start.y + 0.02 * math.sin(bearing))
+    compiled = compile_maneuvers(plan_line(start, target), calib)
+    traj = simulate(compiled.schedule, Configuration(ShapePoint(0.0, 0.0), start), PARAMS, cfg)
+    return traj.decimate(-(-len(traj) // 2500))
+
+
+# Block sizes of the CSV writer: None is the trajectory's own length.
+BLOCKS = (1, 2, 511, 1023, 1024, 1025, None)
+# Values in exponent notation, nan, +-inf and -0.0, and values next to them.
+EDGE_VALUES = (1.5e-7, -2.5e-300, math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324,
+               -9.99999999999999e-5, 0.1, 999999999999999.5)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, seeded_plan, block):
+    monkeypatch.setattr(report, "CHUNK", block or len(seeded_plan))
+    assert_csv_matches(seeded_plan, tmp_path)
+    assert b"e-" in (tmp_path / "new.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_special_values_on_the_first_and_last_row_of_each_block(tmp_path, monkeypatch,
+                                                                seeded_plan, block):
+    block = block or len(seeded_plan)
+    rows = seeded_plan.rows.copy()
+    n = len(rows)
+    edges = sorted({*range(0, n, block), *range(block - 1, n, block), n - 1})
+    for j, r in enumerate(edges):
+        rows[r, :9] = np.roll(EDGE_VALUES, j)[:9]
+        rows[r, 9] = (-0.0, -3.0, 0.0, 999999999999999.0)[j % 4]
+    monkeypatch.setattr(report, "CHUNK", block)
+    assert_csv_matches(Trajectory(rows), tmp_path)
+
+
 # ------------------------------------------------------- the decimal kernel
 # The writers format a block of values with numpy (report._csv_lines and
 # report._points); these tests hold that against `%`, value by value.
@@ -444,17 +490,15 @@ def csv_fields(values, segments):
     for every segment, as the CSV writer's kernel lays them out."""
     values = np.resize(np.asarray(values, dtype=float), (len(segments), 9))
     rows = np.column_stack((values, np.asarray(segments, dtype=float)))
+    lines = b"".join(report._csv_lines(rows)).decode().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(rows)
     pairs = []
-    for lo in range(0, len(rows), CHUNK):
-        block = rows[lo:lo + CHUNK]
-        lines = report._csv_lines(block).decode().split("\n")
-        assert lines.pop() == ""
-        assert len(lines) == len(block)
-        for line, row in zip(lines, block.tolist()):
-            fields = line.split(",")
-            assert len(fields) == 10
-            pairs += [(f, "%.15g" % v) for f, v in zip(fields, row[:9])]
-            pairs.append((fields[9], "%d" % row[9]))
+    for line, row in zip(lines, rows.tolist()):
+        fields = line.split(",")
+        assert len(fields) == 10
+        pairs += [(f, "%.15g" % v) for f, v in zip(fields, row[:9])]
+        pairs.append((fields[9], "%d" % row[9]))
     return pairs
 
 
@@ -491,6 +535,9 @@ EXTREMES = (5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,   # subnor
             1.7976931348623157e308)
 POWERS_OF_TEN = [x for k in range(-6, 17) for p in (float(f"1e{k}"),)
                  for x in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))]
+# Just below a power of ten: 15 nines stay in place, a 5 after 14 rounds up.
+NINES = [float(f"{m}e{k}") for k in range(-6, 16)
+         for m in ("9.99999999999999", "9.9999999999999949", "9.999999999999995")]
 # Exact binary values halfway between two 15-digit decimals: ties go to even.
 DYADIC_TIES = {1.000030517578125: "1.00003051757812", 1.000091552734375: "1.00009155273438"}
 
@@ -510,13 +557,18 @@ class TestDecimalKernel:
     def test_g15_ties_and_edges(self):
         for value, text in DYADIC_TIES.items():
             assert "%.15g" % value == text
-        edges = [*DYADIC_TIES, 2.675, 0.125, *POWERS_OF_TEN,
+        edges = [*DYADIC_TIES, 2.675, 0.125, *POWERS_OF_TEN, *NINES,
                  9.999999999999995e-5, 999999999999999.5, 1e15]
         values = edges + [-v for v in edges]
         rng = np.random.default_rng(16)   # dyadic values, many of them ties
         dyadic = rng.integers(0, 2 ** 40, size=20_000) / 2.0 ** rng.integers(0, 30, size=20_000)
         segments = [-1.0, -0.0, 999999999999999.0, -999999999999999.0, 0.0, 1.0]
         assert_fields(csv_fields(values + dyadic.tolist(), segments * 4000))
+
+    def test_lower_bounds_are_the_least_doubles_of_each_exponent(self):
+        for k, lower in enumerate(report._G_LOWER[:19]):
+            power = Fraction(10) ** (14 - k)
+            assert Fraction(float(np.nextafter(lower, 0.0))) < power <= Fraction(float(lower))
 
     def test_segments_the_kernel_cannot_spell(self, tmp_path):
         # write_trajectory_csv refuses them before it opens the file
@@ -544,7 +596,7 @@ class TestDecimalKernel:
 
     def test_table_words_spell_their_strings(self):
         def text(word):
-            return np.asarray(word, np.uint32).tobytes().replace(b"\0", b"").decode()
+            return np.asarray(word).tobytes().replace(b"\0", b"").decode()
 
         words = report._WORDS.reshape(10, 1000)
         for g in range(1000):
@@ -558,11 +610,12 @@ class TestDecimalKernel:
             assert len(spelled) == 10
             for form, want in spelled.items():
                 assert text(words[form, g]) == want
-        for k in range(19):
-            for negative in (0, 1):
-                assert text(report._G_SIGN[19 * negative + k]) == (
-                    "-" * negative + ("0." if k > 14 else ""))
-            assert text(report._G_ZEROS[k]) == "0" * max(k - 15, 0)
+        for c, sep in enumerate(("", ",", ",")):   # first column, one after it, segment
+            for k in range(20):   # k = 19: 0
+                for negative in (0, 1):
+                    sign = "-" * negative if c < 2 or k < 19 else ""   # '%d' % -0.0 is '0'
+                    prefix = "0." + "0" * (k - 15) if 14 < k < 19 else ""
+                    assert text(report._G_HEAD[40 * c + 2 * k + negative]) == sep + sign + prefix
         assert text(report._LF) == "\n"
 
 
@@ -631,19 +684,18 @@ class TestWriteMemory:
         assert peaks[1] < 1.25 * peaks[0]
 
     # 1.1 times the tracemalloc peaks of the writers as they were before the
-    # decimal kernel (`%` on chunks of 2,048 rows), on these inputs
+    # decimal kernel (`%` on chunks of 2,048 rows), on these inputs of 4,096 rows
     CSV_CEILING = int(1.1 * 1_223_511)
     SVG_CEILING = int(1.1 * 259_711)
 
     def test_csv_peak_ceiling(self, tmp_path):
-        traj = columns_trajectory(8 * CHUNK, np.random.default_rng(3))
+        traj = columns_trajectory(4096, np.random.default_rng(3))
         path = str(tmp_path / "t.csv")
         assert _peak_write_bytes(lambda: write_trajectory_csv(traj, path)) < self.CSV_CEILING
 
     def test_svg_peak_ceiling(self, tmp_path):
         rng = np.random.default_rng(4)
-        series = [{"x": rng.normal(size=8 * CHUNK), "y": rng.normal(size=8 * CHUNK),
-                   "label": "s"}]
+        series = [{"x": rng.normal(size=4096), "y": rng.normal(size=4096), "label": "s"}]
         path = str(tmp_path / "t.svg")
         assert _peak_write_bytes(lambda: write_plot_svg(path, series)) < self.SVG_CEILING
 
