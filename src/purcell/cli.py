@@ -17,7 +17,7 @@ from .lie import solve_bracket_coefficients
 from .model import Configuration, ShapePoint
 from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
-from .report import check_out_dir, ensure_out_dir, plot_svg, write_trajectory_csv
+from .report import check_out_dir, ensure_out_dir, plot_svg, write_file, write_trajectory_csv
 from .se2 import GroupPose
 from .selftest import (LADDER, commutator_probe, leakage_ratios, rank_sweep,
                        run_acceptance, variant_slopes)
@@ -46,13 +46,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_config(args) -> RunConfig:
-    """The --config file (or the defaults), then the flags that set config keys."""
+def _read(path, what) -> str:
+    """The text of an input file, read as UTF-8 whatever the locale."""
     try:
-        text = "" if args.config is None else pathlib.Path(args.config).read_text()
+        return pathlib.Path(path).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read config {args.config}: {exc}")
-    return parse_config(text, {k: v for k, v in vars(args).items() if k in KEYS})
+        raise ValidationError(f"cannot read {what} {path}: {exc}")
+
+
+def _say(line: str) -> None:
+    """Print `line`, with its non-ASCII bytes as \\xNN where stdout cannot encode it."""
+    try:
+        print(line)
+    except UnicodeEncodeError:
+        print(line.encode("utf-8", "surrogateescape").decode("ascii", "backslashreplace"))
 
 
 class RunReport:
@@ -69,21 +76,21 @@ class RunReport:
         self.scalars = {}
         self.files = []
         if not quiet:
-            print(f"command: {command}")
+            _say(f"command: {command}")
             for line in self.config_lines:
-                print(f"config: {line}")
+                _say(f"config: {line}")
 
     def scalar(self, key, value):
         self.scalars[key] = value
-        print(f"{key} = {value}")
+        _say(f"{key} = {value}")
 
     def info(self, message):
         if not self.quiet:
-            print(message)
+            _say(message)
 
     def artifact(self, path):
         self.files.append(path)
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
 
 
 def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
@@ -132,13 +139,8 @@ def cmd_synthesize(args, cfg: RunConfig, rep: RunReport) -> int:
 
 
 def _write_schedule(schedule, out_dir, name, comment, rep):
-    path = os.path.join(ensure_out_dir(out_dir), name)
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(format_schedule(schedule, comment=comment))
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}")
-    rep.artifact(path)
+    rep.artifact(write_file(os.path.join(ensure_out_dir(out_dir), name),
+                            [format_schedule(schedule, comment=comment).encode()]))
 
 
 def _run_files(stem):
@@ -173,11 +175,7 @@ def _run_outputs(traj, stem, max_rows, circle=None, overlay=None):
 def cmd_simulate(args, cfg: RunConfig, rep: RunReport) -> int:
     stem = "sim_" + os.path.splitext(os.path.basename(args.schedule))[0]
     check_out_dir(cfg.out_dir, _run_files(stem))
-    try:
-        with open(args.schedule) as fh:
-            schedule = parse_schedule(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read schedule {args.schedule}: {exc}")
+    schedule = parse_schedule(_read(args.schedule, "schedule"))
     if len(schedule) == 0:
         raise ValidationError(f"schedule {args.schedule} contains no segments")
     traj = simulate(schedule, STRAIGHT, cfg.params, cfg.integrator)
@@ -357,7 +355,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args)
+        # the --config file (or the defaults), then the flags that set config keys
+        text = "" if args.config is None else _read(args.config, "config")
+        cfg = parse_config(text, {k: v for k, v in vars(args).items() if k in KEYS})
         return args.func(args, cfg, RunReport(args.command, cfg, args.quiet))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

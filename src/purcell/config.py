@@ -9,6 +9,7 @@ after the file.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -108,7 +109,7 @@ def _parse_value(key: str, token: str, lineno: int):
     if kind is str:
         if "\0" in token:   # no path or name holds one: os.makedirs would raise ValueError
             raise _line_error(f"key {key!r} must not hold a NUL byte", lineno)
-        return token
+        return os.fsdecode(token.encode("utf-8", "surrogateescape"))   # a file name, any locale
     if kind is bool:
         low = token.lower()
         if low in ("true", "yes", "1", "on"):

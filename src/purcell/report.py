@@ -1,14 +1,16 @@
 """Trajectory CSV and self-contained SVG plot output.
 
-Both writers are deterministic: identical inputs give byte-identical files.
-The bytes are those of `%` applied to each value on its own ('%.15g' and
-'%d' in the CSV, '%.2f' for polyline points), but a block of 1,024 CSV rows
-or 2,048 polyline points is laid out at once by the numpy decimal kernel
-below; a CSV write fills one record buffer again for each block.  Each
-writer refuses at entry what the kernel cannot spell; CSV values in
-exponent notation, nan and inf go through `%` one at a time.
+write_file writes every artifact, the CLI's schedules too: UTF-8 bytes with LF
+line endings in any locale, identical for identical inputs.  The bytes of a
+number are those of `%` applied to it on its own ('%.15g' and '%d' in the CSV,
+'%.2f' for polyline points), but a block of 1,024 CSV rows or 2,048 polyline
+points is laid out at once by the numpy decimal kernel below; a CSV write
+fills one record buffer again for each block.  Each writer refuses at entry
+what the kernel cannot spell; CSV values in exponent notation, nan and inf go
+through `%` one at a time.
 """
 
+import itertools
 import math
 import os
 
@@ -234,13 +236,24 @@ _F2_SEP = np.tile(np.int32([1000 * _SPACE_LEAD, 1000 * _COMMA_LEAD]), SVG_CHUNK)
 _F2_SEP[0] = 1000 * _LEAD   # nothing before a block's first point
 
 
-def _points(v: np.ndarray) -> str:
+def _points(v: np.ndarray) -> bytearray:
     """'%.2f,%.2f' of each (x, y) row of v, rows joined by a space; 0 <= v < 1000."""
     top, g = np.divmod(_nearest(v, 2).astype(np.int32), 1000)
     raw, recs = _records(v.shape + (2,))
     recs[..., 0] = _WORDS.take(top + _F2_SEP[:top.size].reshape(top.shape))
     recs[..., 1] = _WORDS.take(g + 1000 * _P1)
-    return raw.translate(None, b"\0").decode()
+    return raw.translate(None, b"\0")
+
+
+def write_file(path: str, chunks) -> str:
+    """Write the byte strings `chunks` to `path`, the one place an artifact is
+    opened: a failed write is a ValidationError."""
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+    return path
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> str:
@@ -250,27 +263,19 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> str:
     seg = traj.segment
     if not np.all((np.abs(seg) < 1e15) & (seg == np.floor(seg))):   # also nan
         raise ValidationError(f"cannot write {path}: segments must be integers below 1e15")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CSV_HEADER.encode() + b"\n")
-            fh.writelines(_csv_lines(traj.rows))
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}")
-    return path
+    return write_file(path, itertools.chain([CSV_HEADER.encode() + b"\n"], _csv_lines(traj.rows)))
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != CSV_HEADER:
-                raise ValidationError(f"{path}: unexpected CSV header {header!r}")
+                raise ValueError(f"unexpected CSV header {header!r}")
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
-    except ValidationError:
-        raise
-    except ValueError as exc:   # a ragged or non-numeric row
+    except ValueError as exc:   # the header, bytes that are not UTF-8, a ragged or non-numeric row
         raise ValidationError(f"{path}: {exc}")
     if rows.shape[1] != len(COLUMNS):   # also a file with no rows
         raise ValidationError(f"{path}: expected rows of {len(COLUMNS)} values")
@@ -301,8 +306,9 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def _text(s: str) -> str:
-    """`s` as SVG text content: &, < and > escaped (xml.sax.saxutils.escape,
-    without the import of urllib that comes with it)."""
+    """`s` as SVG text content: &, < and > escaped (xml.sax.saxutils.escape without
+    its urllib import), and each surrogate-escaped file-name byte, not UTF-8, U+FFFD."""
+    s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -411,37 +417,28 @@ def plot_svg(series: list, kind: str = "path", title: str = "", circle: tuple = 
                    f'fill="none" stroke="#888888" stroke-width="1.5" '
                    f'stroke-dasharray="6 4"/>')
 
-    def write(path: str) -> str:
-        try:
-            with open(path, "w", newline="\n") as fh:
-                fh.write("\n".join(out) + "\n")
-                for i, (s_def, (x, y)) in enumerate(zip(series, points)):
-                    color = _COLORS[i % len(_COLORS)]
-                    if len(x) == 1:
-                        px, py = to_px(float(x[0]), float(y[0]))
-                        fh.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" '
-                                 f'fill="{color}"/>\n')
-                    else:
-                        fh.write('<polyline points="')
-                        for lo in range(0, len(x), SVG_CHUNK):
-                            px, py = to_px(x[lo:lo + SVG_CHUNK], y[lo:lo + SVG_CHUNK])
-                            if lo:
-                                fh.write(" ")
-                            fh.write(_points(np.column_stack((px, py))))
-                        fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
-                    label = s_def.get("label", "")
-                    if label:
-                        lx = _MARGIN + 10
-                        ly = _MARGIN + 16 * (i + 1)
-                        fh.write(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-                                 f'stroke="{color}" stroke-width="2"/>\n'
-                                 f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-                                 f'font-size="11">{_text(label)}</text>\n')
-                fh.write("</svg>\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}")
-        return path
-    return write
+    def chunks():
+        yield ("\n".join(out) + "\n").encode()
+        for i, (s_def, (x, y)) in enumerate(zip(series, points)):
+            color = _COLORS[i % len(_COLORS)]
+            if len(x) == 1:
+                px, py = to_px(float(x[0]), float(y[0]))
+                yield f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{color}"/>\n'.encode()
+            else:
+                for lo in range(0, len(x), SVG_CHUNK):
+                    yield b" " if lo else b'<polyline points="'
+                    yield _points(np.column_stack(to_px(x[lo:lo + SVG_CHUNK], y[lo:lo + SVG_CHUNK])))
+                yield f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'.encode()
+            label = s_def.get("label", "")
+            if label:
+                lx = _MARGIN + 10
+                ly = _MARGIN + 16 * (i + 1)
+                yield (f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                       f'stroke="{color}" stroke-width="2"/>\n'
+                       f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
+                       f'font-size="11">{_text(label)}</text>\n').encode()
+        yield b"</svg>\n"
+    return lambda path: write_file(path, chunks())
 
 
 def write_plot_svg(path: str, series: list, kind: str = "path", title: str = "",

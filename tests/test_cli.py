@@ -25,12 +25,13 @@ def run(argv):
     return main(argv)
 
 
-def run_process(argv, cwd):
-    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
-    env = dict(os.environ)
+def run_process(argv, cwd, text=True, **env):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr), with the
+    environment variables `env` added; text=False keeps the output as bytes."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "purcell.cli", *argv], cwd=cwd, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=text)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -128,6 +129,106 @@ def test_simulate_svgs_escape_the_schedule_name(tmp_path, capsys):
                         ("sim_a&b<c_shape.svg", "sim_a&b<c: joint angles")):
         root = ElementTree.parse(out / name).getroot()   # raises unless well-formed
         assert title in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+# Locales for a fresh interpreter: Python's own choices (UTF-8 mode, locale
+# coercion) off, and no stream encoding forced.
+UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONIOENCODING": ""}
+ASCII_LOCALE = dict(UTF8_LOCALE, LC_ALL="C")
+SQUARE = b"1 1 0.3\n2 1 0.3\n1 -1 0.3\n2 -1 0.3\n"
+ALPHA = "\u03b1".encode()
+
+
+def run_in(locale, argv, cwd):
+    """run_process with bytes arguments and output, under `locale`: the exit
+    code and stdout, after checking that stderr holds no traceback."""
+    code, out, err = run_process(argv, cwd, text=False, **locale)
+    assert b"Traceback" not in err
+    return code, out
+
+
+def svg_titles(path: bytes) -> list:
+    """The text of every <text> element of the SVG at `path`, which must parse."""
+    with open(path, "rb") as fh:
+        root = ElementTree.parse(fh).getroot()
+    return [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_simulate_of_a_file_name_that_is_not_utf8(tmp_path):
+    # its SVG titles spell the byte U+FFFD; the result lines show it as it is
+    base = os.fsencode(tmp_path)
+    with open(os.path.join(base, b"bad\xff.txt"), "wb") as fh:
+        fh.write(SQUARE)
+    code, out = run_in(UTF8_LOCALE, [b"simulate", b"--schedule", b"bad\xff.txt", b"--out", b"o",
+                                     b"--quiet"], tmp_path)
+    assert code == 0
+    stem = b"sim_bad\xff"
+    names = [stem + b".csv", stem + b"_path.svg", stem + b"_shape.svg"]
+    assert sorted(os.listdir(os.path.join(base, b"o"))) == sorted(names)
+    assert out.endswith(b"".join(b"wrote o/" + name + b"\n" for name in names))
+    for name, title in ((names[1], "sim_bad\ufffd: base-link path"),
+                        (names[2], "sim_bad\ufffd: joint angles")):
+        assert title in svg_titles(os.path.join(base, b"o", name))
+
+
+def test_simulate_of_a_utf8_file_name_writes_the_same_files_in_any_locale(tmp_path):
+    base = os.fsencode(tmp_path)
+    with open(os.path.join(base, ALPHA + b".txt"), "wb") as fh:
+        fh.write(SQUARE)
+    written = []
+    for out, locale in ((b"u", UTF8_LOCALE), (b"a", ASCII_LOCALE)):
+        code, stdout = run_in(locale, [b"simulate", b"--schedule", ALPHA + b".txt", b"--out", out,
+                                       b"--quiet"], tmp_path)
+        assert code == 0
+        assert stdout.endswith(b"wrote " + out + b"/sim_" + ALPHA + b"_shape.svg\n")
+        folder = tmp_path / os.fsdecode(out)
+        written.append({p.name: p.read_bytes() for p in folder.iterdir()})
+        for kind, title in ((b"path", "base-link path"), (b"shape", "joint angles")):
+            assert f"sim_\u03b1: {title}" in svg_titles(
+                os.path.join(os.fsencode(folder), b"sim_" + ALPHA + b"_" + kind + b".svg"))
+    assert len(written[0]) == 3
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("kind", ["schedule", "config"])
+def test_input_files_are_read_as_utf8_in_any_locale(tmp_path, kind):
+    # a comment that is not ASCII, and for the config an output directory
+    if kind == "schedule":
+        text = b"# " + ALPHA + b"\n" + SQUARE
+        argv = [b"simulate", b"--schedule", b"in.txt", b"--out", b"o"]
+        written = [b"o/sim_in.csv", b"o/sim_in_path.svg", b"o/sim_in_shape.svg"]
+    else:
+        text = b"# " + ALPHA + b"\nrun.out = r" + ALPHA + b"\n"
+        argv = [b"synthesize", b"--direction", b"theta", b"--config", b"in.txt"]
+        written = [b"r" + ALPHA + b"/gait_theta.txt"]
+    base = os.fsencode(tmp_path)
+    with open(os.path.join(base, b"in.txt"), "wb") as fh:
+        fh.write(text)
+    outputs = []
+    for locale in (UTF8_LOCALE, ASCII_LOCALE):
+        code, out = run_in(locale, argv, tmp_path)
+        assert code == 0
+        assert all(os.path.isfile(os.path.join(base, path)) for path in written)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    with open(os.path.join(base, b"in.txt"), "wb") as fh:   # not UTF-8: one line, exit 1
+        fh.write(text.replace(ALPHA, b"\xff"))
+    for locale in (UTF8_LOCALE, ASCII_LOCALE):
+        code, _, err = run_process(argv, tmp_path, text=False, **locale)
+        assert code == 1
+        assert err.startswith(f"error: cannot read {kind} in.txt: ".encode())
+        assert err.count(b"\n") == 1
+
+
+def test_wrote_line_of_an_out_dir_that_is_not_utf8(tmp_path):
+    # a UTF-8 locale whose stdout refuses surrogate escapes (en_US.UTF-8, say)
+    strict = dict(UTF8_LOCALE, PYTHONIOENCODING="utf-8:strict")
+    code, out = run_in(strict, [b"synthesize", b"--direction", b"x", b"--out", b"q\xff"], tmp_path)
+    assert code == 0
+    assert b"config: run.out = q\\xff\n" in out
+    assert out.endswith(b"wrote q\\xff/gait_x.txt\n")
+    assert os.path.isfile(os.path.join(os.fsencode(tmp_path), b"q\xff", b"gait_x.txt"))
 
 
 @pytest.mark.parametrize("rate", ["3e-323", "1e-307"])

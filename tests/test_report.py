@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -309,6 +310,21 @@ class TestSvg:
         write_plot_svg(str(p2), series)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_text_is_utf8_with_fffd_for_file_name_bytes_that_are_not(self, tmp_path):
+        # Python surrogate-escapes the bytes of a file name that are not UTF-8,
+        # and under an ASCII locale those of one that is ("\udcce\udcb1", an alpha)
+        texts, svgs = {}, {}
+        for i, name in enumerate(("sim_bad\udcff", "sim_\u03b1", "sim_\udcce\udcb1")):
+            path = tmp_path / f"{i}.svg"
+            write_plot_svg(str(path), [{"x": [0, 1], "y": [1, 0], "label": name}],
+                           title=name, xlabel=name, ylabel=name)
+            root = ElementTree.parse(path).getroot()   # raises unless well-formed UTF-8
+            texts[name] = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+            svgs[name] = path.read_bytes()
+        assert texts["sim_bad\udcff"].count("sim_bad\ufffd") == 4   # title, axes, label
+        assert texts["sim_\u03b1"].count("sim_\u03b1") == 4
+        assert svgs["sim_\u03b1"] == svgs["sim_\udcce\udcb1"]
+
 
 # Each side of half a CSV block and of the first, second and fourth CSV block
 # boundary, and one past the eighth: for the polyline blocks of SVG_CHUNK
@@ -503,16 +519,16 @@ def csv_fields(values, segments):
 
 
 def point_fields(values):
-    """(field, '%.2f' % value) for every value, as the SVG writer's kernel
-    lays out (x, y) points, in its blocks of SVG_CHUNK."""
+    """(field, b'%.2f' % value) for every value, as the SVG writer's kernel
+    lays out (x, y) points as bytes, in its blocks of SVG_CHUNK."""
     v = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 2), 2))
     pairs = []
     for lo in range(0, len(v), SVG_CHUNK):
         block = v[lo:lo + SVG_CHUNK]
-        points = report._points(block).split(" ")
+        points = report._points(block).split(b" ")
         assert len(points) == len(block)
         for point, xy in zip(points, block.tolist()):
-            pairs += [(f, "%.2f" % c) for f, c in zip(point.split(","), xy)]
+            pairs += [(f, b"%.2f" % c) for f, c in zip(point.split(b","), xy)]
     return pairs
 
 
