@@ -8,13 +8,14 @@ term the square-gait limit tests come out one order too low.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import Configuration, ShapePoint, SwimmerParams, swimmer_fields
+from .model import Configuration, ShapePoint, SwimmerParams, swimmer_fields, validate_params
 from .se2 import GroupPose, se2_commutator, wrap_angle
 
 VectorFieldHandle = Callable[[Configuration], np.ndarray]
@@ -120,27 +121,45 @@ def controllability_report(p: Configuration, params: SwimmerParams,
     return ControllabilityReport(basis=basis, singular_values=sigma, rank=rank)
 
 
+# (exact-bits key, checked 3x3 bracket block) of the last point solved, read
+# and replaced as one tuple, so no caller pairs a key with another point's
+# block.  A -0.0 shape keys apart from 0.0, as in simulate's segment keys.
+_last_block = (b"", None)
+
+
 def solve_bracket_coefficients(direction: str, p: Configuration, params: SwimmerParams,
                                h_inner: float = INNER_STEP,
                                h_outer: float = OUTER_STEP) -> BracketCoefficients:
     """Weights (alpha, beta, gamma) on ([g1,g2], [g1,[g1,g2]], [g2,[g1,g2]])
     whose group parts combine to the unit x, y or theta body direction at p.
+
+    The three directions at one point share one bracket basis: the block of
+    the last point solved is kept as one entry under an exact-bits key of
+    the point, the parameters and both steps, so asking for x, y and theta
+    there in a row builds and checks the basis once.  A refused point keeps
+    nothing.
     """
+    global _last_block
     try:
         index = {"x": 0, "y": 1, "theta": 2}[direction]
     except KeyError:
         raise ValidationError(f"direction must be x, y or theta, got {direction!r}")
-    basis = bracket_basis(p, params, h_inner, h_outer)
-    brackets = basis[:, 2:]
-    shape_leak = np.max(np.abs(brackets[:2, :]))
-    if shape_leak > 1e-8:
-        raise NumericalError(
-            f"bracket fields leak into shape rates ({shape_leak:.3e}); model is inconsistent")
-    B = brackets[2:, :]
-    sigma = np.linalg.svd(B, compute_uv=False)
-    if sigma[0] == 0 or sigma[-1] < 1e-10 * sigma[0]:
-        raise NumericalError(
-            f"bracket group parts fail to span the group directions at shape {tuple(p.shape)}")
+    validate_params(params)   # so an unset k is refused here, not by struct
+    key = struct.pack("<12d", *p.shape, *p.pose, *params, h_inner, h_outer)
+    last_key, B = _last_block
+    if key != last_key:
+        basis = bracket_basis(p, params, h_inner, h_outer)
+        brackets = basis[:, 2:]
+        shape_leak = np.max(np.abs(brackets[:2, :]))
+        if shape_leak > 1e-8:
+            raise NumericalError(
+                f"bracket fields leak into shape rates ({shape_leak:.3e}); model is inconsistent")
+        B = brackets[2:, :]
+        sigma = np.linalg.svd(B, compute_uv=False)
+        if sigma[0] == 0 or sigma[-1] < 1e-10 * sigma[0]:
+            raise NumericalError(
+                f"bracket group parts fail to span the group directions at shape {tuple(p.shape)}")
+        _last_block = (key, B)
     rhs = np.zeros(3)
     rhs[index] = 1.0
     sol = np.linalg.solve(B, rhs)

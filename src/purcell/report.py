@@ -305,10 +305,15 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return ticks
 
 
+# the characters XML 1.0 forbids: the C0 controls but tab, LF and CR, and U+FFFE, U+FFFF
+_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+
+
 def _text(s: str) -> str:
     """`s` as SVG text content: &, < and > escaped (xml.sax.saxutils.escape without
-    its urllib import), and each surrogate-escaped file-name byte, not UTF-8, U+FFFD."""
-    s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    its urllib import), and each surrogate-escaped file-name byte, not UTF-8, and
+    each character XML forbids, U+FFFD."""
+    s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace").translate(_NOT_XML)
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -318,7 +323,8 @@ def plot_svg(series: list, kind: str = "path", title: str = "", circle: tuple = 
     write(path), which renders them there.
 
     `series` is a list of dicts with keys x, y (sequences) and label.  The
-    title, axis labels and series labels are text: &, < and > are escaped.
+    title, axis labels and series labels are text: &, < and > are escaped,
+    and characters XML forbids become U+FFFD.
     kind "path" keeps the aspect ratio square; "time-series" scales the axes
     independently.  `circle` draws an overlay (cx, cy, r) in data units.
     Every refusal but a failed write comes before write, so a caller can

@@ -3,8 +3,8 @@
 Each mutant changes one line of a file of src/purcell in a temporary copy of
 the repository's src/, tests/ and pyproject.toml, then runs there the
 selection of its own test file named for it.  The mutant is killed when that
-selection fails.  Before any mutant runs, every selection must pass on the
-unchanged copy.  Mutants that cannot change what the program does are listed
+selection fails.  Before any mutant runs, every line named must exist once in
+src/purcell, and every selection must pass on the unchanged copy.  Mutants that cannot change what the program does are listed
 in EQUIVALENT, each with its reason; they are not run.
 
     python3 tests/mutants.py              # every mutant
@@ -35,6 +35,13 @@ class Mutant(NamedTuple):
 
 
 REPORT, TEST_REPORT = "report.py", "test_report.py"
+LIE, TEST_LIE = "lie.py", "test_lie.py"
+SE2, TEST_SE2 = "se2.py", "test_se2.py"
+GAITS, TEST_GAITS = "gaits.py", "test_gaits.py"
+_TEXT_LINE = ('s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace")'
+              '.translate(_NOT_XML)')
+_NOT_XML_LINE = ('_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), '
+                 '0xFFFE, 0xFFFF], "\\ufffd")')
 KERNEL = "TestDecimalKernel"
 LENGTHS = "test_csv_lengths or block"
 
@@ -76,12 +83,11 @@ MUTANTS = (
     # the one write path, and input read as UTF-8, in any locale
     Mutant("text-mode-write", REPORT, 'with open(path, "wb") as fh:', 'with open(path, "w") as fh:',
            TEST_REPORT, "TestSvg or TestCsv"),
-    Mutant("surrogates-kept", REPORT,
-           's = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace")', "pass",
-           TEST_REPORT, "fffd"),
-    Mutant("surrogates-as-question-marks", REPORT,
-           's = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace")',
-           's = s.encode("utf-8", "replace").decode("utf-8")', TEST_REPORT, "fffd"),
+    Mutant("surrogates-kept", REPORT, _TEXT_LINE, "s = s.translate(_NOT_XML)", TEST_REPORT,
+           "fffd"),
+    Mutant("surrogates-as-question-marks", REPORT, _TEXT_LINE,
+           's = s.encode("utf-8", "replace").decode("utf-8").translate(_NOT_XML)', TEST_REPORT,
+           "fffd"),
     Mutant("stdout-strict", "cli.py",
            'print(line.encode("utf-8", "surrogateescape").decode("ascii", "backslashreplace"))',
            "print(line)", "test_cli.py", "wrote_line"),
@@ -99,6 +105,65 @@ MUTANTS = (
            "test_simulate.py", "test_wrap_angles_is_wrap_angle_bit_for_bit"),
     Mutant("dominance-one", "planner.py", "MIN_DOMINANCE = 2.0", "MIN_DOMINANCE = 1.0",
            "test_planner.py", "test_dominance_threshold_is_two"),
+    Mutant("xml-controls-kept", REPORT, _NOT_XML_LINE, "_NOT_XML = {}", TEST_REPORT,
+           "xml_forbids"),
+    # the connection kernel and the drag coefficients
+    Mutant("cond-limit-loose", "model.py", "COND_LIMIT = 1e12", "COND_LIMIT = 1e30",
+           "test_model.py", "TestConditioningGuard"),
+    Mutant("lateral-drag-thrice", "model.py",
+           "return params._replace(k_long=k_long, k_lat=2.0 * k_long)",
+           "return params._replace(k_long=k_long, k_lat=3.0 * k_long)", "test_model.py",
+           "test_ratio_is_two"),
+    Mutant("thick-link-kept", "model.py", "if params.b >= params.L:", "if params.b > params.L:",
+           "test_model.py", "test_rejects_thick_links"),
+    # the Lie layer and its block memo
+    Mutant("memo-key-without-outer-step", LIE,
+           'key = struct.pack("<12d", *p.shape, *p.pose, *params, h_inner, h_outer)',
+           'key = struct.pack("<11d", *p.shape, *p.pose, *params, h_inner)', TEST_LIE,
+           "any_other_key"),
+    Mutant("memo-never-kept", LIE, "_last_block = (key, B)", "pass", TEST_LIE, "one_basis"),
+    Mutant("memo-unset-drag-to-struct", LIE,
+           "validate_params(params)   # so an unset k is refused here, not by struct", "pass",
+           TEST_LIE, "unset_drag"),
+    Mutant("span-check-dropped", LIE,
+           "if sigma[0] == 0 or sigma[-1] < 1e-10 * sigma[0]:", "if sigma[0] == 0:", TEST_LIE,
+           "degenerate or refused"),
+    Mutant("leak-check-loose", LIE, "if shape_leak > 1e-8:", "if shape_leak > 1e-4:", TEST_LIE,
+           "refused"),
+    Mutant("commutator-term-negated", LIE,
+           "out[2:] += se2_commutator(tuple(x_val[2:]), tuple(y_val[2:]))",
+           "out[2:] -= se2_commutator(tuple(x_val[2:]), tuple(y_val[2:]))", TEST_LIE,
+           "algebra_commutator"),
+    Mutant("one-sided-step", LIE, "cols.append((plus - minus) / (2.0 * h))",
+           "cols.append((plus - minus) / h)", TEST_LIE, "linear_field_exact"),
+    Mutant("rank-against-least", LIE,
+           "rank = int(np.sum(sigma > tol * sigma[0])) if sigma[0] > 0 else 0",
+           "rank = int(np.sum(sigma > tol * sigma[-1])) if sigma[0] > 0 else 0", TEST_LIE,
+           "drop_rank"),
+    # the SE(2) group
+    Mutant("wrap-to-minus-pi", SE2, "if r <= 0.0:", "if r < 0.0:", TEST_SE2, "wrap_angle"),
+    Mutant("compose-sign", SE2, "a.x + c * b.x - s * b.y,", "a.x + c * b.x + s * b.y,", TEST_SE2,
+           "compose"),
+    Mutant("inverse-keeps-angle", SE2, "wrap_angle(-g.theta),", "wrap_angle(g.theta),", TEST_SE2,
+           "inverse"),
+    Mutant("commutator-sign", SE2, "return (-aw * by + bw * ay, aw * bx - bw * ax, 0.0)",
+           "return (aw * by - bw * ay, aw * bx - bw * ax, 0.0)", TEST_LIE, "algebra_commutator"),
+    Mutant("torus-second-unwrapped", SE2, "d2 = wrap_angle(a[1] - b[1])", "d2 = a[1] - b[1]",
+           TEST_SE2, "torus_distance_wraps"),
+    # gait schedules
+    Mutant("reverse-not-negated", GAITS,
+           "segs = tuple(ControlSegment(s.channel, -s.amplitude, s.duration)",
+           "segs = tuple(ControlSegment(s.channel, s.amplitude, s.duration)", TEST_GAITS,
+           "reverse"),
+    Mutant("inverse-square-swapped", GAITS,
+           "_INVERSE_SQUARE = (2, 1.0, 1, 1.0)     # exact inverse of the plus square",
+           "_INVERSE_SQUARE = (1, 1.0, 2, 1.0)", TEST_GAITS, "closing_squares"),
+    Mutant("variant-not-rotated", GAITS,
+           "return ControlSchedule(tuple(segs[variant:] + segs[:variant]))",
+           "return ControlSchedule(tuple(segs[:variant] + segs[variant:]))", TEST_GAITS,
+           "variant_rotation"),
+    Mutant("literal-inner-legs", GAITS, "inner = t ** 0.25 / n", "inner = t ** 0.25 / n ** 0.75",
+           TEST_GAITS, "nesting_durations"),
 )
 
 # (the file, the line, its mutation, why the program's behaviour cannot change)
@@ -113,6 +178,10 @@ EQUIVALENT = (
      "carry = (q.take(rest) == 10 ** 15) & (kr > 99)",
      "a value that rounds up to the next power of ten is then written by `%`, which spells it "
      "the same"),
+    (LIE, 'key = struct.pack("<12d", *p.shape, *p.pose, *params, h_inner, h_outer)',
+     'key = struct.pack("<9d", *p.shape, *params, h_inner, h_outer)',
+     "the basis has the same bits at every pose (test_basis_is_the_same_bits_at_every_pose), "
+     "so a block kept at one pose is the block of any other"),
 )
 
 
@@ -123,15 +192,21 @@ def _copy_tree(dest: str) -> None:
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def _mutate(tree: str, source: str, line: str, mutated: str) -> None:
+def _find(tree: str, source: str, line: str):
+    """The path of `source` in `tree`, its lines, and the index of the one that reads `line`."""
     path = os.path.join(tree, "src", "purcell", source)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     hits = [i for i, text in enumerate(lines) if text.strip() == line]
     if len(hits) != 1:
         raise SystemExit(f"{source}: {len(hits)} lines read {line!r}, not one")
-    text = lines[hits[0]]
-    lines[hits[0]] = text[:len(text) - len(text.lstrip())] + mutated
+    return path, lines, hits[0]
+
+
+def _mutate(tree: str, source: str, line: str, mutated: str) -> None:
+    path, lines, i = _find(tree, source, line)
+    text = lines[i]
+    lines[i] = text[:len(text) - len(text.lstrip())] + mutated
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 
@@ -146,10 +221,9 @@ def _passes(tree: str, tests: str, select: str) -> bool:
 
 def main(words) -> int:
     chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
-    for source, line, mutated, _ in EQUIVALENT:   # each still names a line that exists once
-        with tempfile.TemporaryDirectory() as tree:
-            _copy_tree(tree)
-            _mutate(tree, source, line, mutated)
+    # every line named, equivalent ones too, exists once before any mutant runs
+    for source, line in [(m.source, m.line) for m in chosen] + [e[:2] for e in EQUIVALENT]:
+        _find(ROOT, source, line)
     with tempfile.TemporaryDirectory() as tree:
         _copy_tree(tree)
         for tests, select in sorted({(m.tests, m.select) for m in chosen}):

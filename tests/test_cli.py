@@ -172,6 +172,19 @@ def test_simulate_of_a_file_name_that_is_not_utf8(tmp_path):
         assert title in svg_titles(os.path.join(base, b"o", name))
 
 
+def test_simulate_of_a_file_name_with_a_control_character(tmp_path):
+    # XML 1.0 forbids U+0001, so the SVG titles spell it U+FFFD, and both files parse
+    base = os.fsencode(tmp_path)
+    with open(os.path.join(base, b"a\x01.txt"), "wb") as fh:
+        fh.write(SQUARE)
+    code, _ = run_in(UTF8_LOCALE, [b"simulate", b"--schedule", b"a\x01.txt", b"--out", b"o",
+                                   b"--quiet"], tmp_path)
+    assert code == 0
+    for kind, title in ((b"path", "base-link path"), (b"shape", "joint angles")):
+        assert f"sim_a\ufffd: {title}" in svg_titles(os.path.join(base, b"o", b"sim_a\x01_" + kind
+                                                                  + b".svg"))
+
+
 def test_simulate_of_a_utf8_file_name_writes_the_same_files_in_any_locale(tmp_path):
     base = os.fsencode(tmp_path)
     with open(os.path.join(base, ALPHA + b".txt"), "wb") as fh:

@@ -82,6 +82,17 @@ class TestSynthesize:
         inner_l = [seg for seg in literal.segments if seg.duration != mids_l[0].duration]
         assert inner_l[0].duration == pytest.approx(t ** 0.25 / n)
 
+    def test_closing_squares(self):
+        # derived closes each block with the exact inverse of its inner square,
+        # literal with that square's sign-mirror
+        for nesting, close in (("derived", reverse_schedule),
+                               ("literal", lambda sq: ControlSchedule(tuple(
+                                   s._replace(amplitude=-s.amplitude) for s in sq.segments)))):
+            s = synthesize(GaitSpec(0.0, 1.0, 0.0, t=1.0, n=1, nesting=nesting))
+            inner, closing = ControlSchedule(s.segments[1:5]), ControlSchedule(s.segments[6:])
+            assert inner == commutator_schedule(s.segments[1].duration ** 2)
+            assert closing == close(inner)
+
     def test_channel_integrals_close(self):
         for nesting in ("derived", "literal"):
             for n in (1, 2, 3):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from purcell import lie
 from purcell.errors import NumericalError, ValidationError
 from purcell.lie import (bracket_basis, controllability_report, jacobian, lie_bracket,
                          solve_bracket_coefficients)
@@ -21,6 +22,31 @@ def coords(q):
 def random_config(rng):
     return Configuration(ShapePoint(*rng.uniform(-1.5, 1.5, 2)),
                          GroupPose(*rng.uniform(-1, 1, 2), rng.uniform(-1.5, 1.5)))
+
+
+def patch_basis(monkeypatch, fake):
+    """lie.bracket_basis replaced by `fake`, with the block memo emptied, so
+    that no block solved before answers in its place."""
+    monkeypatch.setattr(lie, "_last_block", (b"", None))
+    monkeypatch.setattr(lie, "bracket_basis", fake)
+
+
+def counted_basis(monkeypatch):
+    """The real bracket_basis behind a list of its calls, the memo emptied."""
+    calls = []
+
+    def basis(*args, **kwargs):
+        calls.append(args)
+        return bracket_basis(*args, **kwargs)
+
+    patch_basis(monkeypatch, basis)
+    return calls
+
+
+def hexes(p, params):
+    """x, y and theta at p, solved in a row, as float.hex strings."""
+    return [float.hex(v) for d in ("x", "y", "theta")
+            for v in solve_bracket_coefficients(d, p, params)]
 
 
 def shape_poly_field(c):
@@ -162,12 +188,11 @@ class TestControllability:
                 assert bracket_basis(Configuration(shape, pose), params).tobytes() == at_identity
 
     def test_duplicated_columns_drop_rank(self, monkeypatch):
-        import purcell.lie as lie_mod
         basis = bracket_basis(ORIGIN, PARAMS)
         degenerate = basis.copy()
         degenerate[:, 3] = degenerate[:, 2]
         degenerate[:, 4] = degenerate[:, 1]
-        monkeypatch.setattr(lie_mod, "bracket_basis", lambda *a, **k: degenerate)
+        patch_basis(monkeypatch, lambda *a, **k: degenerate)
         rep = controllability_report(ORIGIN, PARAMS, tol=1e-8)
         assert rep.rank <= 4
 
@@ -219,11 +244,68 @@ class TestCoefficients:
     def test_signals_degenerate_basis(self, monkeypatch):
         # real parameter sets keep the bracket span full, so force a
         # degenerate basis to exercise the guard
-        import purcell.lie as lie_mod
         basis = bracket_basis(ORIGIN, PARAMS)
         degenerate = basis.copy()
         degenerate[:, 4] = degenerate[:, 3]
-        monkeypatch.setattr(lie_mod, "bracket_basis",
-                            lambda *a, **k: degenerate)
+        patch_basis(monkeypatch, lambda *a, **k: degenerate)
         with pytest.raises(NumericalError, match="span"):
-            lie_mod.solve_bracket_coefficients("x", ORIGIN, PARAMS)
+            lie.solve_bracket_coefficients("x", ORIGIN, PARAMS)
+
+    def test_unset_drag_is_one_validation_error(self):
+        with pytest.raises(ValidationError, match="drag coefficients unset"):
+            solve_bracket_coefficients("x", ORIGIN, PARAMS._replace(k_long=None))
+
+
+class TestCoefficientMemo:
+    def test_three_directions_at_one_point_build_one_basis(self, monkeypatch):
+        calls = counted_basis(monkeypatch)
+        first = hexes(ORIGIN, PARAMS)
+        assert len(calls) == 1
+        assert hexes(ORIGIN, PARAMS) == first
+        assert len(calls) == 1
+
+    def test_any_other_key_builds_its_own_basis(self, monkeypatch):
+        up = lambda v: math.nextafter(v, math.inf)
+        others = [(Configuration(ShapePoint(-0.0, 0.0), ORIGIN.pose), PARAMS, {}),
+                  (Configuration(ShapePoint(0.0, -0.0), ORIGIN.pose), PARAMS, {}),
+                  *((ORIGIN, PARAMS._replace(**{f: up(getattr(PARAMS, f))}), {})
+                    for f in PARAMS._fields),
+                  (ORIGIN, PARAMS, {"h_inner": up(lie.INNER_STEP)}),
+                  (ORIGIN, PARAMS, {"h_outer": up(lie.OUTER_STEP)})]
+        calls = counted_basis(monkeypatch)
+        for n, (p, params, steps) in enumerate(others, 1):
+            solve_bracket_coefficients("x", ORIGIN, PARAMS)
+            solve_bracket_coefficients("y", p, params, **steps)
+            assert len(calls) == 2 * n
+
+    def test_a_refused_point_raises_every_time_and_keeps_nothing(self, monkeypatch):
+        basis = bracket_basis(ORIGIN, PARAMS)
+        degenerate, leaky = basis.copy(), basis.copy()
+        degenerate[:, 4] = degenerate[:, 3]
+        leaky[0, 3] = 1e-6
+        for fake, message in ((degenerate, "span"), (leaky, "leak")):
+            calls = []
+            patch_basis(monkeypatch, lambda *a, **k: calls.append(a) or fake)
+            for d in ("x", "y", "theta", "x"):
+                with pytest.raises(NumericalError, match=message):
+                    solve_bracket_coefficients(d, ORIGIN, PARAMS)
+            assert len(calls) == 4
+        calls = []   # the real basis again, the memo as the refusals left it
+        monkeypatch.setattr(lie, "bracket_basis",
+                            lambda *a, **k: calls.append(a) or bracket_basis(*a, **k))
+        cold = [float.hex(v) for e in np.eye(3) for v in np.linalg.solve(basis[2:, 2:], e)]
+        assert hexes(ORIGIN, PARAMS) == cold
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [None, 21, 22, 23, 24], ids=["default", *"abcd"])
+    def test_a_warm_solve_equals_a_cold_one_bit_for_bit(self, monkeypatch, seed):
+        params = PARAMS if seed is None else _random_params(np.random.default_rng(seed))
+        rng = np.random.default_rng(14)
+        for p in [ORIGIN, *(random_config(rng) for _ in range(5))]:
+            calls = counted_basis(monkeypatch)
+            warm = hexes(p, params)
+            cold = []
+            for d in ("x", "y", "theta"):
+                monkeypatch.setattr(lie, "_last_block", (b"", None))
+                cold += [float.hex(v) for v in solve_bracket_coefficients(d, p, params)]
+            assert (warm, len(calls)) == (cold, 4)

@@ -325,6 +325,20 @@ class TestSvg:
         assert texts["sim_\u03b1"].count("sim_\u03b1") == 4
         assert svgs["sim_\u03b1"] == svgs["sim_\udcce\udcb1"]
 
+    def test_text_spells_each_character_xml_forbids_fffd(self, tmp_path):
+        forbidden = [*map(chr, range(0x20)), "\ufffe", "\uffff"]
+        for c in ("\t", "\n", "\r"):
+            forbidden.remove(c)
+        assert report._text("".join(forbidden)) == "\ufffd" * len(forbidden)
+        kept = "\t\n\r \x7f\x80\u03b1\ufffd\ufffc\U0001f600~"
+        assert report._text(kept) == kept
+        path = tmp_path / "c.svg"
+        name = "sim_" + "".join(forbidden)
+        write_plot_svg(str(path), [{"x": [0, 1], "y": [1, 0], "label": name}], title=name)
+        texts = [el.text for el in
+                 ElementTree.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count("sim_" + "\ufffd" * len(forbidden)) == 2   # title, label
+
 
 # Each side of half a CSV block and of the first, second and fourth CSV block
 # boundary, and one past the eighth: for the polyline blocks of SVG_CHUNK

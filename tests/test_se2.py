@@ -61,4 +61,6 @@ def test_group_axioms_randomized(a, b, c):
 def test_torus_distance_wraps():
     assert torus_distance((math.pi - 0.01, 0.0), (-math.pi + 0.01, 0.0)) == \
         pytest.approx(0.02, abs=1e-12)
+    assert torus_distance((0.0, math.pi - 0.01), (0.0, -math.pi + 0.01)) == \
+        pytest.approx(0.02, abs=1e-12)
     assert torus_distance((0.3, -0.2), (0.3, -0.2)) == 0.0
