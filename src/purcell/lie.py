@@ -23,11 +23,11 @@ VectorFieldHandle = Callable[[Configuration], np.ndarray]
 DEFAULT_STEP = 1e-5
 # Steps for nested brackets.  The outer central difference is taken of the
 # inner bracket, so its O(OUTER_STEP**2) truncation error lands on the two
-# nested-bracket columns: at 1e-2 it pulled sigma5/sigma1 to 2.5e-9, below
-# DEFAULT_RANK_TOL, at the rank-5 shape (-1.3436, -0.7912) under default
-# parameters.  At 1e-3 the ratio there reads 3.904e-7, and 3.946e-7 and
-# 3.950e-7 with inner steps of 3e-4 and 1e-4: the inner evaluation's noise
-# does not yet show.
+# nested-bracket columns: at 1e-2 it pulled the unit-free sigma5/sigma1 to
+# 4.6e-8 at the rank-5 shape (-1.3436, -0.7912) under default parameters,
+# and the physical one to 2.5e-9, below DEFAULT_RANK_TOL.  At 1e-3 the
+# unit-free ratio there reads 7.181e-6, and 7.258e-6 and 7.265e-6 with inner
+# steps of 3e-4 and 1e-4: the inner evaluation's noise does not yet show.
 INNER_STEP = 1e-3
 OUTER_STEP = 1e-3
 
@@ -43,37 +43,41 @@ class BracketCoefficients(NamedTuple):
 @dataclass(frozen=True)
 class ControllabilityReport:
     basis: np.ndarray            # 5x5, columns g1, g2, [g1,g2], [g1,[g1,g2]], [g2,[g1,g2]]
-    singular_values: np.ndarray  # nonincreasing
+    singular_values: np.ndarray  # of the unit-free basis, nonincreasing
     rank: int
 
 
-def _perturbed(q: Configuration, coord: int, delta: float) -> Configuration:
-    a1, a2 = q.shape
-    x, y, th = q.pose
-    if coord == 0:
-        return Configuration(ShapePoint(wrap_angle(a1 + delta), a2), q.pose)
-    if coord == 1:
-        return Configuration(ShapePoint(a1, wrap_angle(a2 + delta)), q.pose)
-    if coord == 2:
-        return Configuration(q.shape, GroupPose(x + delta, y, th))
-    if coord == 3:
-        return Configuration(q.shape, GroupPose(x, y + delta, th))
-    return Configuration(q.shape, GroupPose(x, y, wrap_angle(th + delta)))
+def _lengths(params: SwimmerParams) -> np.ndarray:
+    """Each basis row's unit of length, as a column: L on the x and y rates,
+    1 on the shape and heading rates.  Divided by it, the basis is unit-free,
+    so a rank or span verdict does not depend on the swimmer's size."""
+    return np.array([[1.0], [1.0], [params.L], [params.L], [1.0]])
 
 
 def jacobian(X: VectorFieldHandle, q: Configuration, h: float = DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian of a field, column per coordinate.
 
-    Shape coordinates are perturbed on the torus.
+    The field is evaluated at q + h and q - h along each coordinate, into one
+    10x5 array.  Shape coordinates and the heading are perturbed on the
+    circle.  J is returned C-ordered, because J @ x of a Fortran-ordered J
+    can differ in its last bits.
     """
     if not 0 < h < math.inf:
         raise ValidationError(f"finite-difference step must be positive and finite, got {h}")
-    cols = []
-    for j in range(5):
-        plus = np.asarray(X(_perturbed(q, j, h)), dtype=float)
-        minus = np.asarray(X(_perturbed(q, j, -h)), dtype=float)
-        cols.append((plus - minus) / (2.0 * h))
-    return np.column_stack(cols)
+    shape, pose = q.shape, q.pose
+    (a1, a2), (x, y, th) = shape, pose
+    v = np.array([X(c) for c in (
+        Configuration(ShapePoint(wrap_angle(a1 + h), a2), pose),
+        Configuration(ShapePoint(wrap_angle(a1 - h), a2), pose),
+        Configuration(ShapePoint(a1, wrap_angle(a2 + h)), pose),
+        Configuration(ShapePoint(a1, wrap_angle(a2 - h)), pose),
+        Configuration(shape, GroupPose(x + h, y, th)),
+        Configuration(shape, GroupPose(x - h, y, th)),
+        Configuration(shape, GroupPose(x, y + h, th)),
+        Configuration(shape, GroupPose(x, y - h, th)),
+        Configuration(shape, GroupPose(x, y, wrap_angle(th + h))),
+        Configuration(shape, GroupPose(x, y, wrap_angle(th - h))))], dtype=float)
+    return np.ascontiguousarray(((v[0::2] - v[1::2]) / (2.0 * h)).T)
 
 
 def lie_bracket(X: VectorFieldHandle, Y: VectorFieldHandle, q: Configuration,
@@ -82,7 +86,7 @@ def lie_bracket(X: VectorFieldHandle, Y: VectorFieldHandle, q: Configuration,
     x_val = np.asarray(X(q), dtype=float)
     y_val = np.asarray(Y(q), dtype=float)
     out = jacobian(Y, q, h) @ x_val - jacobian(X, q, h) @ y_val
-    out[2:] += se2_commutator(tuple(x_val[2:]), tuple(y_val[2:]))
+    out[2:] += se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())
     return out
 
 
@@ -110,13 +114,15 @@ def controllability_report(p: Configuration, params: SwimmerParams,
                            h_outer: float = OUTER_STEP) -> ControllabilityReport:
     """Rank of the bracket-generated distribution at p.
 
-    rank counts singular values above tol * sigma_max, so a tol of 1 or more
-    would read rank 0 everywhere.
+    The singular values are those of the unit-free basis, its x and y rows
+    divided by L; `basis` itself stays in physical units.  rank counts
+    singular values above tol * sigma_max, so a tol of 1 or more would read
+    rank 0 everywhere.
     """
     if not 0 < tol < 1:
         raise ValidationError(f"rank tolerance must be between 0 and 1, got {tol}")
     basis = bracket_basis(p, params, h_inner, h_outer)
-    sigma = np.linalg.svd(basis, compute_uv=False)
+    sigma = np.linalg.svd(basis / _lengths(params), compute_uv=False)
     rank = int(np.sum(sigma > tol * sigma[0])) if sigma[0] > 0 else 0
     return ControllabilityReport(basis=basis, singular_values=sigma, rank=rank)
 
@@ -155,7 +161,7 @@ def solve_bracket_coefficients(direction: str, p: Configuration, params: Swimmer
             raise NumericalError(
                 f"bracket fields leak into shape rates ({shape_leak:.3e}); model is inconsistent")
         B = brackets[2:, :]
-        sigma = np.linalg.svd(B, compute_uv=False)
+        sigma = np.linalg.svd(B / _lengths(params)[2:], compute_uv=False)
         if sigma[0] == 0 or sigma[-1] < 1e-10 * sigma[0]:
             raise NumericalError(
                 f"bracket group parts fail to span the group directions at shape {tuple(p.shape)}")

@@ -42,6 +42,7 @@ _TEXT_LINE = ('s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace
               '.translate(_NOT_XML)')
 _NOT_XML_LINE = ('_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), '
                  '0xFFFE, 0xFFFF], "\\ufffd")')
+_DIFFERENCE_LINE = "return np.ascontiguousarray(((v[0::2] - v[1::2]) / (2.0 * h)).T)"
 KERNEL = "TestDecimalKernel"
 LENGTHS = "test_csv_lengths or block"
 
@@ -131,11 +132,20 @@ MUTANTS = (
     Mutant("leak-check-loose", LIE, "if shape_leak > 1e-8:", "if shape_leak > 1e-4:", TEST_LIE,
            "refused"),
     Mutant("commutator-term-negated", LIE,
-           "out[2:] += se2_commutator(tuple(x_val[2:]), tuple(y_val[2:]))",
-           "out[2:] -= se2_commutator(tuple(x_val[2:]), tuple(y_val[2:]))", TEST_LIE,
+           "out[2:] += se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())",
+           "out[2:] -= se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())", TEST_LIE,
            "algebra_commutator"),
-    Mutant("one-sided-step", LIE, "cols.append((plus - minus) / (2.0 * h))",
-           "cols.append((plus - minus) / h)", TEST_LIE, "linear_field_exact"),
+    Mutant("one-sided-step", LIE, _DIFFERENCE_LINE,
+           "return np.ascontiguousarray(((v[0::2] - v[1::2]) / h).T)", TEST_LIE,
+           "linear_field_exact"),
+    Mutant("fortran-order-jacobian", LIE, _DIFFERENCE_LINE,
+           "return ((v[0::2] - v[1::2]) / (2.0 * h)).T", TEST_LIE, "generic_pose_dependent"),
+    Mutant("shape-wrap-dropped", LIE,
+           "Configuration(ShapePoint(wrap_angle(a1 + h), a2), pose),",
+           "Configuration(ShapePoint(a1 + h, a2), pose),", TEST_LIE, "wraps_within"),
+    Mutant("rank-in-physical-units", LIE,
+           "return np.array([[1.0], [1.0], [params.L], [params.L], [1.0]])",
+           "return np.ones((5, 1))", TEST_LIE, "power_of_two_length"),
     Mutant("rank-against-least", LIE,
            "rank = int(np.sum(sigma > tol * sigma[0])) if sigma[0] > 0 else 0",
            "rank = int(np.sum(sigma > tol * sigma[-1])) if sigma[0] > 0 else 0", TEST_LIE,

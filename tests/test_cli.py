@@ -65,6 +65,23 @@ def test_analyze_small_grid(capsys):
     ]
 
 
+def test_analyze_of_a_two_micron_swimmer_reads_rank_five(tmp_path, capsys):
+    # the rank reads the basis with its x and y rows divided by L; in
+    # physical units this swimmer read min_rank = 4 and exited 2
+    (tmp_path / "micro.cfg").write_text("swimmer.L = 1e-6\nswimmer.b = 1e-7\n")
+    assert run(["analyze", "--config", str(tmp_path / "micro.cfg"), "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert "min_rank = 5" in out
+    assert "min_sigma_ratio = 3.471e-04" in out   # as at the default 5 cm
+
+
+def test_coefficients_of_a_tiny_swimmer(tmp_path, capsys):
+    # the span check divides the x and y rows by L too
+    (tmp_path / "tiny.cfg").write_text("swimmer.L = 1e-11\nswimmer.b = 1e-12\n")
+    assert run(["coefficients", "--config", str(tmp_path / "tiny.cfg"), "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["x", "-8.1e+11", "0", "0"]
+
+
 @pytest.mark.parametrize("flag, message", [
     ("--grid", f"grid must be from 1 to {MAX_GRID}"),
 ])
@@ -474,9 +491,10 @@ def test_analyze_sweeps_shapes_only(tmp_path, capsys):
 
 
 def test_coefficients_failure_prints_no_table(tmp_path):
-    # x already fails here, after the table's header used to be printed
-    (tmp_path / "huge.cfg").write_text("swimmer.L = 1e300\nswimmer.b = 1e299\n")
-    code, out, err = run_process(["coefficients", "--config", "huge.cfg", "--quiet"], tmp_path)
+    # x already fails here, after the table's header used to be printed.  (A
+    # 1e300 m swimmer failed the span check in physical units; it now solves.)
+    (tmp_path / "ill.cfg").write_text("swimmer.k_long = 1e-14\nswimmer.k_lat = 1\n")
+    code, out, err = run_process(["coefficients", "--config", "ill.cfg", "--quiet"], tmp_path)
     assert code == 2
     assert out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1

@@ -8,7 +8,7 @@ from purcell.errors import NumericalError, ValidationError
 from purcell.lie import (bracket_basis, controllability_report, jacobian, lie_bracket,
                          solve_bracket_coefficients)
 from purcell.model import Configuration, ShapePoint, default_params, swimmer_fields
-from purcell.se2 import IDENTITY, GroupPose
+from purcell.se2 import IDENTITY, GroupPose, se2_commutator, wrap_angle
 from purcell.selftest import _random_params
 
 PARAMS = default_params()
@@ -49,6 +49,66 @@ def hexes(p, params):
             for v in solve_bracket_coefficients(d, p, params)]
 
 
+# --- Reference route: the column-at-a-time difference Jacobian that
+# lie.jacobian replaced, composed into brackets and a basis the same way.
+# The fast path must equal it bit for bit.
+
+def _perturbed(q, coord, delta):
+    a1, a2 = q.shape
+    x, y, th = q.pose
+    if coord == 0:
+        return Configuration(ShapePoint(wrap_angle(a1 + delta), a2), q.pose)
+    if coord == 1:
+        return Configuration(ShapePoint(a1, wrap_angle(a2 + delta)), q.pose)
+    if coord == 2:
+        return Configuration(q.shape, GroupPose(x + delta, y, th))
+    if coord == 3:
+        return Configuration(q.shape, GroupPose(x, y + delta, th))
+    return Configuration(q.shape, GroupPose(x, y, wrap_angle(th + delta)))
+
+
+def reference_jacobian(X, q, h):
+    cols = []
+    for j in range(5):
+        plus = np.asarray(X(_perturbed(q, j, h)), dtype=float)
+        minus = np.asarray(X(_perturbed(q, j, -h)), dtype=float)
+        cols.append((plus - minus) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def reference_bracket(X, Y, q, h):
+    x_val = np.asarray(X(q), dtype=float)
+    y_val = np.asarray(Y(q), dtype=float)
+    out = reference_jacobian(Y, q, h) @ x_val - reference_jacobian(X, q, h) @ y_val
+    out[2:] += se2_commutator(tuple(x_val[2:]), tuple(y_val[2:]))
+    return out
+
+
+def reference_basis(p, params, h_inner, h_outer):
+    g1, g2 = swimmer_fields(params)
+    z = lambda q: reference_bracket(g1, g2, q, h_inner)
+    return np.column_stack([g1(p), g2(p), reference_bracket(g1, g2, p, h_inner),
+                            reference_bracket(g1, z, p, h_outer),
+                            reference_bracket(g2, z, p, h_outer)])
+
+
+def generic_field(rng):
+    """A smooth field that depends on every coordinate, pose included, and is
+    periodic in none, so that a missed wrap changes its values."""
+    A, c = rng.normal(size=(5, 5)), rng.normal(size=5)
+    return lambda q: np.sin(A @ coords(q)) + c
+
+
+def near_pi_configs(rng, h, n=8):
+    """Shapes and headings within h of +pi or -pi, so that q +/- h wraps."""
+    for _ in range(n):
+        a1, a2, th = (rng.choice((-1.0, 1.0), 3) * (math.pi - rng.uniform(0.0, h, 3))).tolist()
+        yield Configuration(ShapePoint(a1, a2), GroupPose(*rng.uniform(-1, 1, 2), th))
+
+
+PARAM_SETS = [PARAMS, *(_random_params(np.random.default_rng(s)) for s in (31, 32, 33, 34))]
+
+
 def shape_poly_field(c):
     """Synthetic smooth field depending on shape only."""
 
@@ -81,6 +141,53 @@ class TestJacobian:
     def test_rejects_bad_step(self):
         with pytest.raises(ValidationError):
             jacobian(lambda q: coords(q), ORIGIN, h=0.0)
+
+
+class TestSlowPathReference:
+    """lie.jacobian evaluates its ten points into one array; the column loop
+    it replaced gives the same bits for every field, point and step."""
+
+    @pytest.mark.parametrize("params", PARAM_SETS, ids=["default", *"abcd"])
+    @pytest.mark.parametrize("steps", [(lie.INNER_STEP, lie.OUTER_STEP), (3e-4, 2e-3)],
+                             ids=["default_steps", "other_steps"])
+    def test_swimmer_fields_and_basis(self, params, steps):
+        g1, g2 = swimmer_fields(params)
+        rng = np.random.default_rng(41)
+        points = [ORIGIN, *(random_config(rng) for _ in range(3)),
+                  *near_pi_configs(rng, steps[1], n=4)]
+        for p in points:
+            for h in steps:
+                for g in (g1, g2):
+                    assert jacobian(g, p, h).tobytes() == reference_jacobian(g, p, h).tobytes()
+                assert (lie_bracket(g1, g2, p, h).tobytes()
+                        == reference_bracket(g1, g2, p, h).tobytes())
+            expected = reference_basis(p, params, *steps)
+            assert bracket_basis(p, params, *steps).tobytes() == expected.tobytes()
+
+    def test_generic_pose_dependent_fields(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            X, Y = generic_field(rng), generic_field(rng)
+            q = Configuration(ShapePoint(*rng.uniform(-math.pi, math.pi, 2)),
+                              GroupPose(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi)))
+            h = 10.0 ** rng.uniform(-6, -2)
+            assert jacobian(X, q, h).tobytes() == reference_jacobian(X, q, h).tobytes()
+            assert lie_bracket(X, Y, q, h).tobytes() == reference_bracket(X, Y, q, h).tobytes()
+
+    def test_wraps_within_a_step_of_pi(self):
+        rng = np.random.default_rng(43)
+        for h in (1e-5, 1e-3, 2e-3):
+            X, Y = generic_field(rng), generic_field(rng)
+            for q in near_pi_configs(rng, h):
+                assert jacobian(X, q, h).tobytes() == reference_jacobian(X, q, h).tobytes()
+                expected = reference_bracket(X, Y, q, h)
+                assert lie_bracket(X, Y, q, h).tobytes() == expected.tobytes()
+
+    def test_ten_field_evaluations_per_jacobian(self):
+        calls = []
+        g1, _ = swimmer_fields(PARAMS)
+        jacobian(lambda q: calls.append(q) or g1(q), ORIGIN)
+        assert len(calls) == 10
 
 
 class TestLieBracket:
@@ -166,13 +273,39 @@ class TestControllability:
             assert rep.rank == 5
 
     def test_rank_five_where_a_coarse_outer_step_reads_four(self):
-        # an outer step of 1e-2 puts sigma5/sigma1 at 2.5e-9 here; the converged
-        # ratio is 3.95e-7
+        # an outer step of 1e-2 puts sigma5/sigma1 of the physical basis at
+        # 2.5e-9 here, a rank of 4; at the default steps the unit-free ratio
+        # is 7.18e-6 (3.90e-7 in physical units)
         q = Configuration(ShapePoint(-1.343638547525214, -0.7911675163058991),
                           GroupPose(-0.9834490021778961, -0.593022886161849, 1.4046297842213313))
         rep = controllability_report(q, PARAMS)
         assert rep.rank == 5
-        assert rep.singular_values[4] / rep.singular_values[0] > 3.8e-7
+        assert rep.singular_values[4] / rep.singular_values[0] > 7e-6
+
+    @pytest.mark.parametrize("params", PARAM_SETS[:3], ids=["default", "a", "b"])
+    def test_unit_free_under_a_power_of_two_length(self, params):
+        # L and b scaled by 2**k scale the x and y rows of the basis exactly
+        # and leave every other bit alone; the rank reads the rows divided by L
+        rng = np.random.default_rng(44)
+        for _ in range(4):
+            p = Configuration(ShapePoint(*rng.uniform(-math.pi, math.pi, 2)), IDENTITY)
+            rep = controllability_report(p, params)
+            for k in (-40, -20, -1, 1, 20):
+                scaled = params._replace(L=2.0 ** k * params.L, b=2.0 ** k * params.b)
+                other = controllability_report(p, scaled)
+                assert other.singular_values.tobytes() == rep.singular_values.tobytes()
+                assert other.rank == rep.rank == 5
+                expected = rep.basis.copy()
+                expected[2:4] *= 2.0 ** k
+                assert other.basis.tobytes() == expected.tobytes()
+
+    def test_a_micron_swimmer_has_rank_five(self):
+        # unscaled, sigma5/sigma1 grows like L: 1.26e-9 on a 6x6 grid at 1 um
+        params = PARAMS._replace(L=1e-6, b=1e-7)
+        for a1 in np.linspace(-math.pi, math.pi, 6, endpoint=False):
+            for a2 in np.linspace(-math.pi, math.pi, 6, endpoint=False):
+                p = Configuration(ShapePoint(float(a1), float(a2)), IDENTITY)
+                assert controllability_report(p, params).rank == 5
 
     @pytest.mark.parametrize("params", [PARAMS, _random_params(np.random.default_rng(11))],
                              ids=["default", "random"])
@@ -250,6 +383,14 @@ class TestCoefficients:
         patch_basis(monkeypatch, lambda *a, **k: degenerate)
         with pytest.raises(NumericalError, match="span"):
             lie.solve_bracket_coefficients("x", ORIGIN, PARAMS)
+
+    @pytest.mark.parametrize("L", [1e-11, 1e9])
+    def test_span_check_is_unit_free(self, L):
+        # the 3x3 block's x and y rows scale with L; the check divides them out
+        params = PARAMS._replace(L=L, b=L / 10)
+        c = solve_bracket_coefficients("y", ORIGIN, params)
+        reference = solve_bracket_coefficients("y", ORIGIN, PARAMS._replace(b=PARAMS.L / 10))
+        assert c.beta * L == pytest.approx(reference.beta * PARAMS.L, rel=1e-6)
 
     def test_unset_drag_is_one_validation_error(self):
         with pytest.raises(ValidationError, match="drag coefficients unset"):
