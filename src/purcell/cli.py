@@ -18,7 +18,7 @@ from .model import Configuration, ShapePoint
 from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
 from .report import check_out_dir, ensure_out_dir, plot_svg, write_file, write_trajectory_csv
-from .se2 import GroupPose
+from .se2 import DIRECTIONS, GroupPose
 from .selftest import (LADDER, commutator_probe, leakage_ratios, rank_sweep,
                        run_acceptance, variant_slopes)
 from .simulate import net_displacement, simulate
@@ -108,7 +108,7 @@ def cmd_analyze(args, cfg: RunConfig, rep: RunReport) -> int:
 def cmd_coefficients(args, cfg: RunConfig, rep: RunReport) -> int:
     # all three solved first, so a failure prints no partial table
     solved = {d: solve_bracket_coefficients(d, STRAIGHT, cfg.params)
-              for d in ("x", "y", "theta")}
+              for d in DIRECTIONS}
     print(f"{'direction':>9s} {'alpha':>14s} {'beta':>14s} {'gamma':>14s}")
     for d, c in solved.items():
         print(f"{d:>9s} {c.alpha:14.6g} {c.beta:14.6g} {c.gamma:14.6g}")
@@ -318,7 +318,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_coefficients)
 
     p = sub.add_parser("synthesize", parents=[common], help="expand a gait spec into a schedule file")
-    p.add_argument("--direction", choices=("x", "y", "theta"), required=True)
+    p.add_argument("--direction", choices=DIRECTIONS, required=True)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("simulate", parents=[common], help="integrate a schedule file")

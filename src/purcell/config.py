@@ -19,6 +19,7 @@ from .gaits import MAX_N, GaitSpec
 from .model import (SwimmerParams, cfd_drag_coefficients, derive_drag_coefficients,
                     validate_params)
 from .planner import MAX_SIDES, PLAN_GAITS, composite_square_gait
+from .se2 import DIRECTIONS
 from .simulate import IntegratorConfig
 
 
@@ -188,7 +189,7 @@ def _build(given: dict) -> RunConfig:
     gaits = {d: GaitSpec(alpha=v[f"gait.{d}.alpha"], beta=v[f"gait.{d}.beta"],
                          gamma=v[f"gait.{d}.gamma"], t=v[f"gait.{d}.t"],
                          n=v[f"gait.{d}.n"], nesting=v["gait.nesting"])
-             for d in ("x", "y", "theta")}
+             for d in DIRECTIONS}
     integrator = IntegratorConfig(h=v["integrator.h"], min_substeps=v["integrator.min_substeps"])
     return RunConfig(values=v, params=params, integrator=integrator, gaits=gaits)
 

@@ -48,10 +48,10 @@ class GaitSpec:
 @dataclass(frozen=True)
 class ControlSchedule:
     segments: tuple = ()
-    # a simulate.SegmentTable, from which simulate copies body-frame rows and
-    # to which it adds what it integrates; it changes no output, so equality
-    # and hashing ignore it
-    rows: object = field(default=None, compare=False, repr=False)
+    # a dict in which simulate keeps the body-frame rows it integrates and
+    # from which it copies them; it changes no output, so equality and
+    # hashing ignore it
+    rows: dict = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.segments)

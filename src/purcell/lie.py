@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import Configuration, ShapePoint, SwimmerParams, swimmer_fields, validate_params
-from .se2 import GroupPose, se2_commutator, wrap_angle
+from .se2 import DIRECTIONS, GroupPose, se2_commutator, wrap_angle
 
 VectorFieldHandle = Callable[[Configuration], np.ndarray]
 
@@ -123,7 +123,7 @@ def controllability_report(p: Configuration, params: SwimmerParams,
         raise ValidationError(f"rank tolerance must be between 0 and 1, got {tol}")
     basis = bracket_basis(p, params, h_inner, h_outer)
     sigma = np.linalg.svd(basis / _lengths(params), compute_uv=False)
-    rank = int(np.sum(sigma > tol * sigma[0])) if sigma[0] > 0 else 0
+    rank = int(np.sum(sigma > tol * sigma[0]))
     return ControllabilityReport(basis=basis, singular_values=sigma, rank=rank)
 
 
@@ -146,27 +146,19 @@ def solve_bracket_coefficients(direction: str, p: Configuration, params: Swimmer
     nothing.
     """
     global _last_block
-    try:
-        index = {"x": 0, "y": 1, "theta": 2}[direction]
-    except KeyError:
+    if direction not in DIRECTIONS:
         raise ValidationError(f"direction must be x, y or theta, got {direction!r}")
     validate_params(params)   # so an unset k is refused here, not by struct
     key = struct.pack("<12d", *p.shape, *p.pose, *params, h_inner, h_outer)
     last_key, B = _last_block
     if key != last_key:
-        basis = bracket_basis(p, params, h_inner, h_outer)
-        brackets = basis[:, 2:]
-        shape_leak = np.max(np.abs(brackets[:2, :]))
-        if shape_leak > 1e-8:
-            raise NumericalError(
-                f"bracket fields leak into shape rates ({shape_leak:.3e}); model is inconsistent")
-        B = brackets[2:, :]
+        B = bracket_basis(p, params, h_inner, h_outer)[2:, 2:]
         sigma = np.linalg.svd(B / _lengths(params)[2:], compute_uv=False)
         if sigma[0] == 0 or sigma[-1] < 1e-10 * sigma[0]:
             raise NumericalError(
                 f"bracket group parts fail to span the group directions at shape {tuple(p.shape)}")
         _last_block = (key, B)
     rhs = np.zeros(3)
-    rhs[index] = 1.0
+    rhs[DIRECTIONS.index(direction)] = 1.0
     sol = np.linalg.solve(B, rhs)
     return BracketCoefficients(float(sol[0]), float(sol[1]), float(sol[2]))

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gaits import ControlSchedule, commutator_schedule, reverse_schedule, synthesize
 from .model import Configuration, ShapePoint, SwimmerParams
-from .se2 import GroupPose, wrap_angle
-from .simulate import IntegratorConfig, SegmentTable, Trajectory, net_displacement, simulate
+from .se2 import DIRECTIONS, GroupPose, wrap_angle
+from .simulate import IntegratorConfig, Trajectory, net_displacement, simulate
 
 MIN_DOMINANCE = 2.0
 MAX_SIDES = 1000        # polygon sides; the 10-gon of the acceptance check uses 10
@@ -42,14 +42,15 @@ class CalibrationEntry:
 
     @property
     def per_cycle(self) -> float:
-        return self.delta[2] if self.direction == "theta" else self.delta[0]
+        return self.delta[DIRECTIONS.index(self.direction)]
 
 
 @dataclass(frozen=True)
 class CalibrationTable:
     entries: dict
-    # rows of the calibrated gaits, and of what the plans compiled from it ran
-    rows: SegmentTable = field(compare=False, repr=False)
+    # the rows simulate keeps: of the calibrated gaits, and of what the plans
+    # compiled from it ran
+    rows: dict = field(compare=False, repr=False)
 
     def __getitem__(self, direction: str) -> CalibrationEntry:
         return self.entries[direction]
@@ -117,14 +118,14 @@ def calibrate(params: SwimmerParams, specs: dict,
     Rejects gaits whose principal displacement fails to dominate the
     cross-leakage by MIN_DOMINANCE; such a gait cannot be compiled into
     maneuvers.  Angles and lengths are compared through the 6L span of the
-    swimmer.  Running each gait fills the table's body-frame rows for the
-    plans compiled from it.
+    swimmer.  Running each gait fills the table's kept rows for the plans
+    compiled from it.
     """
     char_length = 6.0 * params.L
-    rows = SegmentTable(params, cfg)
+    rows = {}
     entries = {}
     for direction, spec in specs.items():
-        if direction not in ("x", "y", "theta"):
+        if direction not in DIRECTIONS:
             raise ValidationError(f"unknown gait direction {direction!r}")
         schedule = spec if isinstance(spec, ControlSchedule) else synthesize(spec)
         nd = net_displacement(simulate(ControlSchedule(schedule.segments, rows=rows),
@@ -133,9 +134,9 @@ def calibrate(params: SwimmerParams, specs: dict,
             raise ValidationError(
                 f"{direction} gait does not close its shape loop "
                 f"(closure {nd.shape_closure:.2e})")
-        d = (nd.delta.x, nd.delta.y, nd.delta.theta)
+        d = tuple(nd.delta)
         scaled = (d[0], d[1], char_length * d[2])
-        idx = 2 if direction == "theta" else (0 if direction == "x" else 1)
+        idx = DIRECTIONS.index(direction)
         cross = max(abs(scaled[j]) for j in range(3) if j != idx)
         principal = abs(scaled[idx])
         if principal == 0.0:

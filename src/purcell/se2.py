@@ -24,6 +24,9 @@ class BodyVelocity(NamedTuple):
 
 
 IDENTITY = GroupPose(0.0, 0.0, 0.0)
+# The group directions, named as GroupPose's fields and in their order: a
+# direction's index is its component of a pose, a delta or a body velocity.
+DIRECTIONS = GroupPose._fields
 
 
 def wrap_angle(a: float) -> float:

@@ -22,7 +22,7 @@ from .model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
 from .oracle import reference_body_velocity
 from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
-from .se2 import IDENTITY, GroupPose, wrap_angle
+from .se2 import DIRECTIONS, IDENTITY, GroupPose, wrap_angle
 from .simulate import IntegratorConfig, net_displacement, simulate
 
 
@@ -118,7 +118,7 @@ def check_coefficient_pattern():
     worst = 0.0
     params_list = [default_params()] + [_random_params(rng) for _ in range(20)]
     for params in params_list:
-        cx, cy, ct = (solve_bracket_coefficients(d, STRAIGHT, params) for d in ("x", "y", "theta"))
+        cx, cy, ct = (solve_bracket_coefficients(d, STRAIGHT, params) for d in DIRECTIONS)
         worst = max(worst, max(abs(cx.beta), abs(cx.gamma)) / abs(cx.alpha),
                     max(abs(cy.alpha), abs(cy.beta + cy.gamma)) / abs(cy.beta),
                     max(abs(ct.alpha), abs(ct.beta - ct.gamma)) / abs(ct.beta))

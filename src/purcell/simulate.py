@@ -18,17 +18,18 @@ costs its distinct segments plus that copy and composition: criterion 08's
 step-by-step loop bit for bit; x, y and theta differ from it by rounding,
 within 1e-9 (tests/test_simulate.py keeps that loop as the reference).
 
-Rows that outlive a call belong to a `SegmentTable`, which the planner's
-calibration creates for its swimmer parameters and integrator config and
-hands on with the plans it compiles (`ControlSchedule.rows`).  `simulate` is
-its one writer: when a schedule carries a table of the call's parameters and
-config, pass 1 looks each segment up there, and integrates a missing one and
-keeps a copy of its body-frame rows, start velocity and end state.  So the
-calibration's runs fill it with the basis gaits, the first run of a plan
-that goes backwards adds a gait's reversal, and a schedule run from another
-start shape adds its own distinct segments.  A table of other parameters or
-another config is neither read nor written.  A copied row is the row that
-integrating would write, bit for bit, so no output depends on the table.
+Rows that outlive a call live in a plain dict that a caller hands on with
+its schedules (`ControlSchedule.rows`): the planner's calibration creates
+one and every plan compiled from it carries it.  `simulate` alone reads and
+writes it, and files what it integrates under the call's swimmer parameters
+and integrator config, so rows of another swimmer or config are kept apart
+and never read in their place.  Pass 1 looks each segment up there, and
+integrates a missing one and keeps a copy of its body-frame rows, start
+velocity and end state.  So the calibration's runs fill it with the basis
+gaits, the first run of a plan that goes backwards adds a gait's reversal,
+and a schedule run from another start shape adds its own distinct segments.
+A copied row is the row that integrating would write, bit for bit, so no
+output depends on what is kept.
 """
 
 import math
@@ -101,16 +102,6 @@ class Trajectory:
         return Trajectory(self.rows[np.append(np.arange(0, last, stride), last)])
 
 
-class SegmentTable:
-    """Body-frame rows of distinct segments, integrated once under one
-    swimmer and integrator config.  Only simulate_velocity_model writes it."""
-
-    def __init__(self, params: SwimmerParams, cfg: IntegratorConfig):
-        self.params = params
-        self.cfg = cfg
-        self.segments = {}    # key -> ((n, 9) body-frame rows, start velocity, end state)
-
-
 def simulate(schedule: ControlSchedule, q0: Configuration, params: SwimmerParams,
              cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """The swimmer's trajectory under `schedule` from q0."""
@@ -124,18 +115,15 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
 
     Pass 1 writes each segment's rows in its own body frame from the
     identity pose: it integrates a segment the first time it runs, and
-    copies the rows of a segment seen before.  With `schedule.rows`, a table
-    of these parameters and this config, "seen before" means held in the
-    table, and each segment integrated gets a copy kept there; otherwise it
-    means earlier in this call.  Pass 2 then moves every row, in place and in
+    copies the rows of a segment seen before.  With `schedule.rows`, "seen
+    before" means kept there under these parameters and this config, and
+    each segment integrated gets a copy kept there; otherwise it means
+    earlier in this call.  Pass 2 then moves every row, in place and in
     order, by its segment's start pose and start time.
     """
     validate_params(params)
     if not (cfg.h > 0 and cfg.min_substeps >= 1):
         raise ValidationError("integrator needs h > 0 and min_substeps >= 1")
-    table = schedule.rows
-    if table is not None and (table.params, table.cfg) != (params, cfg):
-        table = None   # rows of another swimmer or integrator config
 
     segments = [(i, s) for i, s in enumerate(schedule.segments) if s.duration > 0.0]
     counts, taken = [], 0
@@ -161,7 +149,8 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
     # rate, so it may not share rows with 0.0.  An int shape keys as its float,
     # whose rows it integrates to bit for bit.  The step count follows from
     # the duration and the config, so the key leaves it out.
-    known = {} if table is None else table.segments   # key -> (body-frame rows, xi0, end)
+    kept = schedule.rows   # (params, cfg) -> key -> (body-frame rows, start velocity, end state)
+    known = {} if kept is None else kept.setdefault((params, cfg), {})
     firsts, ids, starts = [], [], []   # per segment
     try:   # math.cos and math.sin refuse an infinite angle
         for (seg_idx, seg), n_steps in zip(segments, counts):
@@ -173,8 +162,8 @@ def simulate_velocity_model(schedule: ControlSchedule, q0: Configuration,
                 xi0, end = _integrate_segment(params, a1, a2, u1, u2, seg.duration,
                                               n_steps, columns, row)
                 body = rows[row:row + n_steps, :9]
-                # the table outlives this call, so it keeps a copy: pass 2 moves these rows
-                entry = known[key] = (body if table is None else body.copy(), xi0, end)
+                # kept rows outlive this call, so they are a copy: pass 2 moves these rows
+                entry = known[key] = (body if kept is None else body.copy(), xi0, end)
             else:
                 rows[row:row + n_steps, :9] = entry[0]
             _, xi0, (a1, a2, bx, by, bth, tau1) = entry

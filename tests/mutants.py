@@ -38,6 +38,7 @@ REPORT, TEST_REPORT = "report.py", "test_report.py"
 LIE, TEST_LIE = "lie.py", "test_lie.py"
 SE2, TEST_SE2 = "se2.py", "test_se2.py"
 GAITS, TEST_GAITS = "gaits.py", "test_gaits.py"
+TEST_INVARIANCE = "test_invariance.py"
 _TEXT_LINE = ('s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace")'
               '.translate(_NOT_XML)')
 _NOT_XML_LINE = ('_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), '
@@ -129,8 +130,6 @@ MUTANTS = (
     Mutant("span-check-dropped", LIE,
            "if sigma[0] == 0 or sigma[-1] < 1e-10 * sigma[0]:", "if sigma[0] == 0:", TEST_LIE,
            "degenerate or refused"),
-    Mutant("leak-check-loose", LIE, "if shape_leak > 1e-8:", "if shape_leak > 1e-4:", TEST_LIE,
-           "refused"),
     Mutant("commutator-term-negated", LIE,
            "out[2:] += se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())",
            "out[2:] -= se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())", TEST_LIE,
@@ -146,10 +145,30 @@ MUTANTS = (
     Mutant("rank-in-physical-units", LIE,
            "return np.array([[1.0], [1.0], [params.L], [params.L], [1.0]])",
            "return np.ones((5, 1))", TEST_LIE, "power_of_two_length"),
-    Mutant("rank-against-least", LIE,
-           "rank = int(np.sum(sigma > tol * sigma[0])) if sigma[0] > 0 else 0",
-           "rank = int(np.sum(sigma > tol * sigma[-1])) if sigma[0] > 0 else 0", TEST_LIE,
-           "drop_rank"),
+    Mutant("rank-against-least", LIE, "rank = int(np.sum(sigma > tol * sigma[0]))",
+           "rank = int(np.sum(sigma > tol * sigma[-1]))", TEST_LIE, "drop_rank"),
+    # the rows simulate keeps, and the calibration's quantum per direction
+    Mutant("kept-under-params-alone", "simulate.py",
+           "known = {} if kept is None else kept.setdefault((params, cfg), {})",
+           "known = {} if kept is None else kept.setdefault(params, {})", "test_simulate.py",
+           "never_share_kept_rows"),
+    Mutant("kept-rows-not-copied", "simulate.py",
+           "entry = known[key] = (body if kept is None else body.copy(), xi0, end)",
+           "entry = known[key] = (body, xi0, end)", "test_simulate.py", "warm_and_cold"),
+    Mutant("per-cycle-reads-x", "planner.py", "return self.delta[DIRECTIONS.index(self.direction)]",
+           "return self.delta[0]", "test_planner.py", "per_cycle"),
+    # metamorphic relations: changes that no tolerance-based test sees
+    Mutant("start-x-wrapped", "simulate.py",
+           "rows[0] = (0.0, wrap_angle(a1), wrap_angle(a2), x, y, wrap_angle(th), 0.0, 0.0, 0.0,",
+           "rows[0] = (0.0, wrap_angle(a1), wrap_angle(a2), wrap_angle(x), y, wrap_angle(th), "
+           "0.0, 0.0, 0.0,", TEST_INVARIANCE, "power_of_two_length"),
+    Mutant("drag-ratio-regularised", "model.py", "d = params.k_long / params.k_lat - 1.0",
+           "d = params.k_long / (params.k_lat + 1e-14) - 1.0", TEST_INVARIANCE,
+           "power_of_two_drag"),
+    Mutant("sine-of-the-reduced-angle", "model.py", "c1, s1 = math.cos(a1), math.sin(a1)",
+           "c1, s1 = math.cos(a1), math.sin(a1 % (2.0 * math.pi))", TEST_INVARIANCE, "mirrored"),
+    Mutant("dominance-at-default-length", "planner.py", "char_length = 6.0 * params.L",
+           "char_length = 0.3", TEST_INVARIANCE, "twice_the_size"),
     # the SE(2) group
     Mutant("wrap-to-minus-pi", SE2, "if r <= 0.0:", "if r < 0.0:", TEST_SE2, "wrap_angle"),
     Mutant("compose-sign", SE2, "a.x + c * b.x - s * b.y,", "a.x + c * b.x + s * b.y,", TEST_SE2,

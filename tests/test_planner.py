@@ -12,7 +12,7 @@ from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, Calibratio
                              CompiledPlan, Maneuver, ManeuverSpan, WaypointPath, calibrate, compile_maneuvers,
                              composite_square_gait, fit_circle, plan_line, plan_polygon, tracking_report)
 from purcell.se2 import GroupPose
-from purcell.simulate import IntegratorConfig, SegmentTable, simulate
+from purcell.simulate import IntegratorConfig, simulate
 
 from conftest import trajectory_from_columns
 
@@ -29,7 +29,7 @@ def synthetic_table(dx=0.01, dtheta=0.05):
         "x": CalibrationEntry("x", x_sched, (dx, 0.0, 0.0), 100.0),
         "theta": CalibrationEntry("theta", th_sched, (0.0, 0.0, dtheta), 100.0),
     }
-    return CalibrationTable(entries=entries, rows=SegmentTable(PARAMS, FAST_CFG))
+    return CalibrationTable(entries=entries, rows={})
 
 
 class TestCalibrate:
@@ -53,6 +53,14 @@ class TestCalibrate:
         assert abs(dx) > 0
         assert abs(dy) < 0.5 * abs(dx)
         assert abs(dth) < 0.5 * abs(dx)
+
+    def test_per_cycle_is_the_component_of_the_entry_s_own_direction(self):
+        # the y gait's quantum is its y displacement, not its x one
+        calib = calibrate(PARAMS, basis_specs(default_config()),
+                          IntegratorConfig(h=5e-3, min_substeps=16))
+        for i, d in enumerate(("x", "y", "theta")):
+            assert calib[d].per_cycle == calib[d].delta[i]
+        assert len(set(calib["y"].delta)) == 3
 
     def test_theta_gait_rotates(self):
         calib = calibrate(PARAMS, {"theta": GaitSpec(0, 1.0, 1.0, t=0.125)}, FAST_CFG)

@@ -17,8 +17,7 @@ from purcell.model import (Configuration, ShapePoint, SwimmerParams, body_veloci
 from purcell.planner import STRAIGHT, calibrate, compile_maneuvers, plan_line, plan_polygon
 from purcell.se2 import GroupPose, compose, inverse, wrap_angle
 from purcell.selftest import LADDER, commutator_probe, fit_loglog_slope
-from purcell.simulate import (MAX_STEPS, IntegratorConfig, SegmentTable, Trajectory,
-                              net_displacement, simulate)
+from purcell.simulate import MAX_STEPS, IntegratorConfig, Trajectory, net_displacement, simulate
 
 from conftest import trajectory_from_columns
 
@@ -438,9 +437,9 @@ def test_copies_read_body_frame_rows_across_chunks():
 
 
 def test_simulate_module_holds_no_state_between_calls():
-    # rows that outlive a call belong to a SegmentTable that a caller created
-    # and passed; a module-level container (an OrderedDict is a dict) or
-    # package object would be a cache
+    # rows that outlive a call live in a dict that a caller created and
+    # passed; a module-level container (an OrderedDict is a dict) or package
+    # object would be a cache
     held = [name for name, value in vars(sim).items()
             if not (name.startswith("__") and name.endswith("__"))
             and (isinstance(value, (dict, list, set))
@@ -449,8 +448,10 @@ def test_simulate_module_holds_no_state_between_calls():
     assert held == []
 
 
-# The calibration's segment table.  Each test makes its own table, so the
-# order tests run in cannot change what is read, written or counted.
+# The rows simulate keeps, in the dict a schedule carries (`rows`), filed
+# under the call's parameters and integrator config.  Each test makes its own
+# dict, so the order tests run in cannot change what is read, written or
+# counted.
 
 def assert_same_bits(traj, ref):
     assert traj.rows.dtype == ref.rows.dtype and traj.rows.shape == ref.rows.shape
@@ -458,26 +459,28 @@ def assert_same_bits(traj, ref):
 
 
 def _plain(schedule):
-    """The same segments without a table."""
+    """The same segments without kept rows."""
     return ControlSchedule(schedule.segments)
 
 
-def assert_same_entries(table, ref):
-    """Same keys, and under each the same body-frame rows, start velocity and
-    end state, bit for bit."""
-    assert table.segments.keys() == ref.segments.keys()
-    for key, (rows, xi0, end) in table.segments.items():
-        ref_rows, ref_xi0, ref_end = ref.segments[key]
-        assert rows.tobytes() == ref_rows.tobytes() and rows.shape == ref_rows.shape
-        assert (xi0, end) == (ref_xi0, ref_end)
+def assert_same_entries(kept, ref):
+    """The same (parameters, config) keys and segment keys, and under each
+    the same body-frame rows, start velocity and end state, bit for bit."""
+    assert kept.keys() == ref.keys()
+    for owner, table in kept.items():
+        assert table.keys() == ref[owner].keys()
+        for key, (rows, xi0, end) in table.items():
+            ref_rows, ref_xi0, ref_end = ref[owner][key]
+            assert rows.tobytes() == ref_rows.tobytes() and rows.shape == ref_rows.shape
+            assert (xi0, end) == (ref_xi0, ref_end)
 
 
-def _fresh_table(blocks, q0, cfg):
-    """A new table filled by running each block from q0."""
-    table = SegmentTable(PARAMS, cfg)
+def _fresh_rows(blocks, q0, cfg):
+    """New kept rows, filled by running each block from q0 under PARAMS and cfg."""
+    kept = {}
     for block in blocks:
-        simulate(ControlSchedule(block.segments, rows=table), q0, PARAMS, cfg)
-    return table
+        simulate(ControlSchedule(block.segments, rows=kept), q0, PARAMS, cfg)
+    return kept
 
 
 def _plan_blocks(calib):
@@ -509,7 +512,7 @@ def _line_plans(calib, count, seed=5):
 
 
 def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
-    # warm runs integrate only the reversals their table lacks
+    # warm runs integrate only the reversals not yet kept
     specs = basis_specs(default_config())
     calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, PLAN_CFG)
     warm_calls = cold_calls = 0
@@ -540,10 +543,10 @@ def test_line_plans_grow_the_table_by_their_gaits_reversals_only(monkeypatch):
             for span in compiled.spans} == {(kind, sign) for kind in ("rotate", "translate")
                                             for sign in (False, True)}
     assert _model_calls(monkeypatch, run_plans) > 0
-    grown = len(calib.rows.segments)
+    grown = len(calib.rows[(PARAMS, PLAN_CFG)])
     assert _model_calls(monkeypatch, run_plans) == 0
-    assert len(calib.rows.segments) == grown
-    assert_same_entries(calib.rows, _fresh_table(_plan_blocks(calib), STRAIGHT, PLAN_CFG))
+    assert len(calib.rows[(PARAMS, PLAN_CFG)]) == grown
+    assert_same_entries(calib.rows, _fresh_rows(_plan_blocks(calib), STRAIGHT, PLAN_CFG))
 
 
 def _rows_digest(traj):
@@ -587,43 +590,50 @@ def test_compiling_integrates_nothing_and_the_first_simulate_adds_reversals(monk
 
 
 def test_step_counts_and_parameters_never_share_kept_rows(monkeypatch):
-    # a table is read and written only under its own parameters and
-    # integrator config, even where another config gives the same step counts
+    # rows are read and written only under their own parameters and
+    # integrator config, even where another config gives the same step
+    # counts; another swimmer's or config's rows are kept apart
     sched = ControlSchedule(commutator_schedule(0.01).segments * 2)
-    table = SegmentTable(PARAMS, IntegratorConfig(h=1.0, min_substeps=16))
-    carried = ControlSchedule(sched.segments, rows=table)
-    simulate(carried, ORIGIN, PARAMS, table.cfg)
-    held = dict(table.segments)
+    cfg0 = IntegratorConfig(h=1.0, min_substeps=16)
+    kept = {}
+    carried = ControlSchedule(sched.segments, rows=kept)
+    simulate(carried, ORIGIN, PARAMS, cfg0)
+    table = kept[(PARAMS, cfg0)]
+    held = dict(table)
     assert held
-    for params, cfg in ((PARAMS, IntegratorConfig(h=1.0, min_substeps=17)),
-                        (PARAMS, IntegratorConfig(h=2.0, min_substeps=16)),
-                        (derive_drag_coefficients(SwimmerParams(L=0.06)), table.cfg)):
+    others = ((PARAMS, IntegratorConfig(h=1.0, min_substeps=17)),
+              (PARAMS, IntegratorConfig(h=2.0, min_substeps=16)),
+              (derive_drag_coefficients(SwimmerParams(L=0.06)), cfg0))
+    for params, cfg in others:
         cold = []
         cold_calls = _model_calls(monkeypatch, lambda: cold.append(
             simulate(sched, ORIGIN, params, cfg)))
-        warm = []
-        assert _model_calls(monkeypatch, lambda: warm.append(
-            simulate(carried, ORIGIN, params, cfg))) == cold_calls > 0
-        assert_same_bits(warm[0], cold[0])
-    assert _model_calls(monkeypatch, lambda: simulate(carried, ORIGIN, PARAMS, table.cfg)) == 0
-    assert table.segments.keys() == held.keys()
-    assert all(table.segments[key] is entry for key, entry in held.items())
+        for calls in (cold_calls, 0):   # integrated once, then copied
+            warm = []
+            assert _model_calls(monkeypatch, lambda: warm.append(
+                simulate(carried, ORIGIN, params, cfg))) == calls
+            assert_same_bits(warm[0], cold[0])
+        assert cold_calls > 0
+    assert _model_calls(monkeypatch, lambda: simulate(carried, ORIGIN, PARAMS, cfg0)) == 0
+    assert list(kept) == [(PARAMS, cfg0), *others]
+    assert kept[(PARAMS, cfg0)] is table and table.keys() == held.keys()
+    assert all(table[key] is entry for key, entry in held.items())
 
 
 def test_a_schedule_that_never_repeats_a_segment_adds_each_one_once():
     # a schedule from any start shape adds its own distinct segments; the
-    # output is that of a run without the table
-    table = _fresh_table([commutator_schedule(0.01)], ORIGIN, CFG)
+    # output is that of a run without kept rows
+    kept = _fresh_rows([commutator_schedule(0.01)], ORIGIN, CFG)
     rng = np.random.default_rng(3)
     schedules = []
     for _ in range(5):
         segs = tuple(ControlSegment(int(rng.integers(1, 3)), float(rng.uniform(-2.0, 2.0)),
                                     float(rng.uniform(0.01, 0.05))) for _ in range(20))
         schedules.append(ControlSchedule(segs))
-        traj = simulate(ControlSchedule(segs, rows=table), ORIGIN, PARAMS, CFG)
+        traj = simulate(ControlSchedule(segs, rows=kept), ORIGIN, PARAMS, CFG)
         assert_same_bits(traj, simulate(ControlSchedule(segs), ORIGIN, PARAMS, CFG))
-    assert len(table.segments) == 4 + 5 * 20
-    assert_same_entries(table, _fresh_table(
+    assert len(kept[(PARAMS, CFG)]) == 4 + 5 * 20
+    assert_same_entries(kept, _fresh_rows(
         [commutator_schedule(0.01)] + schedules, ORIGIN, CFG))
 
 
@@ -634,9 +644,9 @@ def test_signed_zero_starts_never_share_table_rows(monkeypatch):
     block = ControlSchedule((ControlSegment(1, -0.0, 0.01), ControlSegment(2, 0.5, 0.01),
                              ControlSegment(2, -0.5, 0.01)))
     pose = GroupPose(0.3, -0.2, 1.0)
-    table = _fresh_table([block], Configuration(ShapePoint(0.0, 0.0), pose), CFG)
-    assert len(table.segments) == 3
-    sched = ControlSchedule(block.segments * 3, rows=table)
+    kept = _fresh_rows([block], Configuration(ShapePoint(0.0, 0.0), pose), CFG)
+    assert len(kept[(PARAMS, CFG)]) == 3
+    sched = ControlSchedule(block.segments * 3, rows=kept)
     # segments of 16 steps, 33 calls each, are integrated until a start is 0.0
     # (-0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0) and each adds its own entry;
     # the later cycles are copied, and a second run integrates nothing
@@ -647,7 +657,7 @@ def test_signed_zero_starts_never_share_table_rows(monkeypatch):
         assert _model_calls(monkeypatch, lambda: runs.append(
             simulate(sched, q0, PARAMS, CFG))) == 33 * integrated
         assert_same_bits(runs[0], simulate(_plain(sched), q0, PARAMS, CFG))
-    assert len(table.segments) == 3 + 2 + 1
+    assert len(kept[(PARAMS, CFG)]) == 3 + 2 + 1
 
 
 def test_calibration_keeps_the_rows_of_its_gaits_and_their_reversals(monkeypatch):
@@ -655,11 +665,11 @@ def test_calibration_keeps_the_rows_of_its_gaits_and_their_reversals(monkeypatch
     specs = basis_specs(default_config())
     calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
     rows = calib.rows
-    assert (rows.params, rows.cfg) == (PARAMS, cfg)
-    # the table's rows are those that integrating each gait writes
+    assert list(rows) == [(PARAMS, cfg)]
+    # the kept rows are those that integrating each gait writes
     gaits = [calib[d].schedule for d in ("x", "theta")]
-    assert_same_entries(rows, _fresh_table(gaits, STRAIGHT, cfg))
+    assert_same_entries(rows, _fresh_rows(gaits, STRAIGHT, cfg))
     compiled = compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), (0.01, -0.004)), calib)
-    assert_same_entries(rows, _fresh_table(gaits, STRAIGHT, cfg))
+    assert_same_entries(rows, _fresh_rows(gaits, STRAIGHT, cfg))
     simulate(compiled.schedule, STRAIGHT, PARAMS, cfg)
-    assert_same_entries(rows, _fresh_table(_plan_blocks(calib), STRAIGHT, cfg))
+    assert_same_entries(rows, _fresh_rows(_plan_blocks(calib), STRAIGHT, cfg))
