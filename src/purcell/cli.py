@@ -358,7 +358,16 @@ def main(argv=None) -> int:
         # the --config file (or the defaults), then the flags that set config keys
         text = "" if args.config is None else _read(args.config, "config")
         cfg = parse_config(text, {k: v for k, v in vars(args).items() if k in KEYS})
-        return args.func(args, cfg, RunReport(args.command, cfg, args.quiet))
+        code = args.func(args, cfg, RunReport(args.command, cfg, args.quiet))
+        sys.stdout.flush()   # so a reader that closed early is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before the command finished", file=sys.stderr)
+        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import Configuration, ShapePoint, SwimmerParams, swimmer_fields, validate_params
+from .model import Configuration, ShapePoint, SwimmerParams, connection, validate_params
 from .se2 import DIRECTIONS, GroupPose, se2_commutator, wrap_angle
 
 VectorFieldHandle = Callable[[Configuration], np.ndarray]
@@ -58,9 +58,12 @@ def jacobian(X: VectorFieldHandle, q: Configuration, h: float = DEFAULT_STEP) ->
     """Central-difference Jacobian of a field, column per coordinate.
 
     The field is evaluated at q + h and q - h along each coordinate, into one
-    10x5 array.  Shape coordinates and the heading are perturbed on the
-    circle.  J is returned C-ordered, because J @ x of a Fortran-ordered J
-    can differ in its last bits.
+    array of ten values.  Shape coordinates and the heading are perturbed on
+    the circle.  A field whose value holds several 5-vectors as rows, such as
+    g1 and g2 as one field, gets one Jacobian per row: a (2, 5, 5) array for
+    two, each equal to that row's own Jacobian bit for bit.  J is returned
+    C-ordered, because J @ x of a Fortran-ordered J can differ in its last
+    bits.
     """
     if not 0 < h < math.inf:
         raise ValidationError(f"finite-difference step must be positive and finite, got {h}")
@@ -77,35 +80,46 @@ def jacobian(X: VectorFieldHandle, q: Configuration, h: float = DEFAULT_STEP) ->
         Configuration(shape, GroupPose(x, y - h, th)),
         Configuration(shape, GroupPose(x, y, wrap_angle(th + h))),
         Configuration(shape, GroupPose(x, y, wrap_angle(th - h))))], dtype=float)
-    return np.ascontiguousarray(((v[0::2] - v[1::2]) / (2.0 * h)).T)
+    return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, -1))
 
 
 def lie_bracket(X: VectorFieldHandle, Y: VectorFieldHandle, q: Configuration,
                 h: float = DEFAULT_STEP) -> np.ndarray:
     """[X, Y] at q, in the same (joint rates, body velocity) components."""
-    x_val = np.asarray(X(q), dtype=float)
-    y_val = np.asarray(Y(q), dtype=float)
-    out = jacobian(Y, q, h) @ x_val - jacobian(X, q, h) @ y_val
+    return _bracket(np.asarray(X(q), dtype=float), np.asarray(Y(q), dtype=float),
+                    jacobian(X, q, h), jacobian(Y, q, h))
+
+
+def _bracket(x_val: np.ndarray, y_val: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
+    """[X, Y] at a point from the values and Jacobians of X and Y there."""
+    out = jy @ x_val - jx @ y_val
     out[2:] += se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())
     return out
 
 
 def bracket_basis(p: Configuration, params: SwimmerParams,
                   h_inner: float = INNER_STEP, h_outer: float = OUTER_STEP) -> np.ndarray:
-    """Columns g1, g2, [g1,g2], [g1,[g1,g2]], [g2,[g1,g2]] evaluated at p."""
-    g1, g2 = swimmer_fields(params)
+    """Columns g1, g2, [g1,g2], [g1,[g1,g2]], [g2,[g1,g2]] evaluated at p.
+
+    g1 and g2 are evaluated together, as the rows of one field: one solve of
+    the connection gives both (model.connection), and one Jacobian of that
+    field gives both of theirs.  A basis takes 242 solves, and its bits are
+    those of lie_bracket composed on swimmer_fields.  Each outer bracket
+    still takes its own Jacobian of [g1,g2], 110 of those solves.
+    """
+    validate_params(params)
+
+    def g(q: Configuration) -> np.ndarray:   # rows g1(q) and g2(q)
+        c1, c2 = connection(q.shape[0], q.shape[1], params)
+        return np.array([[1.0, 0.0, *c1], [0.0, 1.0, *c2]])
 
     def z(q: Configuration) -> np.ndarray:   # [g1, g2] as a field, recomputed pointwise
-        return lie_bracket(g1, g2, q, h_inner)
+        (g1, g2), (j1, j2) = g(q), jacobian(g, q, h_inner)
+        return _bracket(g1, g2, j1, j2)
 
-    cols = [
-        g1(p),
-        g2(p),
-        lie_bracket(g1, g2, p, h_inner),
-        lie_bracket(g1, z, p, h_outer),
-        lie_bracket(g2, z, p, h_outer),
-    ]
-    return np.column_stack(cols)
+    (g1, g2), (j1, j2), z_p = g(p), jacobian(g, p, h_outer), z(p)
+    return np.column_stack([g1, g2, z_p, _bracket(g1, z_p, j1, jacobian(z, p, h_outer)),
+                            _bracket(g2, z_p, j2, jacobian(z, p, h_outer))])
 
 
 def controllability_report(p: Configuration, params: SwimmerParams,

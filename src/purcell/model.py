@@ -115,11 +115,11 @@ def default_params() -> SwimmerParams:
     return derive_drag_coefficients(SwimmerParams())
 
 
-def _assemble(a1: float, a2: float, params: SwimmerParams):
-    """The drag balance at a shape, in closed form and scaled.
+def _solve(a1: float, a2: float, params: SwimmerParams):
+    """The drag balance at a shape, in closed form, scaled and solved.
 
-    Returns (n00, n01, n02, n11, n12, n22, c1, s1, c2, s2): the entries of
-    the symmetric positive-definite N with
+    Returns (j00, j01, j02, j11, j12, j22, det, c1, s1, c2, s2): the
+    adjugate and determinant of the symmetric positive-definite N with
 
         omega1 = -2 k_lat L diag(1, 1, L) N diag(1, 1, L)
 
@@ -134,30 +134,22 @@ def _assemble(a1: float, a2: float, params: SwimmerParams):
     is spin * rho * (-s, c), which the lateral drag alone resists.  N depends
     on the shape and on d = k_long / k_lat - 1 only; sin and cos are taken
     once and the rest is arithmetic.
-    """
-    c1, s1 = math.cos(a1), math.sin(a1)
-    c2, s2 = math.cos(a2), math.sin(a2)
-    d = params.k_long / params.k_lat - 1.0
-    sq = s1 * s1 + s2 * s2
-    return (3.0 + d * (3.0 - sq), d * (c1 * s1 - c2 * s2), s1 + s2 - d * (c1 * s1 + c2 * s2),
-            3.0 + d * sq, c2 - c1 + d * (s2 * s2 - s1 * s1), 5.0 + 2.0 * (c1 + c2) + d * sq,
-            c1, s1, c2, s2)
 
-
-def body_velocity_components(a1, a2, u1, u2, params) -> tuple[float, float, float]:
-    """Body velocity (xi_x, xi_y, xi_theta) for joint rates (u1, u2).
-
-    The one connection kernel: with N and the joint columns J of _assemble,
-    solves N z = J (u1, u2) by the adjugate and returns (L z0, L z1, z2).
     Raises NumericalError when the Frobenius condition bound
     |N|_F |adj N|_F / |det N| reaches COND_LIMIT.  N is omega1 with lengths
     in units of L, so the bound is the same for a micro-swimmer as for a
     5 cm one.
     """
-    n00, n01, n02, n11, n12, n22, c1, s1, c2, s2 = _assemble(a1, a2, params)
-    r0 = s2 * u2 - s1 * u1
-    r1 = c1 * u1 + c2 * u2
-    r2 = (_FOUR_THIRDS + c2) * u2 - (_FOUR_THIRDS + c1) * u1
+    c1, s1 = math.cos(a1), math.sin(a1)
+    c2, s2 = math.cos(a2), math.sin(a2)
+    d = params.k_long / params.k_lat - 1.0
+    sq = s1 * s1 + s2 * s2
+    n00 = 3.0 + d * (3.0 - sq)
+    n01 = d * (c1 * s1 - c2 * s2)
+    n02 = s1 + s2 - d * (c1 * s1 + c2 * s2)
+    n11 = 3.0 + d * sq
+    n12 = c2 - c1 + d * (s2 * s2 - s1 * s1)
+    n22 = 5.0 + 2.0 * (c1 + c2) + d * sq
     j00 = n11 * n22 - n12 * n12
     j01 = n02 * n12 - n01 * n22
     j02 = n01 * n12 - n02 * n11
@@ -171,10 +163,46 @@ def body_velocity_components(a1, a2, u1, u2, params) -> tuple[float, float, floa
         cond = math.sqrt(norm2 * adj2) / abs(det) if det else math.inf
         raise NumericalError(
             f"drag matrix ill-conditioned at shape ({a1:.6g}, {a2:.6g}): cond={cond:.3e}")
+    return j00, j01, j02, j11, j12, j22, det, c1, s1, c2, s2
+
+
+def body_velocity_components(a1, a2, u1, u2, params) -> tuple[float, float, float]:
+    """Body velocity (xi_x, xi_y, xi_theta) for joint rates (u1, u2).
+
+    The connection kernel: with N and the joint columns J of _solve,
+    solves N z = J (u1, u2) by the adjugate and returns (L z0, L z1, z2).
+    Raises _solve's NumericalError.
+    """
+    j00, j01, j02, j11, j12, j22, det, c1, s1, c2, s2 = _solve(a1, a2, params)
+    r0 = s2 * u2 - s1 * u1
+    r1 = c1 * u1 + c2 * u2
+    r2 = (_FOUR_THIRDS + c2) * u2 - (_FOUR_THIRDS + c1) * u1
     scale = params.L / det
     return ((j00 * r0 + j01 * r1 + j02 * r2) * scale,
             (j01 * r0 + j11 * r1 + j12 * r2) * scale,
             (j02 * r0 + j12 * r1 + j22 * r2) / det)
+
+
+def connection(a1, a2, params) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Both columns of the local connection at a shape, from one solve.
+
+    Returns the body velocities of the unit joint rates (1, 0) and (0, 1),
+    each the tuple body_velocity_components gives at those rates, bit for
+    bit: the same products of the same solve.  The rate algebra is written
+    out again here rather than shared through a call, because
+    body_velocity_components is the integrator's inner loop.
+    """
+    j00, j01, j02, j11, j12, j22, det, c1, s1, c2, s2 = _solve(a1, a2, params)
+    scale = params.L / det
+    columns = []
+    for u1, u2 in ((1.0, 0.0), (0.0, 1.0)):
+        r0 = s2 * u2 - s1 * u1
+        r1 = c1 * u1 + c2 * u2
+        r2 = (_FOUR_THIRDS + c2) * u2 - (_FOUR_THIRDS + c1) * u1
+        columns.append(((j00 * r0 + j01 * r1 + j02 * r2) * scale,
+                        (j01 * r0 + j11 * r1 + j12 * r2) * scale,
+                        (j02 * r0 + j12 * r1 + j22 * r2) / det))
+    return tuple(columns)
 
 
 def body_velocity(shape: ShapePoint, sdot: ShapeVelocity, params: SwimmerParams) -> BodyVelocity:

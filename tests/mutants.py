@@ -1,11 +1,12 @@
 """Mutation smoke: one-line mutants of the package, each with the tests that must kill it.
 
 Each mutant changes one line of a file of src/purcell in a temporary copy of
-the repository's src/, tests/ and pyproject.toml, then runs there the
-selection of its own test file named for it.  The mutant is killed when that
-selection fails.  Before any mutant runs, every line named must exist once in
-src/purcell, and every selection must pass on the unchanged copy.  Mutants that cannot change what the program does are listed
-in EQUIVALENT, each with its reason; they are not run.
+the repository's src/, tests/, perfbench/ (without its out/), pyproject.toml
+and README.md, then runs there the selection of its own test file named for
+it.  The mutant is killed when that selection fails.  Before any mutant runs,
+every line named must exist once in src/purcell, and every selection must
+pass on the unchanged copy.  Mutants that cannot change what the program
+does are listed in EQUIVALENT, each with its reason; they are not run.
 
     python3 tests/mutants.py              # every mutant
     python3 tests/mutants.py carry lf     # those whose name holds a word given
@@ -43,7 +44,9 @@ _TEXT_LINE = ('s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace
               '.translate(_NOT_XML)')
 _NOT_XML_LINE = ('_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), '
                  '0xFFFE, 0xFFFF], "\\ufffd")')
-_DIFFERENCE_LINE = "return np.ascontiguousarray(((v[0::2] - v[1::2]) / (2.0 * h)).T)"
+_DIFFERENCE_LINE = ("return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), "
+                    "0, -1))")
+_OUTER_LINE = "(g1, g2), (j1, j2), z_p = g(p), jacobian(g, p, h_outer), z(p)"
 KERNEL = "TestDecimalKernel"
 LENGTHS = "test_csv_lengths or block"
 
@@ -93,6 +96,9 @@ MUTANTS = (
     Mutant("stdout-strict", "cli.py",
            'print(line.encode("utf-8", "surrogateescape").decode("ascii", "backslashreplace"))',
            "print(line)", "test_cli.py", "wrote_line"),
+    Mutant("broken-pipe-flushed-again", "cli.py",
+           "os.dup2(devnull, sys.stdout.fileno())", "pass", "test_cli.py",
+           "closes_stdout_early"),
     Mutant("read-in-the-locale", "cli.py", 'return pathlib.Path(path).read_text("utf-8")',
            "return pathlib.Path(path).read_text()", "test_cli.py", "read_as_utf8"),
     Mutant("out-dir-not-a-file-name", "config.py",
@@ -135,10 +141,21 @@ MUTANTS = (
            "out[2:] -= se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())", TEST_LIE,
            "algebra_commutator"),
     Mutant("one-sided-step", LIE, _DIFFERENCE_LINE,
-           "return np.ascontiguousarray(((v[0::2] - v[1::2]) / h).T)", TEST_LIE,
+           "return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / h, 0, -1))", TEST_LIE,
            "linear_field_exact"),
     Mutant("fortran-order-jacobian", LIE, _DIFFERENCE_LINE,
-           "return ((v[0::2] - v[1::2]) / (2.0 * h)).T", TEST_LIE, "generic_pose_dependent"),
+           "return np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, -1)", TEST_LIE,
+           "generic_pose_dependent"),
+    # g1 and g2 evaluated as one field: one solve, one Jacobian for both
+    Mutant("second-column-first-rates", "model.py", "for u1, u2 in ((1.0, 0.0), (0.0, 1.0)):",
+           "for u1, u2 in ((1.0, 0.0), (1.0, 0.0)):", "test_model.py", "PairedConnection"),
+    Mutant("paired-jacobian-rows-swapped", LIE,
+           "(g1, g2), (j1, j2) = g(q), jacobian(g, q, h_inner)",
+           "(g1, g2), (j2, j1) = g(q), jacobian(g, q, h_inner)", TEST_LIE,
+           "basis_is_the_generic_composition"),
+    Mutant("paired-jacobian-transposed", LIE, _DIFFERENCE_LINE,
+           "return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, 1))",
+           TEST_LIE, "paired_jacobian_is_the_two"),
     Mutant("shape-wrap-dropped", LIE,
            "Configuration(ShapePoint(wrap_angle(a1 + h), a2), pose),",
            "Configuration(ShapePoint(a1 + h, a2), pose),", TEST_LIE, "wraps_within"),
@@ -147,6 +164,12 @@ MUTANTS = (
            "return np.ones((5, 1))", TEST_LIE, "power_of_two_length"),
     Mutant("rank-against-least", LIE, "rank = int(np.sum(sigma > tol * sigma[0]))",
            "rank = int(np.sum(sigma > tol * sigma[-1]))", TEST_LIE, "drop_rank"),
+    # what the README and the benchmark read of the package
+    Mutant("config-key-renamed", "config.py", 'Key("swimmer.cfd_speed", None, float),',
+           'Key("swimmer.flow_speed", None, float),', "test_config.py", "readme_table"),
+    Mutant("basis-made-private", LIE, "def bracket_basis(p: Configuration, params: SwimmerParams,",
+           "def _bracket_basis(p: Configuration, params: SwimmerParams,",
+           "test_benchmark_ops.py", "keys_on"),
     # the rows simulate keeps, and the calibration's quantum per direction
     Mutant("kept-under-params-alone", "simulate.py",
            "known = {} if kept is None else kept.setdefault((params, cfg), {})",
@@ -211,14 +234,19 @@ EQUIVALENT = (
      'key = struct.pack("<9d", *p.shape, *params, h_inner, h_outer)',
      "the basis has the same bits at every pose (test_basis_is_the_same_bits_at_every_pose), "
      "so a block kept at one pose is the block of any other"),
+    (LIE, _OUTER_LINE, "(g1, g2), (j2, j1), z_p = g(p), jacobian(g, p, h_outer), z(p)",
+     "the outer-step Jacobians of g1 and g2 enter the basis only as J @ z(p); z's shape rows "
+     "and their pose columns are exactly 0.0, so every term of either product is a signed "
+     "zero (the basis kept its bits at 620 shapes, signed zeros and +-pi among them)"),
 )
 
 
 def _copy_tree(dest: str) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(os.path.join(ROOT, name), dest)
 
 
 def _find(tree: str, source: str, line: str):

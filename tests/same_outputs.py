@@ -1,9 +1,12 @@
 """Byte comparison of the CLI's outputs with those of another copy of the package.
 
     python3 tests/same_outputs.py PARENT_SRC
+    python3 tests/same_outputs.py --rev REV
 
 PARENT_SRC is the `src` directory of another copy of the repository, such
-as a `git archive` of the parent commit.  Each command in COMMANDS runs
+as a `git archive` of the parent commit; `--rev REV` makes that copy itself,
+from the `src` of the git revision REV (HEAD^ for the parent commit), in a
+temporary directory.  Each command in COMMANDS runs
 twice, once with this repository's `src` and once with PARENT_SRC as the
 package, each in its own temporary directory and with its own
 out-directory.  The exit codes, stdout and every file written are compared
@@ -25,7 +28,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-CFD_CONFIG = "swimmer.coefficients = cfd\nswimmer.cfd_speed = 0.01\n"
+CONFIGS = {"cfd.cfg": "swimmer.coefficients = cfd\nswimmer.cfd_speed = 0.01\n",
+           "micron.cfg": "swimmer.L = 1e-6\nswimmer.b = 1e-7\n"}   # a swimmer 2 um long
 # (name, arguments): a command's out-directory is its name
 COMMANDS = (
     ("plan-line", ["plan-line"]),
@@ -37,7 +41,10 @@ COMMANDS = (
     ("synthesize-theta", ["synthesize", "--direction", "theta"]),
     # the theta gait that the same copy wrote just before
     ("simulate-theta", ["simulate", "--schedule", os.path.join("synthesize-theta", "gait_theta.txt")]),
+    ("analyze", ["analyze"]),
+    ("analyze-micron", ["analyze", "--config", "micron.cfg"]),
     ("selftest", ["selftest", "--only", "coefficient", "polygon"]),
+    ("selftest-rank", ["selftest", "--only", "controllability_rank"]),
 )
 _SECONDS = re.compile(rb"\b\d+(?:\.\d+)?s \(limit")
 SHOWN = 10   # differing bytes shown per file
@@ -45,8 +52,9 @@ SHOWN = 10   # differing bytes shown per file
 
 def run_all(src, work):
     """{name: (exit code, masked stdout, {file name: bytes})} for every command."""
-    with open(os.path.join(work, "cfd.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(CFD_CONFIG)
+    for file_name, text in CONFIGS.items():
+        with open(os.path.join(work, file_name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     results = {}
     for name, argv in COMMANDS:
@@ -97,13 +105,27 @@ def compare(ours, theirs) -> int:
     return differing
 
 
+def archive_src(rev, dest) -> str:
+    """The `src` directory of git revision `rev`, unpacked under `dest`."""
+    git = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+                           stdout=subprocess.PIPE)
+    tar = subprocess.run(["tar", "-x", "-C", dest], stdin=git.stdout)
+    git.stdout.close()
+    if git.wait() or tar.returncode:
+        raise SystemExit(f"cannot archive the src directory of revision {rev!r}")
+    return os.path.join(dest, "src")
+
+
 def main(argv) -> int:
-    if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "purcell")):
-        print(__doc__.strip().splitlines()[2].strip())
+    usage = [line.strip() for line in __doc__.strip().splitlines()[2:4]]
+    rev = argv[1] if len(argv) == 2 and argv[0] == "--rev" else None
+    if rev is None and (len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "purcell"))):
+        print("\n".join(usage))
         print("PARENT_SRC must be a directory that holds the purcell package")
         return 1
-    parent = os.path.abspath(argv[0])
-    with tempfile.TemporaryDirectory() as here, tempfile.TemporaryDirectory() as there:
+    with tempfile.TemporaryDirectory() as here, tempfile.TemporaryDirectory() as there, \
+            tempfile.TemporaryDirectory() as archive:
+        parent = archive_src(rev, archive) if rev else os.path.abspath(argv[0])
         ours = run_all(os.path.join(ROOT, "src"), here)
         theirs = run_all(parent, there)
         differing = compare(ours, theirs)

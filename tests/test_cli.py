@@ -261,6 +261,26 @@ def test_wrote_line_of_an_out_dir_that_is_not_utf8(tmp_path):
     assert os.path.isfile(os.path.join(os.fsencode(tmp_path), b"q\xff", b"gait_x.txt"))
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_stdout_early_gets_one_line_and_no_traceback(tmp_path, unbuffered):
+    # `purcell coefficients | head -1`, with the reader gone before the first
+    # line: the command exits 1 with one line on stderr, and the flush at
+    # exit raises nothing more.  Buffered, the pipe breaks at main's flush;
+    # unbuffered, at the first print.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "purcell.cli", "coefficients"], cwd=tmp_path,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+    assert err == b"error: standard output was closed before the command finished\n"
+
+
 @pytest.mark.parametrize("rate", ["3e-323", "1e-307"])
 def test_simulate_of_a_tiny_rate_exits_one(tmp_path, rate):
     # joint angles spanning so little that the shape plot's scale overflows:

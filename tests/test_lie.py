@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from purcell import lie
+from purcell import lie, model
 from purcell.errors import NumericalError, ValidationError
 from purcell.lie import (bracket_basis, controllability_report, jacobian, lie_bracket,
                          solve_bracket_coefficients)
@@ -90,6 +90,28 @@ def reference_basis(p, params, h_inner, h_outer):
     return np.column_stack([g1(p), g2(p), reference_bracket(g1, g2, p, h_inner),
                             reference_bracket(g1, z, p, h_outer),
                             reference_bracket(g2, z, p, h_outer)])
+
+
+def generic_basis(p, params, h_inner, h_outer):
+    """The basis as lie_bracket composed on swimmer_fields, each field
+    evaluated alone: 530 solves of the connection."""
+    g1, g2 = swimmer_fields(params)
+    z = lambda q: lie_bracket(g1, g2, q, h_inner)
+    return np.column_stack([g1(p), g2(p), lie_bracket(g1, g2, p, h_inner),
+                            lie_bracket(g1, z, p, h_outer), lie_bracket(g2, z, p, h_outer)])
+
+
+def paired(X, Y):
+    """X and Y as the rows of one field."""
+    return lambda q: np.array([X(q), Y(q)])
+
+
+def connection_field(params):
+    """g1 and g2 as the rows of one field, both from one model.connection."""
+    def field(q):
+        c1, c2 = model.connection(q.shape[0], q.shape[1], params)
+        return np.array([[1.0, 0.0, *c1], [0.0, 1.0, *c2]])
+    return field
 
 
 def generic_field(rng):
@@ -188,6 +210,60 @@ class TestSlowPathReference:
         g1, _ = swimmer_fields(PARAMS)
         jacobian(lambda q: calls.append(q) or g1(q), ORIGIN)
         assert len(calls) == 10
+
+
+class TestPairedEvaluation:
+    """bracket_basis evaluates g1 and g2 as one field; its Jacobians and the
+    basis equal those of each field alone, bit for bit."""
+
+    STEPS = [(lie.INNER_STEP, lie.OUTER_STEP), (3e-4, 2e-3)]
+
+    def test_a_paired_jacobian_is_the_two_jacobians(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            X, Y = generic_field(rng), generic_field(rng)
+            q = Configuration(ShapePoint(*rng.uniform(-math.pi, math.pi, 2)),
+                              GroupPose(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi)))
+            h = 10.0 ** rng.uniform(-6, -2)
+            J = jacobian(paired(X, Y), q, h)
+            assert J.shape == (2, 5, 5) and J.flags.c_contiguous
+            assert J[0].tobytes() == jacobian(X, q, h).tobytes()
+            assert J[1].tobytes() == jacobian(Y, q, h).tobytes()
+
+    @pytest.mark.parametrize("params", PARAM_SETS, ids=["default", *"abcd"])
+    def test_the_connection_field_is_g1_and_g2(self, params):
+        g1, g2 = swimmer_fields(params)
+        g = connection_field(params)
+        rng = np.random.default_rng(48)
+        for q in [ORIGIN, *(random_config(rng) for _ in range(4)), *near_pi_configs(rng, 2e-3, 4)]:
+            assert g(q).tobytes() == np.array([g1(q), g2(q)]).tobytes()
+            for h in (1e-5, *self.STEPS[1]):
+                J = jacobian(g, q, h)
+                assert J.tobytes() == np.array([jacobian(g1, q, h), jacobian(g2, q, h)]).tobytes()
+
+    @pytest.mark.parametrize("params", PARAM_SETS, ids=["default", *"abcd"])
+    @pytest.mark.parametrize("steps", STEPS, ids=["default_steps", "other_steps"])
+    def test_basis_is_the_generic_composition(self, params, steps):
+        rng = np.random.default_rng(49)
+        signed_zeros = [Configuration(ShapePoint(a1, a2), IDENTITY)
+                        for a1 in (0.0, -0.0) for a2 in (0.0, -0.0)]
+        edges = [Configuration(ShapePoint(a1, a2), IDENTITY)
+                 for a1 in (math.pi, -math.pi) for a2 in (math.pi, -0.0)]
+        for p in [*signed_zeros, *edges, *(random_config(rng) for _ in range(4)),
+                  *near_pi_configs(rng, steps[1], n=3)]:
+            expected = generic_basis(p, params, *steps)
+            assert bracket_basis(p, params, *steps).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("steps", STEPS, ids=["default_steps", "other_steps"])
+    def test_solves_per_basis(self, monkeypatch, steps):
+        # one solve for g1 and g2 at p, ten for their Jacobian there, eleven
+        # for [g1,g2] at p and 110 for each outer bracket's Jacobian of it:
+        # 242, where evaluating each field alone took 530
+        solves = []
+        solve = model._solve
+        monkeypatch.setattr(model, "_solve", lambda *a: solves.append(a) or solve(*a))
+        bracket_basis(random_config(np.random.default_rng(50)), PARAMS, *steps)
+        assert len(solves) == 242
 
 
 class TestLieBracket:

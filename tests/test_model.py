@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from purcell import model
 from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import parse_schedule
 from purcell.model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
-                           _assemble, body_velocity, body_velocity_components,
+                           _solve, body_velocity, body_velocity_components,
                            cfd_drag_coefficients, default_params,
                            derive_drag_coefficients, swimmer_fields, validate_params)
 from purcell.oracle import reference_body_velocity
@@ -84,17 +85,27 @@ def reference_connection(a1, a2, params):
     return np.column_stack([reference_solve3(w1, w2[:, j]) for j in range(2)])
 
 
-# --- The kernel's route, in matrix form.  body_velocity_components is the
-# one place the connection is solved; these helpers rebuild omega1, omega2
-# and A from it so the tests can check them as matrices.
+# --- The kernel's route, in matrix form.  _solve is the one place the drag
+# balance is assembled and solved; these helpers rebuild omega1, omega2 and
+# A from it so the tests can check them as matrices.
+
+def adjugate(m):
+    """The adjugate of a 3x3 matrix: its columns are cross products of its rows."""
+    r0, r1, r2 = m
+    return np.column_stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)])
+
 
 def drag_matrices(shape, params):
-    """omega1 (3x3) and omega2 (3x2) in physical units, from the kernel's assembly."""
+    """omega1 (3x3) and omega2 (3x2) in physical units, from the kernel's solve.
+
+    _solve keeps adj N and det N, not N: for a 3x3 matrix
+    adj(adj N) = det(N) N, so N is the adjugate of the kernel's adjugate over
+    its determinant."""
     validate_params(params)
-    n00, n01, n02, n11, n12, n22, c1, s1, c2, s2 = _assemble(shape[0], shape[1], params)
+    j00, j01, j02, j11, j12, j22, det, c1, s1, c2, s2 = _solve(shape[0], shape[1], params)
     L = params.L
     lift = np.array([1.0, 1.0, L])
-    n = np.array([[n00, n01, n02], [n01, n11, n12], [n02, n12, n22]])
+    n = adjugate(np.array([[j00, j01, j02], [j01, j11, j12], [j02, j12, j22]])) / det
     j = np.array([[-s1, s2], [c1, c2], [-4.0 / 3.0 - c1, 4.0 / 3.0 + c2]])
     return SimpleNamespace(omega1=(-2.0 * params.k_lat * L) * (lift[:, None] * n * lift),
                            omega2=(2.0 * params.k_lat * L * L) * (lift[:, None] * j))
@@ -338,6 +349,42 @@ class TestClosedFormKernel:
         assert np.max(np.abs(np.array(scaled[0]) - np.array(scaled[1]))) < 1e-12
 
 
+class TestPairedConnection:
+    """model.connection solves the drag balance once for both unit-rate
+    columns; each equals the kernel's own answer at that rate pair."""
+
+    @pytest.mark.parametrize("params", TestClosedFormKernel.PARAM_SETS,
+                             ids=["default", *"abcd"])
+    def test_columns_are_the_kernel_at_unit_rates_bit_for_bit(self, params):
+        rng = np.random.default_rng(46)
+        below_pi = math.nextafter(math.pi, 0.0)
+        edges = (0.0, -0.0, math.pi, -math.pi, below_pi, -below_pi, 1e-300, -1e-300)
+        shapes = [(a1, a2) for a1 in edges for a2 in edges]
+        shapes += [tuple(rng.uniform(-math.pi, math.pi, 2).tolist()) for _ in range(200)]
+        for a1, a2 in shapes:
+            paired = model.connection(a1, a2, params)
+            alone = (body_velocity_components(a1, a2, 1.0, 0.0, params),
+                     body_velocity_components(a1, a2, 0.0, 1.0, params))
+            assert [[float.hex(v) for v in col] for col in paired] == [
+                [float.hex(v) for v in col] for col in alone]
+
+    def test_one_solve_gives_both_columns(self, monkeypatch):
+        solves = []
+        solve = model._solve
+        monkeypatch.setattr(model, "_solve", lambda *a: solves.append(a) or solve(*a))
+        model.connection(0.3, -1.1, PARAMS)
+        assert len(solves) == 1
+
+    def test_raises_the_kernel_s_refusal(self):
+        for shape in ((0.0, 0.0), (-0.0, 0.0), (0.0, math.pi)):
+            with pytest.raises(NumericalError) as alone:
+                body_velocity_components(*shape, 1.0, 0.0, ILL_PARAMS)
+            with pytest.raises(NumericalError) as paired:
+                model.connection(*shape, ILL_PARAMS)
+            assert str(paired.value) == str(alone.value)
+            assert "ill-conditioned" in str(paired.value)
+
+
 class TestConditioningGuard:
     def test_every_route_raises(self):
         with pytest.raises(NumericalError, match="ill-conditioned"):
@@ -356,6 +403,7 @@ class TestConditioningGuard:
         routes = (
             lambda shape, params: body_velocity(shape, ShapeVelocity(1.0, 0.0), params),
             lambda shape, params: swimmer_fields(params)[0](Configuration(shape, ORIGIN_POSE)),
+            lambda shape, params: model.connection(shape[0], shape[1], params),
         )
         for k_long in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-6):
             params = PARAMS._replace(k_long=k_long, k_lat=1.0)
