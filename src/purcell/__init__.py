@@ -11,12 +11,11 @@ from .model import (
     body_velocity,
     default_params,
     derive_drag_coefficients,
-    swimmer_fields,
 )
 
 __all__ = [
     "BodyVelocity", "GroupPose", "compose", "inverse",
     "Configuration", "ShapePoint", "ShapeVelocity", "SwimmerParams",
     "body_velocity", "default_params",
-    "derive_drag_coefficients", "swimmer_fields",
+    "derive_drag_coefficients",
 ]

@@ -20,7 +20,7 @@ from .se2 import DIRECTIONS, GroupPose, se2_commutator, wrap_angle
 
 VectorFieldHandle = Callable[[Configuration], np.ndarray]
 
-DEFAULT_STEP = 1e-5
+DEFAULT_STEP = 1e-5   # also the inner step of the commutator probe's [g1,g2]
 # Steps for nested brackets.  The outer central difference is taken of the
 # inner bracket, so its O(OUTER_STEP**2) truncation error lands on the two
 # nested-bracket columns: at 1e-2 it pulled the unit-free sigma5/sigma1 to
@@ -83,13 +83,6 @@ def jacobian(X: VectorFieldHandle, q: Configuration, h: float = DEFAULT_STEP) ->
     return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, -1))
 
 
-def lie_bracket(X: VectorFieldHandle, Y: VectorFieldHandle, q: Configuration,
-                h: float = DEFAULT_STEP) -> np.ndarray:
-    """[X, Y] at q, in the same (joint rates, body velocity) components."""
-    return _bracket(np.asarray(X(q), dtype=float), np.asarray(Y(q), dtype=float),
-                    jacobian(X, q, h), jacobian(Y, q, h))
-
-
 def _bracket(x_val: np.ndarray, y_val: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
     """[X, Y] at a point from the values and Jacobians of X and Y there."""
     out = jy @ x_val - jx @ y_val
@@ -99,13 +92,15 @@ def _bracket(x_val: np.ndarray, y_val: np.ndarray, jx: np.ndarray, jy: np.ndarra
 
 def bracket_basis(p: Configuration, params: SwimmerParams,
                   h_inner: float = INNER_STEP, h_outer: float = OUTER_STEP) -> np.ndarray:
-    """Columns g1, g2, [g1,g2], [g1,[g1,g2]], [g2,[g1,g2]] evaluated at p.
+    """Columns g1, g2, [g1,g2], [g1,[g1,g2]], [g2,[g1,g2]] evaluated at p:
+    the package's one route to the control fields and their brackets.
 
     g1 and g2 are evaluated together, as the rows of one field: one solve of
     the connection gives both (model.connection), and one Jacobian of that
-    field gives both of theirs.  A basis takes 242 solves, and its bits are
-    those of lie_bracket composed on swimmer_fields.  Each outer bracket
-    still takes its own Jacobian of [g1,g2], 110 of those solves.
+    field gives both of theirs.  An outer bracket [g_i, z], z = [g1,g2],
+    leaves out Dg_i . z: z's shape rows and g_i's pose columns are exactly
+    0.0, so that term is signed zeros.  A basis takes 232 solves, 110 of
+    them for each outer bracket's own Jacobian of z.
     """
     validate_params(params)
 
@@ -117,9 +112,13 @@ def bracket_basis(p: Configuration, params: SwimmerParams,
         (g1, g2), (j1, j2) = g(q), jacobian(g, q, h_inner)
         return _bracket(g1, g2, j1, j2)
 
-    (g1, g2), (j1, j2), z_p = g(p), jacobian(g, p, h_outer), z(p)
-    return np.column_stack([g1, g2, z_p, _bracket(g1, z_p, j1, jacobian(z, p, h_outer)),
-                            _bracket(g2, z_p, j2, jacobian(z, p, h_outer))])
+    def outer(gi: np.ndarray) -> np.ndarray:   # [g_i, z] at p
+        out = jacobian(z, p, h_outer) @ gi
+        out[2:] += se2_commutator(gi[2:].tolist(), z_p[2:].tolist())
+        return out
+
+    (g1, g2), z_p = g(p), z(p)
+    return np.column_stack([g1, g2, z_p, outer(g1), outer(g2)])
 
 
 def controllability_report(p: Configuration, params: SwimmerParams,

@@ -21,8 +21,6 @@ mirror images across the base y-axis.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
 from .se2 import BodyVelocity, GroupPose
 
@@ -210,22 +208,3 @@ def body_velocity(shape: ShapePoint, sdot: ShapeVelocity, params: SwimmerParams)
     validate_params(params)
     xi = body_velocity_components(shape[0], shape[1], sdot[0], sdot[1], params)
     return BodyVelocity(*xi)
-
-
-def swimmer_fields(params: SwimmerParams):
-    """The two control vector fields as plain callables on Configuration.
-
-    Each returns a 5-vector: the unit rate of its joint, then the body
-    velocity that rate drives.  Both depend on shape only.
-    """
-    validate_params(params)
-
-    def g1(q: Configuration) -> np.ndarray:
-        xi = body_velocity_components(q.shape[0], q.shape[1], 1.0, 0.0, params)
-        return np.array([1.0, 0.0, xi[0], xi[1], xi[2]])
-
-    def g2(q: Configuration) -> np.ndarray:
-        xi = body_velocity_components(q.shape[0], q.shape[1], 0.0, 1.0, params)
-        return np.array([0.0, 1.0, xi[0], xi[1], xi[2]])
-
-    return g1, g2

@@ -15,10 +15,9 @@ import numpy as np
 from .config import default_config, plan_specs
 from .errors import ValidationError
 from .gaits import ControlSchedule, ControlSegment, GaitSpec, commutator_schedule, synthesize
-from .lie import controllability_report, lie_bracket, solve_bracket_coefficients
+from .lie import DEFAULT_STEP, bracket_basis, controllability_report, solve_bracket_coefficients
 from .model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
-                    body_velocity, body_velocity_components, default_params,
-                    swimmer_fields)
+                    body_velocity, body_velocity_components, default_params)
 from .oracle import reference_body_velocity
 from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
                       plan_polygon, tracking_report)
@@ -67,7 +66,7 @@ def _random_params(rng) -> SwimmerParams:
 
 
 # Upper bound on the rank sweep, checked before anything is allocated: the
-# default 12x12 grid is 144 shapes at 242 connection solves each.
+# default 12x12 grid is 144 shapes at 232 connection solves each.
 MAX_GRID = 1000
 
 
@@ -146,9 +145,9 @@ def _net_motion(schedule, params: SwimmerParams, integrator: IntegratorConfig) -
 def commutator_probe(params: SwimmerParams, integrator: IntegratorConfig) -> tuple:
     """(errors, slope, monotone): per eps of LADDER, the norm of the square
     gait's net motion minus eps^2 times the group part of [g1,g2]; the
-    log-log slope of those errors; and whether they fall as eps does."""
-    g1, g2 = swimmer_fields(params)
-    reference = lie_bracket(g1, g2, STRAIGHT)[2:]
+    log-log slope of those errors; and whether they fall as eps does.
+    [g1,g2] is the basis's third column, its inner step DEFAULT_STEP."""
+    reference = bracket_basis(STRAIGHT, params, h_inner=DEFAULT_STEP)[2:, 2]
     errors = [float(np.linalg.norm(
         np.array(_net_motion(commutator_schedule(eps * eps), params, integrator))
         - eps * eps * reference)) for eps in LADDER]

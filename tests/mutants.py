@@ -46,7 +46,7 @@ _NOT_XML_LINE = ('_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0
                  '0xFFFE, 0xFFFF], "\\ufffd")')
 _DIFFERENCE_LINE = ("return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), "
                     "0, -1))")
-_OUTER_LINE = "(g1, g2), (j1, j2), z_p = g(p), jacobian(g, p, h_outer), z(p)"
+_PROBE_LINE = "reference = bracket_basis(STRAIGHT, params, h_inner=DEFAULT_STEP)[2:, 2]"
 KERNEL = "TestDecimalKernel"
 LENGTHS = "test_csv_lengths or block"
 
@@ -153,6 +153,17 @@ MUTANTS = (
            "(g1, g2), (j1, j2) = g(q), jacobian(g, q, h_inner)",
            "(g1, g2), (j2, j1) = g(q), jacobian(g, q, h_inner)", TEST_LIE,
            "basis_is_the_generic_composition"),
+    Mutant("outer-commutator-swapped", LIE,
+           "out[2:] += se2_commutator(gi[2:].tolist(), z_p[2:].tolist())",
+           "out[2:] += se2_commutator(z_p[2:].tolist(), gi[2:].tolist())", TEST_LIE,
+           "basis_is_the_generic_composition"),
+    # the commutator probe reads [g1,g2] from the basis
+    Mutant("probe-reads-fourth-column", "selftest.py", _PROBE_LINE,
+           "reference = bracket_basis(STRAIGHT, params, h_inner=DEFAULT_STEP)[2:, 3]",
+           "test_simulate.py", "reads_the_reference_bracket"),
+    Mutant("probe-at-the-inner-step", "selftest.py", _PROBE_LINE,
+           "reference = bracket_basis(STRAIGHT, params)[2:, 2]", "test_simulate.py",
+           "reads_the_reference_bracket"),
     Mutant("paired-jacobian-transposed", LIE, _DIFFERENCE_LINE,
            "return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, 1))",
            TEST_LIE, "paired_jacobian_is_the_two"),
@@ -234,10 +245,6 @@ EQUIVALENT = (
      'key = struct.pack("<9d", *p.shape, *params, h_inner, h_outer)',
      "the basis has the same bits at every pose (test_basis_is_the_same_bits_at_every_pose), "
      "so a block kept at one pose is the block of any other"),
-    (LIE, _OUTER_LINE, "(g1, g2), (j2, j1), z_p = g(p), jacobian(g, p, h_outer), z(p)",
-     "the outer-step Jacobians of g1 and g2 enter the basis only as J @ z(p); z's shape rows "
-     "and their pose columns are exactly 0.0, so every term of either product is a signed "
-     "zero (the basis kept its bits at 620 shapes, signed zeros and +-pi among them)"),
 )
 
 

@@ -45,6 +45,10 @@ COMMANDS = (
     ("analyze-micron", ["analyze", "--config", "micron.cfg"]),
     ("selftest", ["selftest", "--only", "coefficient", "polygon"]),
     ("selftest-rank", ["selftest", "--only", "controllability_rank"]),
+    ("probe-commutator", ["probe", "--kind", "commutator"]),
+    ("probe-variants", ["probe", "--kind", "variants"]),
+    ("probe-leakage", ["probe", "--kind", "leakage"]),
+    ("selftest-commutator", ["selftest", "--only", "commutator"]),
 )
 _SECONDS = re.compile(rb"\b\d+(?:\.\d+)?s \(limit")
 SHOWN = 10   # differing bytes shown per file

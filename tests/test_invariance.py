@@ -6,7 +6,8 @@ mirror image of a shape.  No tolerance is involved, so a change that mixes
 units or breaks a symmetry by one rounding shows here even where every
 tolerance-based test still passes.  Scale factors are powers of two because
 only those scale every product and quotient without rounding: drag x3 keeps
-the rows in most cases but not all.
+the rows in most cases but not all.  The one relation that holds only to
+rounding, the end swap of a shape, is asserted at a stated tolerance.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 
 from purcell.config import default_config, parse_config, plan_specs
 from purcell.gaits import ControlSchedule, ControlSegment
-from purcell.lie import bracket_basis
+from purcell.lie import bracket_basis, controllability_report, solve_bracket_coefficients
 from purcell.model import Configuration, ShapePoint, default_params
 from purcell.planner import STRAIGHT, calibrate, compile_maneuvers, plan_line
 from purcell.se2 import GroupPose
@@ -84,6 +85,57 @@ def test_the_mirrored_shape_has_the_mirrored_basis(params):
         basis = bracket_basis(Configuration(ShapePoint(a1, a2), pose), params)
         mirrored = bracket_basis(Configuration(ShapePoint(-a1, -a2), pose), params)
         assert np.array_equal(mirrored, MIRROR[:, None] * basis * MIRROR)
+
+
+def interior_shapes(seed, count=20):
+    """Seeded shapes, each with a seeded pose.  A shape within a step of
+    +-pi is left out: its mirror image is perturbed across the other end of
+    the circle, where the wrapped points round differently."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a1, a2 = rng.uniform(-3.0, 3.0, 2)
+        yield a1, a2, GroupPose(*rng.uniform(-1.0, 1.0, 2), rng.uniform(-math.pi, math.pi))
+
+
+@pytest.mark.parametrize("params", PARAM_SETS, ids=IDS)
+def test_the_mirrored_shape_has_the_same_singular_values(params):
+    # the unit-free basis at the mirror image is D B D, D diagonal of +-1
+    for a1, a2, pose in interior_shapes(74):
+        rep = controllability_report(Configuration(ShapePoint(a1, a2), pose), params)
+        mirrored = controllability_report(Configuration(ShapePoint(-a1, -a2), pose), params)
+        assert mirrored.singular_values.tobytes() == rep.singular_values.tobytes()
+        assert mirrored.rank == rep.rank
+
+
+# The x, y and theta rows and the three bracket columns of the mirrored basis
+# each change sign by E; so the weights solving for direction d at the
+# mirrored shape are E[d] * (E * c), c the weights at the shape itself.
+E = np.array([-1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("params", PARAM_SETS, ids=IDS)
+def test_the_mirrored_shape_has_the_mirrored_coefficients(params):
+    for a1, a2, pose in interior_shapes(75):
+        p, mirrored = (Configuration(ShapePoint(s * a1, s * a2), pose) for s in (1.0, -1.0))
+        for d, sign in zip(("x", "y", "theta"), E):
+            c = np.array(solve_bracket_coefficients(d, p, params))
+            expected = sign * (E * c)
+            assert np.array(solve_bracket_coefficients(d, mirrored, params)).tobytes() \
+                == expected.tobytes()
+
+
+@pytest.mark.parametrize("params", PARAM_SETS, ids=IDS)
+def test_the_end_swapped_shape_has_the_same_singular_values_to_rounding(params):
+    # (a1, a2) -> (-a2, -a1) turns the swimmer end for end: the basis there
+    # is a signed permutation of this one, but the connection's arithmetic
+    # is not symmetric in the two joints, so the singular values agree to
+    # rounding only (worst seen: 1.0e-15 of sigma1 over 300 shapes)
+    for a1, a2, pose in interior_shapes(76):
+        sigma = controllability_report(Configuration(ShapePoint(a1, a2), pose),
+                                       params).singular_values
+        swapped = controllability_report(Configuration(ShapePoint(-a2, -a1), pose),
+                                         params).singular_values
+        assert np.max(np.abs(swapped - sigma)) < 1e-12 * sigma[0]
 
 
 def _plan_line_run(scale):

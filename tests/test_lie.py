@@ -5,11 +5,12 @@ import pytest
 
 from purcell import lie, model
 from purcell.errors import NumericalError, ValidationError
-from purcell.lie import (bracket_basis, controllability_report, jacobian, lie_bracket,
-                         solve_bracket_coefficients)
-from purcell.model import Configuration, ShapePoint, default_params, swimmer_fields
+from purcell.lie import bracket_basis, controllability_report, jacobian, solve_bracket_coefficients
+from purcell.model import Configuration, ShapePoint, default_params
 from purcell.se2 import IDENTITY, GroupPose, se2_commutator, wrap_angle
 from purcell.selftest import _random_params
+
+from conftest import lie_bracket, swimmer_fields
 
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
@@ -256,14 +257,15 @@ class TestPairedEvaluation:
 
     @pytest.mark.parametrize("steps", STEPS, ids=["default_steps", "other_steps"])
     def test_solves_per_basis(self, monkeypatch, steps):
-        # one solve for g1 and g2 at p, ten for their Jacobian there, eleven
-        # for [g1,g2] at p and 110 for each outer bracket's Jacobian of it:
-        # 242, where evaluating each field alone took 530
+        # one solve for g1 and g2 at p, eleven for [g1,g2] at p and 110 for
+        # each outer bracket's Jacobian of it: 232, where evaluating each
+        # field alone took 530 (g1's and g2's own Jacobian at p would add
+        # ten, but it meets only z's exactly-zero shape rows)
         solves = []
         solve = model._solve
         monkeypatch.setattr(model, "_solve", lambda *a: solves.append(a) or solve(*a))
         bracket_basis(random_config(np.random.default_rng(50)), PARAMS, *steps)
-        assert len(solves) == 242
+        assert len(solves) == 232
 
 
 class TestLieBracket:

@@ -10,11 +10,13 @@ from purcell.gaits import parse_schedule
 from purcell.model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
                            _solve, body_velocity, body_velocity_components,
                            cfd_drag_coefficients, default_params,
-                           derive_drag_coefficients, swimmer_fields, validate_params)
+                           derive_drag_coefficients, validate_params)
 from purcell.oracle import reference_body_velocity
 from purcell.se2 import GroupPose
 from purcell.selftest import _random_params
 from purcell.simulate import simulate
+
+from conftest import swimmer_fields
 
 PARAMS = default_params()
 ORIGIN_POSE = GroupPose(0.0, 0.0, 0.0)

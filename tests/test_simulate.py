@@ -11,15 +11,15 @@ from purcell.config import basis_specs, default_config
 from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
                            commutator_schedule, reverse_schedule, synthesize)
-from purcell.lie import lie_bracket
 from purcell.model import (Configuration, ShapePoint, SwimmerParams, body_velocity_components,
-                           default_params, derive_drag_coefficients, swimmer_fields)
+                           default_params, derive_drag_coefficients)
 from purcell.planner import STRAIGHT, calibrate, compile_maneuvers, plan_line, plan_polygon
 from purcell.se2 import GroupPose, compose, inverse, wrap_angle
-from purcell.selftest import LADDER, commutator_probe, fit_loglog_slope
+from purcell.selftest import (LADDER, _net_motion, _random_params, commutator_probe,
+                              fit_loglog_slope)
 from purcell.simulate import MAX_STEPS, IntegratorConfig, Trajectory, net_displacement, simulate
 
-from conftest import trajectory_from_columns
+from conftest import lie_bracket, swimmer_fields, trajectory_from_columns
 
 PARAMS = default_params()
 ORIGIN = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
@@ -259,6 +259,21 @@ def test_convergence_probe_on_square_gait():
     assert len(errors) == len(LADDER)
     assert slope >= 2.7
     assert monotone
+
+
+@pytest.mark.parametrize("seed", [None, 81, 82, 83, 84], ids=["default", *"abcd"])
+def test_convergence_probe_reads_the_reference_bracket_bit_for_bit(seed):
+    # the probe reads [g1,g2] from bracket_basis at the inner step
+    # DEFAULT_STEP; its errors are those against the bracket of each field
+    # alone, bit for bit (a coarse integrator: both sides share its motions)
+    params = PARAMS if seed is None else _random_params(np.random.default_rng(seed))
+    cfg = IntegratorConfig(h=1e-2, min_substeps=2)
+    reference = lie_bracket(*swimmer_fields(params), STRAIGHT)[2:]
+    expected = [float(np.linalg.norm(np.array(_net_motion(commutator_schedule(eps * eps), params,
+                                                          cfg)) - eps * eps * reference))
+                for eps in LADDER]
+    errors, _, _ = commutator_probe(params, cfg)
+    assert [float.hex(e) for e in errors] == [float.hex(e) for e in expected]
 
 
 def test_fit_loglog_slope_exact_cubic():
