@@ -9,15 +9,16 @@ third-order remainder.  `synthesize` expands a weighted combination
 
 into such primitives for a horizon t and approximation index n.
 
-Two expansion layouts are provided.  "literal" emits one alpha square with
-legs sqrt(t/n) followed by per-coefficient blocks raised to the n-th power,
-with middle flows of sqrt(t)/n, inner square legs of t^(1/4)/n, and the
-closing square written as the sign-mirror of the opening one.  "derived"
-interleaves all three terms over n outer rounds, with middles sqrt(t/n),
-inner legs t^(1/4)/n^(3/4), and the closing square the exact inverse of the
-opening one, which keeps every block a true group commutator and bounds the
-first-bracket drift.  The two coincide at n = 1 except for the orientation
-of that closing square; "derived" is the default.
+Both expansion layouts build the same blocks: a conjugation block per
+nonzero beta or gamma and one alpha square with legs sqrt(t/n).  "literal"
+runs each block n times in turn and then the alpha square once, with middle
+flows of sqrt(t)/n, inner square legs of t^(1/4)/n, and the closing square
+written as the sign-mirror of the opening one.  "derived" runs n rounds of
+all three terms, with middles sqrt(t/n), inner legs t^(1/4)/n^(3/4), and
+the closing square the exact inverse of the opening one, which keeps every
+block a true group commutator and bounds the first-bracket drift.  The two
+coincide at n = 1 except for the orientation of that closing square;
+"derived" is the default.
 """
 
 import math
@@ -133,31 +134,18 @@ def synthesize(spec: GaitSpec) -> ControlSchedule:
     # composition notation reads rightmost first, so the gamma term runs
     # before beta, and the alpha square last
     t, n = spec.t, spec.n
-    segs = []
+    legs = math.sqrt(t / n)
     if spec.nesting == "literal":
-        alpha_legs = math.sqrt(t / n)
-        mid = math.sqrt(t) / n
-        inner = t ** 0.25 / n
-        if spec.gamma != 0.0:
-            for _ in range(n):
-                segs += _conjugation_block(2, spec.gamma, mid, inner, n, _MIRROR_SQUARE)
-        if spec.beta != 0.0:
-            for _ in range(n):
-                segs += _conjugation_block(1, spec.beta, mid, inner, n, _MIRROR_SQUARE)
-        if spec.alpha != 0.0:
-            segs += _square(1, 1.0, 2, 1.0, alpha_legs, scale_a=spec.alpha)
+        mid, inner, closing = math.sqrt(t) / n, t ** 0.25 / n, _MIRROR_SQUARE
     else:
-        legs = math.sqrt(t / n)
-        inner = math.sqrt(legs / n)
-        round_segs = []
-        if spec.gamma != 0.0:
-            round_segs += _conjugation_block(2, spec.gamma, legs, inner, n, _INVERSE_SQUARE)
-        if spec.beta != 0.0:
-            round_segs += _conjugation_block(1, spec.beta, legs, inner, n, _INVERSE_SQUARE)
-        if spec.alpha != 0.0:
-            round_segs += _square(1, 1.0, 2, 1.0, legs, scale_a=spec.alpha)
-        segs = round_segs * n
-
+        mid, inner, closing = legs, math.sqrt(legs / n), _INVERSE_SQUARE
+    blocks = [_conjugation_block(channel, coeff, mid, inner, n, closing)
+              for channel, coeff in ((2, spec.gamma), (1, spec.beta)) if coeff != 0.0]
+    square = _square(*_PLUS_SQUARE, legs, scale_a=spec.alpha) if spec.alpha != 0.0 else []
+    if spec.nesting == "literal":   # each block n times in turn, then one alpha square
+        segs = [seg for block in blocks for _ in range(n) for seg in block] + square
+    else:                           # n rounds of every block and the alpha square
+        segs = (sum(blocks, []) + square) * n
     return ControlSchedule(tuple(segs))
 
 

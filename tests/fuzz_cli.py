@@ -12,6 +12,12 @@ directory, and must keep the command line's contract:
 - the two runs give the same exit code, stdout, stderr and files, byte
   for byte.
 
+An `analyze` case whose input is accepted (exit 0 or 2) runs a third time
+with its effective `swimmer.L` and `swimmer.b` times 2**k, k drawn from the
+seed: the rank test is unit-free, so that run must give the same exit code
+and the same `min_rank`, `min_sigma_ratio` and `weakest_shape` lines.  A k
+that takes either length out of the normal range of a double is skipped.
+
 A case still running after ALARM seconds is stopped and counted as slow,
 not checked: an edge value can ask for millions of integration steps.
 
@@ -38,6 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from purcell import cli  # noqa: E402
+from purcell.config import parse_config  # noqa: E402
 
 # (key, value) pairs a config draws from: defaults, limits, and values each
 # key must refuse
@@ -70,6 +77,9 @@ SCHEDULE_LINES = (
     "2 0.3 1e300",
 )
 COMMANDS = ("synthesize", "coefficients", "simulate", "plan-line", "analyze")
+LENGTH_EXPONENTS = (-20, -3, 1, 5, 20)
+LENGTH_KEYS = ("swimmer.L", "swimmer.b")
+UNIT_FREE = ("min_rank = ", "min_sigma_ratio = ", "weakest_shape = ")   # lines of analyze
 ALARM = 10   # seconds one run may take
 
 
@@ -136,6 +146,23 @@ def run_case(argv, config, schedule):
             os.chdir(here)
 
 
+def length_scaled(config, k):
+    """The config with its effective swimmer.L and swimmer.b times 2**k, or
+    None when either leaves the normal range of a double."""
+    values = parse_config(config).values
+    lengths = [2.0 ** k * values[key] for key in LENGTH_KEYS]
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in lengths):
+        return None
+    kept = [line for line in config.splitlines(keepends=True)
+            if line.partition("=")[0].strip() not in LENGTH_KEYS]
+    return "".join(kept) + "".join(f"{key} = {v!r}\n" for key, v in zip(LENGTH_KEYS, lengths))
+
+
+def unit_free(result):
+    """The exit code and the unit-free result lines of an analyze run."""
+    return result[0], [line for line in result[1].splitlines() if line.startswith(UNIT_FREE)]
+
+
 def contract_faults(result):
     """What the run broke of the contract, one phrase each."""
     code, out, err, files = result
@@ -161,8 +188,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     signal.signal(signal.SIGALRM, _alarm)
     rng = random.Random(args.seed)
+    exponents = random.Random(f"lengths {args.seed}")   # leaves the cases rng draws alone
     start = time.monotonic()
-    counts, slow, failed = {}, 0, 0
+    counts, slow, failed, rescaled, out_of_range = {}, 0, 0, 0, 0
     while time.monotonic() - start < args.seconds:
         case = draw_case(rng)
         first = run_case(*case)
@@ -173,6 +201,19 @@ def main(argv=None) -> int:
         faults = contract_faults(first)
         if second != first:
             faults.append("a second run gave other bytes")
+        if case[0][0] == "analyze" and first[0] != 1:
+            k = exponents.choice(LENGTH_EXPONENTS)
+            config = length_scaled(case[1], k)
+            scaled = None if config is None else run_case(case[0], config, None)
+            if config is None:
+                out_of_range += 1
+            elif scaled is None:
+                slow += 1
+            else:
+                rescaled += 1
+                if unit_free(scaled) != unit_free(first):
+                    faults.append(f"L and b times 2**{k} gave {unit_free(scaled)}, "
+                                  f"not {unit_free(first)}")
         counts[first[0]] = counts.get(first[0], 0) + 1
         if faults:
             failed += 1
@@ -183,7 +224,9 @@ def main(argv=None) -> int:
     runs = sum(counts.values())
     tally = ", ".join(f"{n} exited {code}" for code, n in sorted(counts.items(), key=str))
     print(f"seed {args.seed}: {runs} cases run twice in {time.monotonic() - start:.0f} s "
-          f"({tally}); {slow} stopped after {ALARM} s; {failed} broke the contract")
+          f"({tally}); {rescaled} analyze cases rerun at 2**k lengths ({out_of_range} k out "
+          f"of range); {slow} stopped after {ALARM} s; {failed} broke the contract or the "
+          f"relation")
     return 1 if failed else 0
 
 

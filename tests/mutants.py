@@ -225,8 +225,14 @@ MUTANTS = (
            "return ControlSchedule(tuple(segs[variant:] + segs[:variant]))",
            "return ControlSchedule(tuple(segs[:variant] + segs[variant:]))", TEST_GAITS,
            "variant_rotation"),
-    Mutant("literal-inner-legs", GAITS, "inner = t ** 0.25 / n", "inner = t ** 0.25 / n ** 0.75",
+    Mutant("literal-inner-legs", GAITS,
+           "mid, inner, closing = math.sqrt(t) / n, t ** 0.25 / n, _MIRROR_SQUARE",
+           "mid, inner, closing = math.sqrt(t) / n, t ** 0.25 / n ** 0.75, _MIRROR_SQUARE",
            TEST_GAITS, "nesting_durations"),
+    Mutant("literal-blocks-interleaved", GAITS,
+           "segs = [seg for block in blocks for _ in range(n) for seg in block] + square",
+           "segs = [seg for _ in range(n) for block in blocks for seg in block] + square",
+           TEST_GAITS, "block_order"),
 )
 
 # (the file, the line, its mutation, why the program's behaviour cannot change)

@@ -29,7 +29,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CONFIGS = {"cfd.cfg": "swimmer.coefficients = cfd\nswimmer.cfd_speed = 0.01\n",
-           "micron.cfg": "swimmer.L = 1e-6\nswimmer.b = 1e-7\n"}   # a swimmer 2 um long
+           "micron.cfg": "swimmer.L = 1e-6\nswimmer.b = 1e-7\n",   # a swimmer 2 um long
+           # every literal block, y's and theta's repeated (y's default n is 2)
+           "literal.cfg": "gait.nesting = literal\ngait.x.composite = false\ngait.theta.n = 3\n"}
 # (name, arguments): a command's out-directory is its name
 COMMANDS = (
     ("plan-line", ["plan-line"]),
@@ -39,6 +41,8 @@ COMMANDS = (
     ("synthesize-x", ["synthesize", "--direction", "x"]),
     ("synthesize-y", ["synthesize", "--direction", "y"]),
     ("synthesize-theta", ["synthesize", "--direction", "theta"]),
+    *((f"synthesize-literal-{d}", ["synthesize", "--direction", d, "--config", "literal.cfg"])
+      for d in ("x", "y", "theta")),
     # the theta gait that the same copy wrote just before
     ("simulate-theta", ["simulate", "--schedule", os.path.join("synthesize-theta", "gait_theta.txt")]),
     ("analyze", ["analyze"]),

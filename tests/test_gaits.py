@@ -93,6 +93,27 @@ class TestSynthesize:
             assert inner == commutator_schedule(s.segments[1].duration ** 2)
             assert closing == close(inner)
 
+    def test_block_order_at_n3(self):
+        # literal runs the gamma block three times, then the beta block three
+        # times, then one alpha square; derived runs three rounds of all three
+        for nesting in ("literal", "derived"):
+            def alone(alpha, beta, gamma):
+                return synthesize(GaitSpec(alpha, beta, gamma, t=0.8, n=3,
+                                           nesting=nesting)).segments
+            gammas, betas, alphas = alone(0.0, 0.0, -1.3), alone(0.0, 0.7, 0.0), alone(2.5, 0.0, 0.0)
+            g, b = gammas[:26], betas[:26]   # middle, 3 inner squares, middle, 3 closing
+            a = alphas[:4]
+            assert (g[0].channel, g[0].amplitude, b[0].channel, b[0].amplitude) == (2, -1.3, 1, 0.7)
+            assert gammas == g * 3 and betas == b * 3
+            assert a == commutator_schedule(0.8 / 3, scale_a=2.5).segments
+            full = alone(2.5, 0.7, -1.3)
+            if nesting == "literal":
+                assert alphas == a
+                assert full == g * 3 + b * 3 + a
+            else:
+                assert alphas == a * 3
+                assert full == (g + b + a) * 3
+
     def test_channel_integrals_close(self):
         for nesting in ("derived", "literal"):
             for n in (1, 2, 3):

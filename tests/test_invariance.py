@@ -1,13 +1,14 @@
 """Metamorphic relations of the swimmer that hold bit for bit.
 
 Each relation maps one input to another whose output is known exactly from
-the first: a power-of-two change of the unit of length or of drag, and the
-mirror image of a shape.  No tolerance is involved, so a change that mixes
-units or breaks a symmetry by one rounding shows here even where every
+the first: a power-of-two change of the unit of length, of time or of drag,
+and the mirror image of a shape.  No tolerance is involved, so a change that
+mixes units or breaks a symmetry by one rounding shows here even where every
 tolerance-based test still passes.  Scale factors are powers of two because
 only those scale every product and quotient without rounding: drag x3 keeps
-the rows in most cases but not all.  The one relation that holds only to
-rounding, the end swap of a shape, is asserted at a stated tolerance.
+the rows in most cases but not all.  The two relations that hold only to
+rounding, the end swap of a shape and a slower gait at the same step, are
+asserted at a stated tolerance.
 """
 
 import math
@@ -58,6 +59,51 @@ def test_a_power_of_two_length_scales_the_length_columns_exactly(params):
                               CFG).rows
             assert scaled[:, LENGTH_COLUMNS].tobytes() == (s * rows[:, LENGTH_COLUMNS]).tobytes()
             assert scaled[:, OTHER_COLUMNS].tobytes() == rows[:, OTHER_COLUMNS].tobytes()
+
+
+def time_scaled(schedule, s):
+    """The schedule with its rates times s and its durations divided by s."""
+    return ControlSchedule(tuple(seg._replace(amplitude=s * seg.amplitude, duration=seg.duration / s)
+                                 for seg in schedule.segments))
+
+
+TIME = COLUMNS.index("t")
+RATE_COLUMNS = [COLUMNS.index(c) for c in ("xi_x", "xi_y", "xi_theta")]
+PATH_COLUMNS = [i for i in range(len(COLUMNS)) if i != TIME and i not in RATE_COLUMNS]
+
+
+@pytest.mark.parametrize("min_substeps", (1, 4, 16))
+@pytest.mark.parametrize("params", PARAM_SETS, ids=IDS)
+def test_a_power_of_two_time_unit_scales_time_and_velocity_exactly(params, min_substeps):
+    # the swimmer is driftless: rates times 2**k with the durations and the
+    # step times 2**-k take the same steps along the same shape path, so the
+    # shape, pose and segment columns keep their bits, t scales by 2**-k and
+    # the body velocity by 2**k
+    cfg = IntegratorConfig(h=1e-3, min_substeps=min_substeps)
+    for segments in range(1, 8):
+        for schedule, q0 in random_runs(80 + segments, count=6, segments=segments):
+            rows = simulate(schedule, q0, params, cfg).rows
+            for k in (-20, -3, 1, 7, 20):
+                s = 2.0 ** k
+                scaled = simulate(time_scaled(schedule, s), q0, params,
+                                  cfg._replace(h=cfg.h / s)).rows
+                assert scaled[:, PATH_COLUMNS].tobytes() == rows[:, PATH_COLUMNS].tobytes()
+                assert scaled[:, TIME].tobytes() == (rows[:, TIME] / s).tobytes()
+                assert scaled[:, RATE_COLUMNS].tobytes() == (s * rows[:, RATE_COLUMNS]).tobytes()
+
+
+@pytest.mark.parametrize("params", PARAM_SETS, ids=IDS)
+def test_a_slower_gait_at_the_same_step_ends_at_the_same_pose_to_rounding(params):
+    # rates halved and durations doubled at the default integrator: each
+    # segment takes more steps, so the path is the same and the end pose
+    # agrees to the integrator's rounding (worst seen on these 60 runs:
+    # 6.7e-16); the end shape is the same bits
+    for schedule, q0 in random_runs(77, count=20, segments=4):
+        end = simulate(schedule, q0, params).rows[-1]
+        slow = simulate(time_scaled(schedule, 0.5), q0, params).rows[-1]
+        assert slow[1:3].tobytes() == end[1:3].tobytes()   # alpha1, alpha2
+        dx, dy, dtheta = slow[3:6] - end[3:6]
+        assert max(abs(dx), abs(dy), abs(math.remainder(dtheta, 2.0 * math.pi))) < 1e-14
 
 
 @pytest.mark.parametrize("params", PARAM_SETS, ids=IDS)
