@@ -1,16 +1,18 @@
 """Numerical Lie-algebra tools for vector fields on the swimmer's configuration space.
 
-A vector field is any callable Configuration -> 5-vector whose entries are
-(joint rates, body velocity).  Because the group slots hold body-frame
-components, the honest Lie bracket is the finite-difference part
-DY.X - DX.Y plus the se(2) commutator of the two group parts; without that
-term the square-gait limit tests come out one order too low.
+A vector field is any callable from a Configuration to one 5-vector whose
+entries are (joint rates, body velocity), or to rows of them, as any
+sequence numpy reads: an array, a tuple, or a tuple of tuples.  Because the
+group slots hold body-frame components, the honest Lie bracket is the
+finite-difference part DY.X - DX.Y plus the se(2) commutator of the two
+group parts; without that term the square-gait limit tests come out one
+order too low.
 """
 
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +20,8 @@ from .errors import NumericalError, ValidationError
 from .model import Configuration, ShapePoint, SwimmerParams, connection, validate_params
 from .se2 import DIRECTIONS, GroupPose, se2_commutator, wrap_angle
 
-VectorFieldHandle = Callable[[Configuration], np.ndarray]
+# a field's value: one 5-vector, or rows of them, as any sequence numpy reads
+VectorFieldHandle = Callable[[Configuration], Sequence]
 
 DEFAULT_STEP = 1e-5   # also the inner step of the commutator probe's [g1,g2]
 # Steps for nested brackets.  The outer central difference is taken of the
@@ -58,12 +61,13 @@ def jacobian(X: VectorFieldHandle, q: Configuration, h: float = DEFAULT_STEP) ->
     """Central-difference Jacobian of a field, column per coordinate.
 
     The field is evaluated at q + h and q - h along each coordinate, into one
-    array of ten values.  Shape coordinates and the heading are perturbed on
-    the circle.  A field whose value holds several 5-vectors as rows, such as
-    g1 and g2 as one field, gets one Jacobian per row: a (2, 5, 5) array for
-    two, each equal to that row's own Jacobian bit for bit.  J is returned
-    C-ordered, because J @ x of a Fortran-ordered J can differ in its last
-    bits.
+    array of ten values: one array per Jacobian, however the field returns
+    its values, so a field that returns tuples builds none of its own.  Shape
+    coordinates and the heading are perturbed on the circle.  A field whose
+    value holds several 5-vectors as rows, such as g1 and g2 as one field,
+    gets one Jacobian per row: a (2, 5, 5) array for two, each equal to that
+    row's own Jacobian bit for bit.  J is returned C-ordered, because J @ x
+    of a Fortran-ordered J can differ in its last bits.
     """
     if not 0 < h < math.inf:
         raise ValidationError(f"finite-difference step must be positive and finite, got {h}")
@@ -80,13 +84,13 @@ def jacobian(X: VectorFieldHandle, q: Configuration, h: float = DEFAULT_STEP) ->
         Configuration(shape, GroupPose(x, y - h, th)),
         Configuration(shape, GroupPose(x, y, wrap_angle(th + h))),
         Configuration(shape, GroupPose(x, y, wrap_angle(th - h))))], dtype=float)
-    return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, -1))
+    return np.ascontiguousarray(((v[0::2] - v[1::2]) / (2.0 * h)).transpose(*range(1, v.ndim), 0))
 
 
-def _bracket(x_val: np.ndarray, y_val: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
+def _bracket(x_val: Sequence, y_val: Sequence, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
     """[X, Y] at a point from the values and Jacobians of X and Y there."""
     out = jy @ x_val - jx @ y_val
-    out[2:] += se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())
+    out[2:] += se2_commutator(x_val[2:], y_val[2:])
     return out
 
 
@@ -104,17 +108,17 @@ def bracket_basis(p: Configuration, params: SwimmerParams,
     """
     validate_params(params)
 
-    def g(q: Configuration) -> np.ndarray:   # rows g1(q) and g2(q)
+    def g(q: Configuration) -> tuple:   # rows g1(q) and g2(q)
         c1, c2 = connection(q.shape[0], q.shape[1], params)
-        return np.array([[1.0, 0.0, *c1], [0.0, 1.0, *c2]])
+        return (1.0, 0.0, *c1), (0.0, 1.0, *c2)
 
     def z(q: Configuration) -> np.ndarray:   # [g1, g2] as a field, recomputed pointwise
         (g1, g2), (j1, j2) = g(q), jacobian(g, q, h_inner)
         return _bracket(g1, g2, j1, j2)
 
-    def outer(gi: np.ndarray) -> np.ndarray:   # [g_i, z] at p
+    def outer(gi: tuple) -> np.ndarray:   # [g_i, z] at p
         out = jacobian(z, p, h_outer) @ gi
-        out[2:] += se2_commutator(gi[2:].tolist(), z_p[2:].tolist())
+        out[2:] += se2_commutator(gi[2:], z_p[2:])
         return out
 
     (g1, g2), z_p = g(p), z(p)

@@ -44,8 +44,8 @@ _TEXT_LINE = ('s = s.encode("utf-8", "surrogateescape").decode("utf-8", "replace
               '.translate(_NOT_XML)')
 _NOT_XML_LINE = ('_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), '
                  '0xFFFE, 0xFFFF], "\\ufffd")')
-_DIFFERENCE_LINE = ("return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), "
-                    "0, -1))")
+_DIFFERENCE_LINE = ("return np.ascontiguousarray(((v[0::2] - v[1::2]) / (2.0 * h))"
+                    ".transpose(*range(1, v.ndim), 0))")
 _PROBE_LINE = "reference = bracket_basis(STRAIGHT, params, h_inner=DEFAULT_STEP)[2:, 2]"
 KERNEL = "TestDecimalKernel"
 LENGTHS = "test_csv_lengths or block"
@@ -137,14 +137,14 @@ MUTANTS = (
            "if sigma[0] == 0 or sigma[-1] < 1e-10 * sigma[0]:", "if sigma[0] == 0:", TEST_LIE,
            "degenerate or refused"),
     Mutant("commutator-term-negated", LIE,
-           "out[2:] += se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())",
-           "out[2:] -= se2_commutator(x_val[2:].tolist(), y_val[2:].tolist())", TEST_LIE,
+           "out[2:] += se2_commutator(x_val[2:], y_val[2:])",
+           "out[2:] -= se2_commutator(x_val[2:], y_val[2:])", TEST_LIE,
            "algebra_commutator"),
     Mutant("one-sided-step", LIE, _DIFFERENCE_LINE,
-           "return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / h, 0, -1))", TEST_LIE,
-           "linear_field_exact"),
+           "return np.ascontiguousarray(((v[0::2] - v[1::2]) / h).transpose(*range(1, v.ndim), 0))",
+           TEST_LIE, "linear_field_exact"),
     Mutant("fortran-order-jacobian", LIE, _DIFFERENCE_LINE,
-           "return np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, -1)", TEST_LIE,
+           "return ((v[0::2] - v[1::2]) / (2.0 * h)).transpose(*range(1, v.ndim), 0)", TEST_LIE,
            "generic_pose_dependent"),
     # g1 and g2 evaluated as one field: one solve, one Jacobian for both
     Mutant("second-column-first-rates", "model.py", "for u1, u2 in ((1.0, 0.0), (0.0, 1.0)):",
@@ -153,9 +153,12 @@ MUTANTS = (
            "(g1, g2), (j1, j2) = g(q), jacobian(g, q, h_inner)",
            "(g1, g2), (j2, j1) = g(q), jacobian(g, q, h_inner)", TEST_LIE,
            "basis_is_the_generic_composition"),
+    Mutant("field-rows-swapped", LIE, "return (1.0, 0.0, *c1), (0.0, 1.0, *c2)",
+           "return (0.0, 1.0, *c2), (1.0, 0.0, *c1)", TEST_LIE,
+           "basis_is_the_generic_composition"),
     Mutant("outer-commutator-swapped", LIE,
-           "out[2:] += se2_commutator(gi[2:].tolist(), z_p[2:].tolist())",
-           "out[2:] += se2_commutator(z_p[2:].tolist(), gi[2:].tolist())", TEST_LIE,
+           "out[2:] += se2_commutator(gi[2:], z_p[2:])",
+           "out[2:] += se2_commutator(z_p[2:], gi[2:])", TEST_LIE,
            "basis_is_the_generic_composition"),
     # the commutator probe reads [g1,g2] from the basis
     Mutant("probe-reads-fourth-column", "selftest.py", _PROBE_LINE,
@@ -165,8 +168,8 @@ MUTANTS = (
            "reference = bracket_basis(STRAIGHT, params)[2:, 2]", "test_simulate.py",
            "reads_the_reference_bracket"),
     Mutant("paired-jacobian-transposed", LIE, _DIFFERENCE_LINE,
-           "return np.ascontiguousarray(np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, 1))",
-           TEST_LIE, "paired_jacobian_is_the_two"),
+           "return np.ascontiguousarray(((v[0::2] - v[1::2]) / (2.0 * h))"
+           ".transpose(1, 0, *range(2, v.ndim)))", TEST_LIE, "paired_jacobian_is_the_two"),
     Mutant("shape-wrap-dropped", LIE,
            "Configuration(ShapePoint(wrap_angle(a1 + h), a2), pose),",
            "Configuration(ShapePoint(a1 + h, a2), pose),", TEST_LIE, "wraps_within"),

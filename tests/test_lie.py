@@ -107,6 +107,14 @@ def paired(X, Y):
     return lambda q: np.array([X(q), Y(q)])
 
 
+def as_tuples(X):
+    """X with its value returned as a tuple, or a tuple of row tuples, of floats."""
+    def field(q):
+        v = X(q).tolist()
+        return tuple(map(tuple, v)) if isinstance(v[0], list) else tuple(v)
+    return field
+
+
 def connection_field(params):
     """g1 and g2 as the rows of one field, both from one model.connection."""
     def field(q):
@@ -230,6 +238,22 @@ class TestPairedEvaluation:
             assert J.shape == (2, 5, 5) and J.flags.c_contiguous
             assert J[0].tobytes() == jacobian(X, q, h).tobytes()
             assert J[1].tobytes() == jacobian(Y, q, h).tobytes()
+
+    @pytest.mark.parametrize("params", PARAM_SETS, ids=["default", *"abcd"])
+    def test_a_field_may_return_tuples(self, params):
+        # bracket_basis's field returns its two rows as tuples; jacobian reads
+        # them into the same doubles as the arrays of the same values
+        rng = np.random.default_rng(52)
+        g1, _ = swimmer_fields(params)
+        X, Y = generic_field(rng), generic_field(rng)
+        fields = [g1, connection_field(params), X, paired(X, Y)]
+        for h in (1e-5, 1e-3, 2e-3):
+            points = [ORIGIN, *(random_config(rng) for _ in range(3)), *near_pi_configs(rng, h, 4)]
+            for q in points:
+                for field in fields:
+                    J = jacobian(as_tuples(field), q, h)
+                    assert J.flags.c_contiguous
+                    assert J.tobytes() == jacobian(field, q, h).tobytes()
 
     @pytest.mark.parametrize("params", PARAM_SETS, ids=["default", *"abcd"])
     def test_the_connection_field_is_g1_and_g2(self, params):
