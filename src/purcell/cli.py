@@ -63,25 +63,18 @@ def _say(line: str) -> None:
 
 
 class RunReport:
-    """Command, config echo, key scalar results, and artifact paths.
-
-    Deterministic for a fixed config; also handles the printing so every
-    command reports through one channel.
-    """
+    """The one channel a command prints through: the command and config echo,
+    result lines, informational lines, and the paths it writes.  `quiet` hides
+    the echo and the informational lines; result and `wrote` lines always print."""
 
     def __init__(self, command, cfg, quiet):
-        self.command = command
-        self.config_lines = config_echo(cfg)
         self.quiet = quiet
-        self.scalars = {}
-        self.files = []
         if not quiet:
             _say(f"command: {command}")
-            for line in self.config_lines:
+            for line in config_echo(cfg):
                 _say(f"config: {line}")
 
     def scalar(self, key, value):
-        self.scalars[key] = value
         _say(f"{key} = {value}")
 
     def info(self, message):
@@ -89,7 +82,6 @@ class RunReport:
             _say(message)
 
     def artifact(self, path):
-        self.files.append(path)
         _say(f"wrote {path}")
 
 
@@ -112,9 +104,6 @@ def cmd_coefficients(args, cfg: RunConfig, rep: RunReport) -> int:
     print(f"{'direction':>9s} {'alpha':>14s} {'beta':>14s} {'gamma':>14s}")
     for d, c in solved.items():
         print(f"{d:>9s} {c.alpha:14.6g} {c.beta:14.6g} {c.gamma:14.6g}")
-        rep.scalars[f"{d}.alpha"] = c.alpha
-        rep.scalars[f"{d}.beta"] = c.beta
-        rep.scalars[f"{d}.gamma"] = c.gamma
     return 0
 
 
@@ -207,7 +196,6 @@ def cmd_probe(args, cfg: RunConfig, rep: RunReport) -> int:
             ratios = leakage_ratios(cfg.params, cfg.integrator, nesting)
             print(f"nesting {nesting}: leakage ratios over n=1,2,4: "
                   + ", ".join(f"{r:.4f}" for r in ratios))
-            rep.scalars[f"leakage_{nesting}"] = ratios
             rep.scalar(f"monotone_{nesting}", ratios[0] > ratios[1] > ratios[2])
     return 0
 

@@ -30,7 +30,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
 
 
 ALL_CHECKS = []   # every declared check, in criterion order
@@ -49,7 +48,7 @@ def _check(name: str, limit: int = None):
             if limit is not None:
                 passed = passed and elapsed < limit
                 detail += f", {elapsed:.1f}s (limit {limit}s)"
-            return CheckResult(name, bool(passed), detail, elapsed)
+            return CheckResult(name, bool(passed), detail)
         check.name = name
         ALL_CHECKS.append(check)
         return check

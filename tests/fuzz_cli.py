@@ -1,8 +1,8 @@
 """Seeded contract fuzz of the command line, run in process.
 
 Each case is one command (`synthesize`, `coefficients`, `simulate` of a
-0- to 4-line schedule, `plan-line`, or `analyze --grid 1` to `3`) under a
-config of 0 to 4 `key = value` lines drawn from EDGES, run with `--quiet`
+0- to 4-line schedule, `plan-line`, `analyze --grid 1` to `3`, or `probe` of
+any kind) under a config of 0 to 4 `key = value` lines drawn from EDGES, run with `--quiet`
 in a fresh directory.  Every case runs twice, each time in its own
 directory, and must keep the command line's contract:
 
@@ -76,7 +76,7 @@ SCHEDULE_LINES = (
     "1 1e300 0.01", "1 3e-323 1.0", "2 1 0", "1 1 -1", "1 nan 0.1", "3 1 1", "1 1",
     "2 0.3 1e300",
 )
-COMMANDS = ("synthesize", "coefficients", "simulate", "plan-line", "analyze")
+COMMANDS = ("synthesize", "coefficients", "simulate", "plan-line", "analyze", "probe")
 LENGTH_EXPONENTS = (-20, -3, 1, 5, 20)
 LENGTH_KEYS = ("swimmer.L", "swimmer.b")
 UNIT_FREE = ("min_rank = ", "min_sigma_ratio = ", "weakest_shape = ")   # lines of analyze
@@ -99,6 +99,8 @@ def draw_case(rng: random.Random):
         argv += ["--direction", rng.choice(("x", "y", "theta"))]
     elif command == "analyze":
         argv += ["--grid", str(rng.randint(1, 3))]
+    elif command == "probe":
+        argv += ["--kind", rng.choice(("commutator", "variants", "leakage"))]
     elif command == "simulate":
         argv += ["--schedule", "schedule.txt"]
         schedule = "".join(f"{rng.choice(SCHEDULE_LINES)}\n" for _ in range(rng.randint(0, 4)))

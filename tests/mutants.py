@@ -1,12 +1,14 @@
 """Mutation smoke: one-line mutants of the package, each with the tests that must kill it.
 
-Each mutant changes one line of a file of src/purcell in a temporary copy of
-the repository's src/, tests/, perfbench/ (without its out/), pyproject.toml
-and README.md, then runs there the selection of its own test file named for
-it.  The mutant is killed when that selection fails.  Before any mutant runs,
-every line named must exist once in src/purcell, and every selection must
-pass on the unchanged copy.  Mutants that cannot change what the program
-does are listed in EQUIVALENT, each with its reason; they are not run.
+Each mutant changes one line of a file of src/purcell (or each of the
+`count` lines that read alike) in a temporary copy of the repository's src/,
+tests/, perfbench/ (without its out/), pyproject.toml and README.md, then
+runs there the selection of its own test file named for it.  The mutant is
+killed when that selection fails.  Before any mutant runs, every line named
+must exist in src/purcell as many times as its mutant says (once for an
+equivalent one), and every selection must pass on the unchanged copy.
+Mutants that cannot change what the program does are listed in EQUIVALENT,
+each with its reason; they are not run.
 
     python3 tests/mutants.py              # every mutant
     python3 tests/mutants.py carry lf     # those whose name holds a word given
@@ -33,6 +35,7 @@ class Mutant(NamedTuple):
     mutated: str
     tests: str    # a file of tests/
     select: str   # a pytest -k expression over it
+    count: int = 1   # how many lines of `source` read `line`; each is mutated
 
 
 REPORT, TEST_REPORT = "report.py", "test_report.py"
@@ -99,6 +102,8 @@ MUTANTS = (
     Mutant("broken-pipe-flushed-again", "cli.py",
            "os.dup2(devnull, sys.stdout.fileno())", "pass", "test_cli.py",
            "closes_stdout_early"),
+    Mutant("warnings-unprinted", "cli.py", 'rep.info(f"warning: {w}")', "pass", "test_cli.py",
+           "warnings_print", count=2),
     Mutant("read-in-the-locale", "cli.py", 'return pathlib.Path(path).read_text("utf-8")',
            "return pathlib.Path(path).read_text()", "test_cli.py", "read_as_utf8"),
     Mutant("out-dir-not-a-file-name", "config.py",
@@ -265,21 +270,23 @@ def _copy_tree(dest: str) -> None:
         shutil.copy(os.path.join(ROOT, name), dest)
 
 
-def _find(tree: str, source: str, line: str):
-    """The path of `source` in `tree`, its lines, and the index of the one that reads `line`."""
+def _find(tree: str, source: str, line: str, count: int = 1):
+    """The path of `source` in `tree`, its lines, and the indices of the
+    `count` that read `line`."""
     path = os.path.join(tree, "src", "purcell", source)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     hits = [i for i, text in enumerate(lines) if text.strip() == line]
-    if len(hits) != 1:
-        raise SystemExit(f"{source}: {len(hits)} lines read {line!r}, not one")
-    return path, lines, hits[0]
+    if len(hits) != count:
+        raise SystemExit(f"{source}: {len(hits)} lines read {line!r}, not {count}")
+    return path, lines, hits
 
 
-def _mutate(tree: str, source: str, line: str, mutated: str) -> None:
-    path, lines, i = _find(tree, source, line)
-    text = lines[i]
-    lines[i] = text[:len(text) - len(text.lstrip())] + mutated
+def _mutate(tree: str, source: str, line: str, mutated: str, count: int) -> None:
+    path, lines, hits = _find(tree, source, line, count)
+    for i in hits:
+        text = lines[i]
+        lines[i] = text[:len(text) - len(text.lstrip())] + mutated
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 
@@ -294,8 +301,10 @@ def _passes(tree: str, tests: str, select: str) -> bool:
 
 def main(words) -> int:
     chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
-    # every line named, equivalent ones too, exists once before any mutant runs
-    for source, line in [(m.source, m.line) for m in chosen] + [e[:2] for e in EQUIVALENT]:
+    # every line named, equivalent ones too, exists as often as it should before any mutant runs
+    for m in chosen:
+        _find(ROOT, m.source, m.line, m.count)
+    for source, line, _, _ in EQUIVALENT:
         _find(ROOT, source, line)
     with tempfile.TemporaryDirectory() as tree:
         _copy_tree(tree)
@@ -308,7 +317,7 @@ def main(words) -> int:
         start = time.monotonic()
         with tempfile.TemporaryDirectory() as tree:
             _copy_tree(tree)
-            _mutate(tree, m.source, m.line, m.mutated)
+            _mutate(tree, m.source, m.line, m.mutated, m.count)
             killed = not _passes(tree, m.tests, m.select)
         print(f"{'killed  ' if killed else 'SURVIVED'} {m.name:28s} {m.tests} -k {m.select!r} "
               f"({time.monotonic() - start:.1f} s)", flush=True)

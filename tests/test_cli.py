@@ -385,6 +385,28 @@ def test_plan_circle_pipeline(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "plan_circle_schedule.txt"))
 
 
+@pytest.mark.parametrize("argv, warning, result", [
+    (["plan-line", "--distance", "1e-9"],
+     "warning: translate -1e-09 smaller than half a cycle (-0.00574); emitted no segments",
+     "translate_cycles = 0"),
+    (["plan-circle", "--radius", "1e-9", "--sides", "3"],
+     "warning: translate +1.732e-09 smaller than half a cycle (-0.00574); emitted no segments",
+     "side_length_m = 1.73205e-09"),
+], ids=["line", "circle"])
+def test_plan_warnings_print_unless_quiet(tmp_path, capsys, argv, warning, result):
+    # a maneuver that rounds to 0 cycles is named on a warning line, which
+    # --quiet hides with the echo and the calibration lines, and no result line
+    (tmp_path / "coarse.cfg").write_text("integrator.h = 0.02\n")
+    argv = [*argv, "--config", str(tmp_path / "coarse.cfg"), "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    loud = capsys.readouterr().out.splitlines()
+    assert warning in loud and result in loud
+    assert run([*argv, "--quiet"]) == 0
+    quiet = capsys.readouterr().out.splitlines()
+    assert quiet == [ln for ln in loud if not ln.startswith(
+        ("command: ", "config: ", "calibration ", "warning: "))]
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--grid", "0"],
     ["analyze", "--grid", "1", "--config", "inf_L.cfg"],   # see coefficients below
