@@ -9,7 +9,7 @@ import os
 import pathlib
 import sys
 
-from .config import KEYS, RunConfig, basis_specs, config_echo, parse_config, plan_specs
+from .config import KEYS, RunConfig, config_echo, parse_config, plan_specs
 from .errors import NumericalError, ValidationError
 from .gaits import (ControlSchedule, format_schedule, parse_schedule, shape_excursion,
                     synthesize)
@@ -111,7 +111,7 @@ def cmd_synthesize(args, cfg: RunConfig, rep: RunReport) -> int:
     name = f"gait_{args.direction}.txt"
     check_out_dir(cfg.out_dir, [name])
     spec = cfg.gaits[args.direction]
-    gait = basis_specs(cfg)["x"] if args.direction == "x" else spec
+    gait = plan_specs(cfg)["x"] if args.direction == "x" else spec
     if isinstance(gait, ControlSchedule):   # gait.x.composite
         schedule = gait
         comment = (f"x gait: composite of the four square-gait variants, "

@@ -198,22 +198,18 @@ def default_config() -> RunConfig:
     return _build({})
 
 
-def basis_specs(cfg: RunConfig) -> dict:
-    """The planner's basis gaits: the configured specs, with x replaced by the
-    four-variant composite square gait when `gait.x.composite` is set."""
-    specs = dict(cfg.gaits)
+def plan_specs(cfg: RunConfig) -> dict:
+    """The gaits a plan compiles (planner.PLAN_GAITS), x first: the configured
+    specs, with x replaced by the four-variant composite square gait when
+    `gait.x.composite` is set."""
+    specs = {d: cfg.gaits[d] for d in PLAN_GAITS.values()}
     if cfg.x_composite:
-        x = cfg.gaits["x"]
+        x = specs["x"]
         if x.beta != 0.0 or x.gamma != 0.0 or x.n != 1:
             raise ValidationError("gait.x.composite needs gait.x.beta = gait.x.gamma = 0 "
                                   "and gait.x.n = 1")
         specs["x"] = composite_square_gait(x.t, scale=x.alpha)
     return specs
-
-
-def plan_specs(cfg: RunConfig) -> dict:
-    """The basis_specs of the gaits a plan compiles (planner.PLAN_GAITS)."""
-    return {d: spec for d, spec in basis_specs(cfg).items() if d in PLAN_GAITS}
 
 
 def _echo_value(value) -> str:

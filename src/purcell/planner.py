@@ -24,12 +24,12 @@ MAX_CYCLES = 10_000     # whole gait cycles per compiled plan; that 10-gon uses 
 # where calibration runs each gait, and where each gait block of a plan that
 # starts straight begins: the gaits close their shape loops
 STRAIGHT = Configuration(ShapePoint(0.0, 0.0), GroupPose(0.0, 0.0, 0.0))
-PLAN_GAITS = ("x", "theta")   # the gaits compile_maneuvers reads: translate and rotate
+PLAN_GAITS = {"translate": "x", "rotate": "theta"}   # the gait each maneuver kind runs
 
 
 @dataclass(frozen=True)
 class Maneuver:
-    kind: str         # "rotate" or "translate"
+    kind: str         # "rotate" or "translate": a key of PLAN_GAITS
     magnitude: float  # radians or meters, signed
 
 
@@ -214,7 +214,7 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     schedule carries the calibration's rows, and the first simulate that runs
     a reversed gait adds its rows there.
     """
-    for direction in PLAN_GAITS:
+    for direction in PLAN_GAITS.values():
         if direction not in calib.entries:
             raise ValidationError(f"calibration table lacks the {direction} gait")
 
@@ -223,9 +223,9 @@ def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
     warnings = []
     total = 0
     for m in maneuvers:
-        entry = calib["theta"] if m.kind == "rotate" else calib["x"]
-        if m.kind not in ("rotate", "translate"):
+        if m.kind not in PLAN_GAITS:
             raise ValidationError(f"unknown maneuver kind {m.kind!r}")
+        entry = calib[PLAN_GAITS[m.kind]]
         quantum = entry.per_cycle
         count = m.magnitude / quantum
         if not abs(count) <= MAX_CYCLES - total:   # also refuses nan and inf

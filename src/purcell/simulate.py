@@ -13,10 +13,10 @@ in its own body frame from the identity pose, and every occurrence of it
 copies those body-frame rows; one numpy pass then composes each row with the
 pose its segment starts from.  A plan, whole cycles of a few gait blocks,
 costs its distinct segments plus that copy and composition: criterion 08's
-10-gon makes 10,428 connection evaluations where the step-by-step loop made
-9.2 M.  The time, shape, body-velocity and segment columns are those of the
-step-by-step loop bit for bit; x, y and theta differ from it by rounding,
-within 1e-9 (tests/test_simulate.py keeps that loop as the reference).
+10-gon makes 10,428 connection evaluations.  The time, shape, body-velocity
+and segment columns are those of the step-by-step loop bit for bit; x, y and
+theta differ from it by rounding, within 1e-9 (tests/test_simulate.py keeps
+that loop as the reference).
 
 Rows that outlive a call live in a plain dict that a caller hands on with
 its schedules (`ControlSchedule.rows`): the planner's calibration creates

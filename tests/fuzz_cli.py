@@ -1,10 +1,11 @@
 """Seeded contract fuzz of the command line, run in process.
 
 Each case is one command (`synthesize`, `coefficients`, `simulate` of a
-0- to 4-line schedule, `plan-line`, `analyze --grid 1` to `3`, or `probe` of
-any kind) under a config of 0 to 4 `key = value` lines drawn from EDGES, run with `--quiet`
-in a fresh directory.  Every case runs twice, each time in its own
-directory, and must keep the command line's contract:
+0- to 4-line schedule, `plan-line`, `plan-circle`, `analyze --grid 1` to
+`3`, or `probe` of any kind) under a config of 0 to 4 `key = value` lines
+drawn from EDGES, run with `--quiet` in a fresh directory.  Every case
+runs twice, each time in its own directory, and must keep the command
+line's contract:
 
 - the exit code is 0, 1 or 2, and no exception leaves `cli.main`;
 - on exit 1 or 2, stderr holds exactly one line;
@@ -19,7 +20,8 @@ and the same `min_rank`, `min_sigma_ratio` and `weakest_shape` lines.  A k
 that takes either length out of the normal range of a double is skipped.
 
 A case still running after ALARM seconds is stopped and counted as slow,
-not checked: an edge value can ask for millions of integration steps.
+not checked: an edge value can ask for millions of integration steps.  The
+summary gives, per command, the cases run and those stopped as slow.
 
     python3 tests/fuzz_cli.py                      # seed 1, 120 s
     python3 tests/fuzz_cli.py --seed 7 --seconds 30
@@ -68,6 +70,10 @@ EDGES = (
     ("plan.line.bearing", "30 deg"), ("plan.line.bearing", "-0"), ("plan.line.bearing", "nan"),
     ("plan.line.distance", "3 cm"), ("plan.line.distance", "1e-9"), ("plan.line.distance", "0"),
     ("plan.line.distance", "inf"),
+    ("plan.circle.radius", "3 cm"), ("plan.circle.radius", "1e-9"), ("plan.circle.radius", "0"),
+    ("plan.circle.radius", "inf"), ("plan.circle.radius", "1e300"),
+    ("plan.circle.sides", "3"), ("plan.circle.sides", "2"), ("plan.circle.sides", "1001"),
+    ("plan.circle.sides", "4.5"),
     ("no.such.key", "1"),
 )
 # lines a schedule draws from: `channel amplitude duration`, and lines it must refuse
@@ -76,7 +82,8 @@ SCHEDULE_LINES = (
     "1 1e300 0.01", "1 3e-323 1.0", "2 1 0", "1 1 -1", "1 nan 0.1", "3 1 1", "1 1",
     "2 0.3 1e300",
 )
-COMMANDS = ("synthesize", "coefficients", "simulate", "plan-line", "analyze", "probe")
+COMMANDS = ("synthesize", "coefficients", "simulate", "plan-line", "plan-circle", "analyze",
+            "probe")
 LENGTH_EXPONENTS = (-20, -3, 1, 5, 20)
 LENGTH_KEYS = ("swimmer.L", "swimmer.b")
 UNIT_FREE = ("min_rank = ", "min_sigma_ratio = ", "weakest_shape = ")   # lines of analyze
@@ -193,13 +200,17 @@ def main(argv=None) -> int:
     exponents = random.Random(f"lengths {args.seed}")   # leaves the cases rng draws alone
     start = time.monotonic()
     counts, slow, failed, rescaled, out_of_range = {}, 0, 0, 0, 0
+    per_command = {command: [0, 0] for command in COMMANDS}   # cases run, stopped slow
     while time.monotonic() - start < args.seconds:
         case = draw_case(rng)
         first = run_case(*case)
         second = run_case(*case) if first is not None else None
+        tally = per_command[case[0][0]]
         if first is None or second is None:
             slow += 1
+            tally[1] += 1
             continue
+        tally[0] += 1
         faults = contract_faults(first)
         if second != first:
             faults.append("a second run gave other bytes")
@@ -229,6 +240,9 @@ def main(argv=None) -> int:
           f"({tally}); {rescaled} analyze cases rerun at 2**k lengths ({out_of_range} k out "
           f"of range); {slow} stopped after {ALARM} s; {failed} broke the contract or the "
           f"relation")
+    print("cases run (stopped after the alarm) per command: "
+          + ", ".join(f"{command} {run} ({stopped})"
+                      for command, (run, stopped) in per_command.items()))
     return 1 if failed else 0
 
 

@@ -199,6 +199,12 @@ MUTANTS = (
            "entry = known[key] = (body, xi0, end)", "test_simulate.py", "warm_and_cold"),
     Mutant("per-cycle-reads-x", "planner.py", "return self.delta[DIRECTIONS.index(self.direction)]",
            "return self.delta[0]", "test_planner.py", "per_cycle"),
+    Mutant("unknown-kind-compiled", "planner.py",
+           'raise ValidationError(f"unknown maneuver kind {m.kind!r}")', "pass",
+           "test_planner.py", "unknown_maneuver_kind"),
+    Mutant("unknown-direction-calibrated", "planner.py",
+           'raise ValidationError(f"unknown gait direction {direction!r}")', "pass",
+           "test_planner.py", "unknown_gait_direction"),
     # metamorphic relations: changes that no tolerance-based test sees
     Mutant("start-x-wrapped", "simulate.py",
            "rows[0] = (0.0, wrap_angle(a1), wrap_angle(a2), x, y, wrap_angle(th), 0.0, 0.0, 0.0,",

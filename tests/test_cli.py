@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from purcell import selftest
 from purcell.cli import main
-from purcell.config import KEYS, basis_specs, default_config
+from purcell.config import KEYS, default_config, plan_specs
 from purcell.gaits import format_schedule, parse_schedule, synthesize
 from purcell.model import default_params
 from purcell.selftest import MAX_GRID, rank_sweep
@@ -109,7 +109,7 @@ def test_synthesize_x_writes_the_planner_gait(tmp_path, capsys):
         return (out / "gait_x.txt").read_text()
 
     # gait.x.composite is on by default: the 16-segment, 8 s composite the planner runs
-    composite = basis_specs(default_config())["x"]
+    composite = plan_specs(default_config())["x"]
     assert (len(composite), composite.total_duration) == (16, 8.0)
     text = written("composite")
     assert text.startswith("# x gait: composite of the four square-gait variants")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from purcell import planner
-from purcell.config import basis_specs, default_config
+from purcell.config import default_config, plan_specs
 from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec, commutator_schedule
 from purcell.model import Configuration, ShapePoint, default_params
@@ -17,6 +17,8 @@ from purcell.simulate import IntegratorConfig, simulate
 from conftest import trajectory_from_columns
 
 PARAMS = default_params()
+# the gaits a plan runs, and y: no plan runs it, but its dominance gate is tested
+ALL_SPECS = {**plan_specs(default_config()), "y": default_config().gaits["y"]}
 FAST_CFG = IntegratorConfig(h=5e-3, min_substeps=4)
 IDENT = GroupPose(0.0, 0.0, 0.0)
 
@@ -34,18 +36,19 @@ def synthetic_table(dx=0.01, dtheta=0.05):
 
 class TestCalibrate:
     def test_default_specs_pass_gate(self):
-        calib = calibrate(PARAMS, basis_specs(default_config()), FAST_CFG)
+        calib = calibrate(PARAMS, ALL_SPECS, FAST_CFG)
         assert set(calib.entries) == {"x", "y", "theta"}
         for entry in calib.entries.values():
             assert entry.dominance >= 2.0
             assert entry.schedule.total_duration > 0
 
-    def test_basis_specs_are_the_tuned_defaults(self):
-        assert basis_specs(default_config()) == {
-            "x": composite_square_gait(0.25),
-            "y": GaitSpec(0.0, -1.0, 1.0, t=0.0625, n=2),
-            "theta": GaitSpec(0.0, 1.0, 1.0, t=0.0625, n=1),
-        }
+    def test_plan_specs_are_the_tuned_defaults(self):
+        # x first, as the calibration lines print
+        assert list(plan_specs(default_config()).items()) == [
+            ("x", composite_square_gait(0.25)),
+            ("theta", GaitSpec(0.0, 1.0, 1.0, t=0.0625, n=1)),
+        ]
+        assert default_config().gaits["y"] == GaitSpec(0.0, -1.0, 1.0, t=0.0625, n=2)
 
     def test_x_gait_cross_leakage_small(self):
         calib = calibrate(PARAMS, {"x": composite_square_gait(0.25)}, FAST_CFG)
@@ -56,11 +59,14 @@ class TestCalibrate:
 
     def test_per_cycle_is_the_component_of_the_entry_s_own_direction(self):
         # the y gait's quantum is its y displacement, not its x one
-        calib = calibrate(PARAMS, basis_specs(default_config()),
-                          IntegratorConfig(h=5e-3, min_substeps=16))
+        calib = calibrate(PARAMS, ALL_SPECS, IntegratorConfig(h=5e-3, min_substeps=16))
         for i, d in enumerate(("x", "y", "theta")):
             assert calib[d].per_cycle == calib[d].delta[i]
         assert len(set(calib["y"].delta)) == 3
+
+    def test_refuses_an_unknown_gait_direction(self):
+        with pytest.raises(ValidationError, match="unknown gait direction 'z'"):
+            calibrate(PARAMS, {"z": GaitSpec(0.0, 1.0, 1.0, t=0.0625)}, FAST_CFG)
 
     def test_theta_gait_rotates(self):
         calib = calibrate(PARAMS, {"theta": GaitSpec(0, 1.0, 1.0, t=0.125)}, FAST_CFG)
@@ -212,7 +218,7 @@ class TestCompile:
 
     @pytest.mark.parametrize("real", [False, True], ids=["synthetic", "calibrated"])
     def test_residuals_are_at_most_half_a_cycle(self, real):
-        table = (calibrate(PARAMS, basis_specs(default_config()), FAST_CFG) if real
+        table = (calibrate(PARAMS, plan_specs(default_config()), FAST_CFG) if real
                  else synthetic_table())
         rng = np.random.default_rng(11)
         maneuvers = [Maneuver(kind, table[gait].per_cycle * count)
@@ -242,6 +248,10 @@ class TestCompile:
         del table.entries["theta"]
         with pytest.raises(ValidationError):
             compile_maneuvers([Maneuver("rotate", 0.1)], table)
+
+    def test_refuses_an_unknown_maneuver_kind(self):
+        with pytest.raises(ValidationError, match="unknown maneuver kind 'spin'"):
+            compile_maneuvers([Maneuver("spin", 0.1)], synthetic_table())
 
 
 class TestTracking:
@@ -285,7 +295,7 @@ def _scanned_ends(traj, plan):
 
 def test_tracking_finds_the_ends_the_scan_finds():
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
-    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
     plan = plan_polygon(0.2, 10)    # criterion 08's 10-gon
     compiled = compile_maneuvers(plan.maneuvers, calib)
     traj = simulate(compiled.schedule, Configuration(ShapePoint(0.0, 0.0), plan.start_pose),
@@ -294,7 +304,7 @@ def test_tracking_finds_the_ends_the_scan_finds():
 
 
 def test_tracking_finds_the_ends_of_zero_cycle_spans():
-    calib = calibrate(PARAMS, basis_specs(default_config()), FAST_CFG)
+    calib = calibrate(PARAMS, plan_specs(default_config()), FAST_CFG)
     tiny_x = 0.1 * calib["x"].per_cycle
     tiny_turn = Maneuver("rotate", 0.1 * calib["theta"].per_cycle)
     maneuvers = [Maneuver("translate", tiny_x), tiny_turn,
@@ -326,7 +336,7 @@ def _trajectory_through(points):
 class TestEndToEnd:
     def test_line_plan_heading_within_one_quantum(self):
         cfg = IntegratorConfig(h=2e-3, min_substeps=8)
-        calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+        calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
         bearing = math.radians(40.0)
         target = (0.05 * math.cos(bearing), 0.05 * math.sin(bearing))
         maneuvers = plan_line(IDENT, target)
@@ -342,7 +352,7 @@ class TestEndToEnd:
 
     def test_error_accumulates_over_repeated_translates(self):
         cfg = IntegratorConfig(h=2e-3, min_substeps=8)
-        calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+        calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
         step = 0.03
         maneuvers = [Maneuver("translate", step)] * 5
         compiled = compile_maneuvers(maneuvers, calib)

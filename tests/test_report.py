@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from purcell import report
 from purcell.cli import main
-from purcell.config import basis_specs, default_config
+from purcell.config import default_config, plan_specs
 from purcell.errors import ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, parse_schedule
 from purcell.model import Configuration, ShapePoint, default_params
@@ -448,7 +448,7 @@ class TestChunkedWritersMatchReference:
 
     def test_plan_line_end_to_end(self, tmp_path):
         cfg = IntegratorConfig(h=2e-3, min_substeps=8)
-        calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+        calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
         bearing = math.radians(2.0)   # a small turn, then the reversed x gait
         target = (0.02 * math.cos(bearing), 0.02 * math.sin(bearing))
         compiled = compile_maneuvers(plan_line(GroupPose(0.0, 0.0, 0.0), target), calib)
@@ -474,7 +474,7 @@ def seeded_plan():
     most 2,500 rows; it has values in exponent notation of its own."""
     rng = np.random.default_rng(11)
     cfg = IntegratorConfig(h=2e-3, min_substeps=8)
-    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
     start = GroupPose(*rng.uniform(-0.05, 0.05, size=2), rng.uniform(-math.pi, math.pi))
     bearing = rng.uniform(-math.pi, math.pi)
     target = (start.x + 0.02 * math.cos(bearing), start.y + 0.02 * math.sin(bearing))

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from purcell import simulate as sim
-from purcell.config import basis_specs, default_config
+from purcell.config import default_config, plan_specs
 from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import (ControlSchedule, ControlSegment, GaitSpec,
                            commutator_schedule, reverse_schedule, synthesize)
@@ -432,7 +432,7 @@ def test_compiled_polygon_integrates_its_repeated_segments_once(monkeypatch):
     # criterion 08's 10-gon: 1,300 cycles and 4.59 M steps, of which only the
     # distinct segments are integrated (10,428 calls against 9.2 M)
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
-    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
     plan = plan_polygon(0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
@@ -528,8 +528,7 @@ def _line_plans(calib, count, seed=5):
 
 def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
     # warm runs integrate only the reversals not yet kept
-    specs = basis_specs(default_config())
-    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, PLAN_CFG)
+    calib = calibrate(PARAMS, plan_specs(default_config()), PLAN_CFG)
     warm_calls = cold_calls = 0
     for compiled, q0 in _line_plans(calib, 8):
         sched = compiled.schedule
@@ -546,8 +545,7 @@ def test_warm_and_cold_runs_are_bitwise_equal_on_line_plans(monkeypatch):
 def test_line_plans_grow_the_table_by_their_gaits_reversals_only(monkeypatch):
     # the plan benchmark's traffic: once every gait and reversal has run, a
     # further pass over the same plans integrates and adds nothing
-    specs = basis_specs(default_config())
-    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, PLAN_CFG)
+    calib = calibrate(PARAMS, plan_specs(default_config()), PLAN_CFG)
 
     def run_plans():
         for compiled, q0 in _line_plans(calib, 8):
@@ -571,7 +569,7 @@ def _rows_digest(traj):
 def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
     # criterion 08's plan at a coarser step: 1.15 M rows a run, compared by digest
     cfg = IntegratorConfig(h=1e-2, min_substeps=16)
-    calib = calibrate(PARAMS, basis_specs(default_config()), cfg)
+    calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
     plan = plan_polygon(0.2, 10)
     compiled = compile_maneuvers(plan.maneuvers, calib)
     q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
@@ -588,8 +586,7 @@ def test_warm_and_cold_runs_are_bitwise_equal_on_the_10_gon(monkeypatch):
 
 def test_compiling_integrates_nothing_and_the_first_simulate_adds_reversals(monkeypatch):
     cfg = IntegratorConfig(h=5e-3, min_substeps=16)
-    specs = basis_specs(default_config())
-    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
+    calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
     maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), (0.01, -0.004))
     plans = []
     assert _model_calls(monkeypatch, lambda: plans.append(
@@ -677,8 +674,7 @@ def test_signed_zero_starts_never_share_table_rows(monkeypatch):
 
 def test_calibration_keeps_the_rows_of_its_gaits_and_their_reversals(monkeypatch):
     cfg = IntegratorConfig(h=5e-3, min_substeps=16)
-    specs = basis_specs(default_config())
-    calib = calibrate(PARAMS, {d: specs[d] for d in ("x", "theta")}, cfg)
+    calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
     rows = calib.rows
     assert list(rows) == [(PARAMS, cfg)]
     # the kept rows are those that integrating each gait writes
