@@ -14,11 +14,10 @@ from .errors import NumericalError, ValidationError
 from .gaits import (ControlSchedule, format_schedule, parse_schedule, shape_excursion,
                     synthesize)
 from .lie import solve_bracket_coefficients
-from .model import Configuration, ShapePoint
-from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
-                      plan_polygon, tracking_report)
+from .planner import (STRAIGHT, Plan, WaypointPath, calibrate, fit_circle, plan_line,
+                      plan_polygon, run_plan)
 from .report import check_out_dir, ensure_out_dir, plot_svg, write_file, write_trajectory_csv
-from .se2 import DIRECTIONS, GroupPose
+from .se2 import DIRECTIONS
 from .selftest import (LADDER, commutator_probe, leakage_ratios, rank_sweep,
                        run_acceptance, variant_slopes)
 from .simulate import net_displacement, simulate
@@ -214,11 +213,11 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     check_out_dir(cfg.out_dir, _run_files("plan_line") + ["plan_line_schedule.txt"])
     bearing, distance = cfg.line_bearing, cfg.line_distance
     target = (distance * math.cos(bearing), distance * math.sin(bearing))
-    maneuvers = plan_line(GroupPose(0.0, 0.0, 0.0), target)  # rejects bad targets early
+    maneuvers = plan_line(STRAIGHT.pose, target)  # rejects bad targets early
+    plan = Plan(WaypointPath(((0.0, 0.0), target)), maneuvers, STRAIGHT.pose)
     calib = _calibration(cfg, rep)
     # compiled, run and plotted before any result line: each may refuse
-    compiled = compile_maneuvers(maneuvers, calib)
-    traj = simulate(compiled.schedule, STRAIGHT, cfg.params, cfg.integrator)
+    compiled, traj, track = run_plan(plan, calib, cfg.params, cfg.integrator)
     overlay = {"x": [0.0, target[0]], "y": [0.0, target[1]], "label": "planned line"}
     write_outputs = _run_outputs(traj, "plan_line", 20000, overlay=overlay)
     rep.scalar("rotate_deg", f"{math.degrees(maneuvers[0].magnitude):.6g}")
@@ -229,9 +228,8 @@ def cmd_plan_line(args, cfg: RunConfig, rep: RunReport) -> int:
     for w in compiled.warnings:
         rep.info(f"warning: {w}")
     final = traj.final_pose
-    err = math.hypot(final.x - target[0], final.y - target[1])
     rep.scalar("final_pose", f"({final.x:.6g}, {final.y:.6g}, {final.theta:.6g})")
-    rep.scalar("target_error_m", f"{err:.6g}")
+    rep.scalar("target_error_m", f"{track.max_error:.6g}")   # the one waypoint's error
     write_outputs(cfg.out_dir, rep)
     _write_schedule(compiled.schedule, cfg.out_dir, "plan_line_schedule.txt",
                     "compiled line plan", rep)
@@ -243,16 +241,13 @@ def cmd_plan_circle(args, cfg: RunConfig, rep: RunReport) -> int:
     plan = plan_polygon(cfg.circle_radius, cfg.circle_sides)  # before calibrating
     calib = _calibration(cfg, rep)
     # compiled, run, fitted and plotted before any result line: each may refuse
-    compiled = compile_maneuvers(plan.maneuvers, calib)
-    q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
-    traj = simulate(compiled.schedule, q0, cfg.params, cfg.integrator)
-    track = tracking_report(plan.path, traj, compiled)
+    compiled, traj, track = run_plan(plan, calib, cfg.params, cfg.integrator)
     circle = fit_circle(track.achieved)
     overlay = {"x": [p[0] for p in plan.path.points], "y": [p[1] for p in plan.path.points],
                "label": "planned polygon"}
     write_outputs = _run_outputs(traj, "plan_circle", 50000, circle=circle, overlay=overlay)
-    rep.scalar("side_length_m", f"{plan.side_length:.6g}")
-    rep.scalar("turn_deg", f"{math.degrees(plan.turn):.6g}")
+    rep.scalar("side_length_m", f"{plan.maneuvers[1].magnitude:.6g}")   # rotate, then translate
+    rep.scalar("turn_deg", f"{math.degrees(plan.maneuvers[0].magnitude):.6g}")
     rep.scalar("segments", len(compiled.schedule))
     rep.scalar("schedule_duration_s", f"{compiled.schedule.total_duration:.6g}")
     for w in compiled.warnings:

@@ -83,12 +83,10 @@ class CompiledPlan:
 
 
 @dataclass(frozen=True)
-class PolygonPlan:
-    path: WaypointPath
+class Plan:
+    path: WaypointPath     # waypoint k + 1 is where translate maneuver k should end
     maneuvers: list
     start_pose: GroupPose
-    side_length: float
-    turn: float
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def plan_line(start: GroupPose, target: tuple) -> list:
     return [Maneuver("rotate", rotation), Maneuver("translate", distance)]
 
 
-def plan_polygon(radius: float, sides: int) -> PolygonPlan:
+def plan_polygon(radius: float, sides: int) -> Plan:
     """Regular polygon around the origin, tracking plan: per vertex, rotate
     by the exterior angle and translate one side length.
     """
@@ -200,8 +198,7 @@ def plan_polygon(radius: float, sides: int) -> PolygonPlan:
     for _ in range(sides):
         maneuvers.append(Maneuver("rotate", turn))
         maneuvers.append(Maneuver("translate", side))
-    return PolygonPlan(path=WaypointPath(tuple(vertices)), maneuvers=maneuvers,
-                       start_pose=start_pose, side_length=side, turn=turn)
+    return Plan(path=WaypointPath(tuple(vertices)), maneuvers=maneuvers, start_pose=start_pose)
 
 
 def compile_maneuvers(maneuvers: list, calib: CalibrationTable) -> CompiledPlan:
@@ -257,6 +254,8 @@ def fit_circle(points) -> tuple:
         rhs = pts[:, 0] ** 2 + pts[:, 1] ** 2
     if not np.all(np.isfinite(rhs)):
         raise NumericalError("circle fit needs points whose squared norms are finite")
+    if np.linalg.matrix_rank(pts - pts.mean(axis=0)) < 2:
+        raise NumericalError("circle fit needs points that are neither coincident nor collinear")
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     cx, cy = 0.5 * sol[0], 0.5 * sol[1]
     r_sq = sol[2] + cx * cx + cy * cy
@@ -290,3 +289,12 @@ def tracking_report(path: WaypointPath, traj: Trajectory,
         closure_error=closure,
         achieved=tuple(achieved),
     )
+
+
+def run_plan(plan: Plan, calib: CalibrationTable, params: SwimmerParams,
+             cfg: IntegratorConfig) -> tuple:
+    """(compiled, trajectory, tracking report) of `plan` compiled against `calib`
+    and run open loop from the straight shape at the plan's start pose."""
+    compiled = compile_maneuvers(plan.maneuvers, calib)
+    traj = simulate(compiled.schedule, Configuration(STRAIGHT.shape, plan.start_pose), params, cfg)
+    return compiled, traj, tracking_report(plan.path, traj, compiled)

@@ -19,8 +19,7 @@ from .lie import DEFAULT_STEP, bracket_basis, controllability_report, solve_brac
 from .model import (Configuration, ShapePoint, ShapeVelocity, SwimmerParams,
                     body_velocity, body_velocity_components, default_params)
 from .oracle import reference_body_velocity
-from .planner import (STRAIGHT, calibrate, compile_maneuvers, fit_circle, plan_line,
-                      plan_polygon, tracking_report)
+from .planner import STRAIGHT, calibrate, fit_circle, plan_line, plan_polygon, run_plan
 from .se2 import DIRECTIONS, IDENTITY, GroupPose, wrap_angle
 from .simulate import IntegratorConfig, net_displacement, simulate
 
@@ -312,11 +311,7 @@ def check_polygon_tracking():
     params = default_params()
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
     calib = calibrate(params, plan_specs(default_config()), cfg)
-    plan = plan_polygon(0.2, 10)
-    compiled = compile_maneuvers(plan.maneuvers, calib)
-    q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
-    traj = simulate(compiled.schedule, q0, params, cfg)
-    rep = tracking_report(plan.path, traj, compiled)
+    _, _, rep = run_plan(plan_polygon(0.2, 10), calib, params, cfg)
     fit_radius = fit_circle(rep.achieved)[2]
     bound = 0.25 * 2.0 * math.pi * 0.2
     return (abs(fit_radius - 0.2) <= 0.15 * 0.2 and rep.closure_error < bound,

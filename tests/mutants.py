@@ -205,6 +205,14 @@ MUTANTS = (
     Mutant("unknown-direction-calibrated", "planner.py",
            'raise ValidationError(f"unknown gait direction {direction!r}")', "pass",
            "test_planner.py", "unknown_gait_direction"),
+    # the one route every plan runs, and the circle fit of its tracked points
+    Mutant("run-plan-from-identity", "planner.py",
+           "traj = simulate(compiled.schedule, Configuration(STRAIGHT.shape, plan.start_pose), "
+           "params, cfg)", "traj = simulate(compiled.schedule, STRAIGHT, params, cfg)",
+           "test_planner.py", "run_plan_starts_straight"),
+    Mutant("collinear-fit-accepted", "planner.py",
+           'raise NumericalError("circle fit needs points that are neither coincident nor '
+           'collinear")', "pass", "test_planner.py", "coincident_or_collinear"),
     # metamorphic relations: changes that no tolerance-based test sees
     Mutant("start-x-wrapped", "simulate.py",
            "rows[0] = (0.0, wrap_angle(a1), wrap_angle(a2), x, y, wrap_angle(th), 0.0, 0.0, 0.0,",

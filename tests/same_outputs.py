@@ -35,6 +35,9 @@ CONFIGS = {"cfd.cfg": "swimmer.coefficients = cfd\nswimmer.cfd_speed = 0.01\n",
 # (name, arguments): a command's out-directory is its name
 COMMANDS = (
     ("plan-line", ["plan-line"]),
+    # a translate, and a rotate, of 0 cycles: the waypoint matched at another span's end
+    ("plan-line-short", ["plan-line", "--distance", "1e-9"]),
+    ("plan-line-bearing-0", ["plan-line", "--bearing", "0"]),
     ("plan-circle", ["plan-circle"]),
     ("coefficients", ["coefficients"]),
     ("coefficients-cfd", ["coefficients", "--config", "cfd.cfg"]),

@@ -643,6 +643,20 @@ def test_overflowing_rates_exit_two(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_plan_circle_of_a_swimmer_that_never_moves_exits_two(tmp_path, capsys):
+    # every maneuver is under half a cycle, so the 1,000 tracked points are
+    # the start vertex: no circle fits them
+    (tmp_path / "slow_turn.cfg").write_text("gait.theta.t = 1\n")
+    out = tmp_path / "o"
+    assert run(["plan-circle", "--radius", "1e-9", "--sides", "1000", "--quiet",
+                "--config", str(tmp_path / "slow_turn.cfg"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: circle fit needs points that are neither "
+                            "coincident nor collinear\n")
+    assert not out.exists()
+
+
 def test_ill_conditioned_drag_exits_two(tmp_path):
     sched = tmp_path / "s.txt"
     sched.write_text("1 0.5 0.1\n")

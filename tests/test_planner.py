@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from purcell import planner
-from purcell.config import default_config, plan_specs
+from purcell.config import default_config, parse_config, plan_specs
 from purcell.errors import NumericalError, ValidationError
 from purcell.gaits import ControlSchedule, ControlSegment, GaitSpec, commutator_schedule
 from purcell.model import Configuration, ShapePoint, default_params
-from purcell.planner import (MAX_CYCLES, MAX_SIDES, CalibrationEntry, CalibrationTable,
-                             CompiledPlan, Maneuver, ManeuverSpan, WaypointPath, calibrate, compile_maneuvers,
-                             composite_square_gait, fit_circle, plan_line, plan_polygon, tracking_report)
+from purcell.planner import (MAX_CYCLES, MAX_SIDES, STRAIGHT, CalibrationEntry, CalibrationTable,
+                             CompiledPlan, Maneuver, ManeuverSpan, Plan, WaypointPath, calibrate,
+                             compile_maneuvers, composite_square_gait, fit_circle, plan_line,
+                             plan_polygon, run_plan, tracking_report)
 from purcell.se2 import GroupPose
 from purcell.simulate import IntegratorConfig, simulate
 
@@ -140,16 +141,18 @@ class TestPlanLine:
 class TestPlanPolygon:
     def test_ten_gon_geometry(self):
         plan = plan_polygon(0.20, 10)
-        assert math.degrees(plan.turn) == pytest.approx(36.0)
-        assert plan.side_length == pytest.approx(2 * 0.2 * math.sin(math.pi / 10))
-        assert plan.side_length == pytest.approx(0.1236, abs=1e-4)
-        assert len(plan.maneuvers) == 20
+        turn, side = plan.maneuvers[:2]
+        assert (turn.kind, side.kind) == ("rotate", "translate")
+        assert math.degrees(turn.magnitude) == pytest.approx(36.0)
+        assert side.magnitude == pytest.approx(2 * 0.2 * math.sin(math.pi / 10))
+        assert side.magnitude == pytest.approx(0.1236, abs=1e-4)
+        assert plan.maneuvers == [turn, side] * 10
         assert len(plan.path.points) == 11
         assert plan.path.points[0] == pytest.approx(plan.path.points[-1])
 
     def test_square_side(self):
         plan = plan_polygon(1.0, 4)
-        assert plan.side_length == pytest.approx(math.sqrt(2.0))
+        assert plan.maneuvers[1].magnitude == pytest.approx(math.sqrt(2.0))
 
     def test_exterior_turns_sum_to_full_circle(self):
         for sides in (3, 5, 10, 17):
@@ -265,6 +268,13 @@ class TestTracking:
         with pytest.raises(NumericalError, match="finite"):
             fit_circle([(1e200, 0.0), (0.0, 1e200), (-1e200, 0.0)])
 
+    @pytest.mark.parametrize("points", [[(1.0, 1.0)] * 3, [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]],
+                             ids=["coincident", "collinear"])
+    def test_fit_circle_refuses_coincident_or_collinear_points(self, points):
+        # lstsq would fit these a minimum-norm "circle" (radii 0.943 and 1.155)
+        with pytest.raises(NumericalError, match="neither coincident nor collinear"):
+            fit_circle(points)
+
     def test_exact_waypoints_give_zero_error(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
         path = WaypointPath(tuple(pts))
@@ -296,11 +306,8 @@ def _scanned_ends(traj, plan):
 def test_tracking_finds_the_ends_the_scan_finds():
     cfg = IntegratorConfig(h=2.5e-3, min_substeps=16)
     calib = calibrate(PARAMS, plan_specs(default_config()), cfg)
-    plan = plan_polygon(0.2, 10)    # criterion 08's 10-gon
-    compiled = compile_maneuvers(plan.maneuvers, calib)
-    traj = simulate(compiled.schedule, Configuration(ShapePoint(0.0, 0.0), plan.start_pose),
-                    PARAMS, cfg)
-    assert tracking_report(plan.path, traj, compiled).achieved == _scanned_ends(traj, compiled)
+    compiled, traj, rep = run_plan(plan_polygon(0.2, 10), calib, PARAMS, cfg)   # criterion 08's
+    assert rep.achieved == _scanned_ends(traj, compiled)
 
 
 def test_tracking_finds_the_ends_of_zero_cycle_spans():
@@ -318,6 +325,36 @@ def test_tracking_finds_the_ends_of_zero_cycle_spans():
     achieved = tracking_report(path, traj, compiled).achieved
     assert achieved == _scanned_ends(traj, compiled)
     assert achieved[0] == (0.0, 0.0)
+
+
+def test_run_plan_starts_straight_at_the_plan_s_start_pose():
+    calib = calibrate(PARAMS, plan_specs(default_config()), FAST_CFG)
+    plan = plan_polygon(0.05, 3)
+    assert plan.start_pose != STRAIGHT.pose
+    compiled, traj, rep = run_plan(plan, calib, PARAMS, FAST_CFG)
+    assert compiled == compile_maneuvers(plan.maneuvers, calib)
+    q0 = Configuration(ShapePoint(0.0, 0.0), plan.start_pose)
+    assert traj.rows.tobytes() == simulate(compiled.schedule, q0, PARAMS, FAST_CFG).rows.tobytes()
+    assert rep == tracking_report(plan.path, traj, compiled)
+
+
+@pytest.mark.parametrize("config, zero_span", [("", None), ("plan.line.distance = 1e-9", 1),
+                                              ("plan.line.bearing = 0", 0)],
+                         ids=["default", "translate-of-0-cycles", "rotate-of-0-cycles"])
+def test_a_line_plan_s_one_error_is_the_final_position_s(config, zero_span):
+    # plan-line's target_error_m: the one waypoint is matched to the end of the
+    # translate, which ends the schedule even when it emits no segment
+    cfg = parse_config(config)
+    target = (cfg.line_distance * math.cos(cfg.line_bearing),
+              cfg.line_distance * math.sin(cfg.line_bearing))
+    plan = Plan(WaypointPath(((0.0, 0.0), target)), plan_line(IDENT, target), IDENT)
+    calib = calibrate(cfg.params, plan_specs(cfg), cfg.integrator)
+    compiled, traj, rep = run_plan(plan, calib, cfg.params, cfg.integrator)
+    assert [s.cycles == 0 for s in compiled.spans] == [i == zero_span for i in range(2)]
+    assert compiled.spans[1].last_segment == len(compiled.schedule) - 1
+    final = traj.final_pose
+    assert rep.achieved[-1] == (final.x, final.y)
+    assert rep.max_error.hex() == math.hypot(final.x - target[0], final.y - target[1]).hex()
 
 
 def _trajectory_through(points):
